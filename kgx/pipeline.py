@@ -3,8 +3,7 @@ checkpointed two-phase ``run_kg`` job.
 
 Flagship chain (SURVEY.md §3.1 KG equivalent):
 
-    read -> extract_text -> segment -> TripleExtractor(actors)
-         -> EntityLinker(actors)                      [phase A, per shard]
+    read -> extract_text -> segment -> TripleLinker   [phase A, per shard]
     linked -> {dedup+categorize -> sort -> triples,   [phase B, global
                canonicalize -> entities,               shuffles over the
                adjacency}                              small linked table]
@@ -113,10 +112,9 @@ def mentions_ds(pages_ds, cfg: dict, refs: dict):
 def linked_triples_ds(pages_ds, cfg: dict, refs: dict):
     """pages -> linked triples: the whole phase-A chain, lazy.
 
-    Uses the FUSED extract+link actor pool (kg_stages.TripleLinker): one
-    pool on the hot path instead of two, so ramp-up is paid once and raw
-    triples never cross an exchange.  The unfused TripleExtractor /
-    EntityLinker stages remain available for per-stage inspection."""
+    Extraction and linking run fused in one task UDF
+    (kg_stages.TripleLinker), so raw triples are never materialized or
+    shipped between stages."""
     b = cfg["processing"]["batch"]
     segs = segments_ds(pages_ds, cfg)
     if cfg.get("pipeline", {}).get("anonymize"):

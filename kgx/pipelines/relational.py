@@ -161,7 +161,7 @@ def customers_with_orders(sf_dir: str, broadcast_limit: int = 2_000_000):
     # Distinct keys via the part_id exchange + ONE vectorized pc.unique per
     # PARTITION — NOT groupby(key).map_groups, which pays one Python call per
     # distinct custkey (custkeys are corpus-cardinality at web scale; VERDICT
-    # r2 "What's wrong" #1).  int_keys keeps the tagging zero-copy Arrow and
+    # r2 "What's wrong" #1).  Blocks stay Arrow through the tagging and
     # every block carries the explicit schema (empty pandas-origin blocks
     # would lose theirs and break the concat/native-join downstream).
     distinct_keys = hash_partitioned_apply(
@@ -170,7 +170,6 @@ def customers_with_orders(sf_dir: str, broadcast_limit: int = 2_000_000):
         lambda t: pa.table(
             {"o_custkey": pc.unique(t["o_custkey"])}, schema=key_schema
         ),
-        int_keys=True,
         kernel_format="pyarrow",
     ).materialize()
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -365,7 +364,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30):
         return out.reset_index(drop=True)[["user_id", "session_start_us", "n_events"]]
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return hash_partitioned_apply(ds, ["user_id"], sessions, int_keys=True)
+    return hash_partitioned_apply(ds, ["user_id"], sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,7 @@ def events_trailing_hour(sf_dir: str):
         return pd.DataFrame({"event_id": df["event_id"], "n_last_hour": n})
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return hash_partitioned_apply(ds, ["user_id"], kernel, int_keys=True)
+    return hash_partitioned_apply(ds, ["user_id"], kernel)
 
 
 def orders_per_nation_native_join(sf_dir: str):
@@ -584,7 +583,7 @@ def prev_order_asof(sf_dir: str):
         )
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
-    return hash_partitioned_apply(ds, ["o_custkey"], kernel, int_keys=True)
+    return hash_partitioned_apply(ds, ["o_custkey"], kernel)
 
 
 def median_orders_per_nation(sf_dir: str):
@@ -662,7 +661,7 @@ def median_orders_per_nation(sf_dir: str):
             }
         )
 
-    return hash_partitioned_apply(attached, ["c_nationkey"], kernel, int_keys=True)
+    return hash_partitioned_apply(attached, ["c_nationkey"], kernel)
 
 
 def distinct_event_types(sf_dir: str):
@@ -741,7 +740,7 @@ def event_funnel(sf_dir: str, a: str = "click", b: str = "purchase",
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    return hash_partitioned_apply(ds, ["user_id"], kernel, int_keys=False)
+    return hash_partitioned_apply(ds, ["user_id"], kernel)
 
 
 def sql_event_funnel(a: str = "click", b: str = "purchase",
@@ -841,7 +840,7 @@ def quantile_orders_per_nation(sf_dir: str):
             {"c_nationkey": nat[starts].astype("int64"), **cols}
         )
 
-    return hash_partitioned_apply(attached, ["c_nationkey"], kernel, int_keys=True)
+    return hash_partitioned_apply(attached, ["c_nationkey"], kernel)
 
 
 def sql_quantile_orders_per_nation() -> str:
@@ -903,7 +902,6 @@ def customers_without_urgent(sf_dir: str, broadcast_limit: int = 2_000_000):
         lambda t: pa.table(
             {"o_custkey": pc.unique(t["o_custkey"])}, schema=key_schema
         ),
-        int_keys=True,
         kernel_format="pyarrow",
     ).materialize()
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -1025,7 +1023,7 @@ def running_order_total(sf_dir: str):
             }
         )
 
-    return hash_partitioned_apply(ds, ["o_custkey"], kernel, int_keys=True)
+    return hash_partitioned_apply(ds, ["o_custkey"], kernel)
 
 
 def sql_running_order_total() -> str:
@@ -1314,7 +1312,6 @@ def customers_with_orders_bloom(
         lambda t: pa.table(
             {"o_custkey": pc.unique(t["o_custkey"])}, schema=key_schema
         ),
-        int_keys=True,
         kernel_format="pyarrow",
     )
     n_parts = _join_partitions(survivors, distinct_keys)
@@ -1493,7 +1490,7 @@ def top_revenue_orders(sf_dir: str, segment: str = Q3_SEGMENT,
             )
 
         per_order = hash_partitioned_apply(
-            union, ["o_orderkey"], kernel, int_keys=True
+            union, ["o_orderkey"], kernel
         )
     topk = per_order.sort(
         ["revenue_cp", "o_orderkey"], descending=[True, False]
@@ -1653,7 +1650,7 @@ def event_gap_stats(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return hash_partitioned_apply(ds, ["user_id"], kernel, int_keys=True)
+    return hash_partitioned_apply(ds, ["user_id"], kernel)
 
 
 def sql_event_gap_stats() -> str:
@@ -1819,7 +1816,7 @@ def region_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
                          suffixes=("_drop", ""))
             return m[["o_orderkey", "regionkey"]]
 
-        oreg = hash_partitioned_apply(u, ["ck"], attach, int_keys=True)
+        oreg = hash_partitioned_apply(u, ["ck"], attach)
 
     line = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
@@ -1906,8 +1903,7 @@ def region_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
             )
             return g.rename(columns={"rk": "regionkey"}).astype("int64")
 
-        partials = hash_partitioned_apply(u2, ["o_orderkey"], region_partial,
-                                          int_keys=True)
+        partials = hash_partitioned_apply(u2, ["o_orderkey"], region_partial)
 
     def final(d: "pd.DataFrame") -> "pd.DataFrame":
         g = d.groupby("regionkey", sort=False, as_index=False).agg(
@@ -2057,7 +2053,6 @@ def late_order_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
     import ray
 
     from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
-                                   hash_partitioned_agg_arrow,
                                    hash_partitioned_apply)
 
     lag_us = np.int64(Q4_LATE_DAYS) * 86_400 * 1_000_000
@@ -2119,7 +2114,7 @@ def late_order_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
 
         partials = hash_partitioned_apply(
             line.map_batches(late_keys, batch_format="pyarrow"),
-            ["k"], count_kernel, int_keys=True, kernel_format="pyarrow",
+            ["k"], count_kernel, kernel_format="pyarrow",
         )
 
         def final(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2148,7 +2143,8 @@ def late_order_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
         np.maximum.at(ms, inv, ship)
         return pa.table({"l_orderkey": uk.astype("int64"), "ms": ms})
 
-    lmax = hash_partitioned_agg_arrow(line, ["l_orderkey"], ship_partial)
+    lmax = hash_partitioned_agg(line, ["l_orderkey"], ship_partial,
+                                kernel_format="pyarrow")
 
     def lmax_rows(t: "pa.Table") -> "pd.DataFrame":
         return pd.DataFrame(
@@ -2231,7 +2227,7 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import (collect_arrow, hash_partitioned_agg_arrow,
+    from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
                                    hash_partitioned_apply)
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -2254,7 +2250,8 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
         np.add.at(s, inv, w)
         return pa.table({"ck": uk.astype("int64"), "n": s})
 
-    percust = hash_partitioned_agg_arrow(orders, ["ck"], count_partial,)
+    percust = hash_partitioned_agg(orders, ["ck"], count_partial,
+                                   kernel_format="pyarrow")
 
     if cust.count() <= broadcast_limit:
         ct = collect_arrow(
@@ -2325,7 +2322,7 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
                          "c_count": cnt.astype("int64")})
 
     partials = hash_partitioned_apply(u, ["ck"], hist_kernel,
-                                      int_keys=True, kernel_format="pyarrow")
+                                      kernel_format="pyarrow")
 
     def final_merge(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("n_orders", sort=False, as_index=False).agg(
@@ -2469,8 +2466,7 @@ def returned_item_revenue(sf_dir: str, k: int = Q10_K,
                 revenue_cp=("revenue_cp", "sum"))
             return g.rename(columns={"c2": "ck"}).astype("int64")
 
-        percust_in = hash_partitioned_apply(u, ["k"], attach_kernel,
-                                            int_keys=True)
+        percust_in = hash_partitioned_apply(u, ["k"], attach_kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("ck", sort=False, as_index=False).agg(
@@ -2619,7 +2615,7 @@ def daily_active_users(sf_dir: str):
                          "n_events": n_events.astype("int64")})
 
     return hash_partitioned_apply(pairs, ["day"], day_kernel,
-                                  int_keys=True, kernel_format="pyarrow")
+                                  kernel_format="pyarrow")
 
 
 def sql_daily_active_users() -> str:
@@ -2791,7 +2787,6 @@ def promo_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
                          "total_cents": np.array([total], dtype=np.int64)})
 
     partials = hash_partitioned_apply(u, ["k"], join_kernel,
-                                      int_keys=True,
                                       kernel_format="pyarrow")
     return partials.repartition(1).map_batches(
         final, batch_format="pandas", batch_size=None)
@@ -2860,7 +2855,7 @@ def big_volume_orders(sf_dir: str, qty_threshold: int = Q18_QTY,
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import collect_arrow, hash_partitioned_agg_arrow
+    from ..stages.exchange import collect_arrow, hash_partitioned_agg
 
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -2881,7 +2876,8 @@ def big_volume_orders(sf_dir: str, qty_threshold: int = Q18_QTY,
         np.add.at(s, inv, q)
         return pa.table({"okey": uk.astype("int64"), "total_qty": s})
 
-    sums = hash_partitioned_agg_arrow(line, ["okey"], qty_partial)
+    sums = hash_partitioned_agg(line, ["okey"], qty_partial,
+                                kernel_format="pyarrow")
 
     def local_top(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df[df["total_qty"] > qty_threshold]
@@ -3148,7 +3144,7 @@ def dormant_rich_customers(sf_dir: str, broadcast_limit: int = 2_000_000,
         return seg_fold(c.loc[m, "c_mktsegment"].to_numpy(),
                         c.loc[m, "b"].to_numpy())
 
-    partials = hash_partitioned_apply(u, ["k"], anti_kernel, int_keys=True)
+    partials = hash_partitioned_apply(u, ["k"], anti_kernel)
     return finalize(
         hash_partitioned_agg(partials, ["c_mktsegment"], combine))
 
@@ -3322,7 +3318,7 @@ def part_value_share(sf_dir: str, broadcast_limit: int = 2_000_000,
             value_cents=("cents", "sum"))
         return g.rename(columns={"t2": "p_type"})
 
-    partials = hash_partitioned_apply(u, ["k"], join_kernel, int_keys=True)
+    partials = hash_partitioned_apply(u, ["k"], join_kernel)
     rows = collect_arrow(
         hash_partitioned_agg(partials, ["p_type"], combine),
         empty_rows,
@@ -3458,8 +3454,7 @@ def supplier_type_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
         partials = hash_partitioned_apply(
             line.map_batches(li_pairs, batch_format="pyarrow"),
             ["supp"],
-            count_kernel_factory(lambda x: str(type_uniq[x])),
-            int_keys=True,
+            count_kernel_factory(lambda x: str(type_uniq[x]))
         )
         return finalize(
             hash_partitioned_agg(partials, ["p_type"], combine))
@@ -3494,7 +3489,7 @@ def supplier_type_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
         return m[["t2", "supp"]].rename(columns={"t2": "p_type"}) \
             .drop_duplicates()
 
-    typed = hash_partitioned_apply(u, ["k"], attach_kernel, int_keys=True)
+    typed = hash_partitioned_apply(u, ["k"], attach_kernel)
 
     def distinct_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.drop_duplicates(["p_type", "supp"])
@@ -3502,8 +3497,7 @@ def supplier_type_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
             n_suppliers=("supp", "size"))
         return g.astype({"n_suppliers": "int64"})
 
-    partials = hash_partitioned_apply(typed, ["supp"], distinct_kernel,
-                                      int_keys=True)
+    partials = hash_partitioned_apply(typed, ["supp"], distinct_kernel)
     return finalize(hash_partitioned_agg(partials, ["p_type"], combine))
 
 
@@ -3584,8 +3578,7 @@ def cohort_matrix(sf_dir: str):
 
     partials = hash_partitioned_apply(
         events.map_batches(pairs, batch_format="pyarrow"),
-        ["user_id"], cohort_kernel, int_keys=True,
-        kernel_format="pyarrow")
+        ["user_id"], cohort_kernel, kernel_format="pyarrow")
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby(["cohort_week", "weeks_since"], sort=False,
@@ -3783,7 +3776,7 @@ def small_qty_revenue(sf_dir: str, brand: str = "Brand#23",
              "n_small": pd.Series([int(mask.sum())], dtype="int64")})
 
     return fold_rows(
-        hash_partitioned_apply(union, ["k"], kernel, int_keys=True))
+        hash_partitioned_apply(union, ["k"], kernel))
 
 
 def sql_small_qty_revenue(brand: str = "Brand#23") -> str:
@@ -3928,7 +3921,7 @@ def shipmode_priority_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
             return fold(li["st"].to_numpy()[hit], hs[pos[hit]])
         return fold(np.array([], dtype=object), np.array([], dtype=bool))
 
-    partials = hash_partitioned_apply(union, ["k"], kernel, int_keys=True)
+    partials = hash_partitioned_apply(union, ["k"], kernel)
     return hash_partitioned_agg(partials, ["l_linestatus"], combine)
 
 
@@ -4004,8 +3997,7 @@ def blame_supplier_counts(sf_dir: str, k: int = 20):
                              "numwait": cnt.astype(np.int64)})
 
     partials = hash_partitioned_apply(
-        line.map_batches(partial, batch_format="pyarrow"), ["k"], kernel,
-        int_keys=True)
+        line.map_batches(partial, batch_format="pyarrow"), ["k"], kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("s_suppkey", sort=False, as_index=False).agg(
@@ -4214,7 +4206,7 @@ def nation_trade_matrix(sf_dir: str, broadcast_limit: int = 2_000_000):
             return out_builder(ff[hit.astype(bool)] if len(ff) else ff,
                                val[hit] if len(ff) else val)
 
-        return hash_partitioned_apply(u, ["k"], kernel, int_keys=True)
+        return hash_partitioned_apply(u, ["k"], kernel)
 
     # step 1: lineitem rows keyed by suppkey pick up the supplier nation
     def li_rows(batch: "pa.Table") -> "pd.DataFrame":
@@ -4437,7 +4429,7 @@ def disjunctive_revenue(sf_dir: str, clauses=Q19_CLAUSES,
         return _one_row(np.zeros(0, dtype=np.int64))
 
     return fold_rows(
-        hash_partitioned_apply(union, ["k"], kernel, int_keys=True))
+        hash_partitioned_apply(union, ["k"], kernel))
 
 
 def sql_disjunctive_revenue(clauses=Q19_CLAUSES) -> str:
@@ -4651,7 +4643,7 @@ def event_type_cooccurrence(sf_dir: str):
 
     partials = hash_partitioned_apply(
         ev.map_batches(partial, batch_format="pandas"),
-        ["user_id"], kernel, int_keys=True)
+        ["user_id"], kernel)
     return hash_partitioned_agg(
         partials, ["type_a", "type_b"],
         lambda df: df.groupby(["type_a", "type_b"], sort=False,
@@ -4840,7 +4832,7 @@ def local_supplier_volume(sf_dir: str, broadcast_limit: int = 2_000_000):
             return out_builder(ff[hit.astype(bool)] if len(ff) else ff,
                                val[hit] if len(ff) else val)
 
-        return hash_partitioned_apply(u, ["k"], kernel, int_keys=True)
+        return hash_partitioned_apply(u, ["k"], kernel)
 
     def li_rows(batch: "pa.Table") -> "pd.DataFrame":
         sk, okey, cents = _li_arrays(batch)
@@ -5095,7 +5087,7 @@ def national_market_share(sf_dir: str, part_type: str = "PROMO",
             return out_builder(ff[hit.astype(bool)] if len(ff) else ff,
                                val[hit] if len(ff) else val)
 
-        return hash_partitioned_apply(u, ["k"], kernel, int_keys=True)
+        return hash_partitioned_apply(u, ["k"], kernel)
 
     def li_rows(batch: "pa.Table") -> "pd.DataFrame":
         pk, sk, okey, cents = _li_arrays(batch)
@@ -5355,7 +5347,7 @@ def product_profit(sf_dir: str, name_sub: str = "rod",
             return out_builder(ff[hit.astype(bool)] if len(ff) else ff,
                                val[hit] if len(ff) else val)
 
-        return hash_partitioned_apply(u, ["k"], kernel, int_keys=True)
+        return hash_partitioned_apply(u, ["k"], kernel)
 
     def li_rows(batch: "pa.Table") -> "pd.DataFrame":
         pk, sk, okey, cents, qty = _li_arrays(batch)
@@ -5612,7 +5604,7 @@ def min_cost_supplier(sf_dir: str, region_name: str = "EUROPE",
 
         pairs = line.map_batches(partial, batch_format="pyarrow")
         return finalize(hash_partitioned_apply(
-            pairs, ["pk"], kernel, int_keys=True))
+            pairs, ["pk"], kernel))
 
     # ---- unbounded route: sk-hop (region attach) then pk-hop (tie set) --
     def eu_dim_rows(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -5659,7 +5651,7 @@ def min_cost_supplier(sf_dir: str, region_name: str = "EUROPE",
         return j[["pk", "sk", "unit_cents", "acctbal_cents",
                   "s_name", "n_name"]]
 
-    s1 = hash_partitioned_apply(u1, ["sk"], sk_kernel, int_keys=True)
+    s1 = hash_partitioned_apply(u1, ["sk"], sk_kernel)
 
     def pm_rows(t: "pa.Table") -> "pd.DataFrame":
         return pd.DataFrame(
@@ -5690,8 +5682,7 @@ def min_cost_supplier(sf_dir: str, region_name: str = "EUROPE",
         pos = np.searchsorted(pks, probe).clip(max=len(pks) - 1)
         return _tie_prune(ff[pks[pos] == probe])
 
-    return finalize(hash_partitioned_apply(u2, ["pk"], pk_kernel,
-                                           int_keys=True))
+    return finalize(hash_partitioned_apply(u2, ["pk"], pk_kernel))
 
 
 def sql_min_cost_supplier(region_name: str = "EUROPE",
@@ -5799,7 +5790,7 @@ def part_concentration(sf_dir: str):
 
     partials = hash_partitioned_apply(
         line.map_batches(pair_partial, batch_format="pyarrow"),
-        ["pk"], share_kernel, int_keys=True)
+        ["pk"], share_kernel)
 
     return hash_partitioned_agg(
         partials, ["share_pm"],
@@ -5875,7 +5866,7 @@ def event_transitions(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     partials = hash_partitioned_apply(
         ds.map_batches(valid, batch_format="pyarrow"),
-        ["user_id"], kernel, int_keys=True)
+        ["user_id"], kernel)
     return hash_partitioned_agg(
         partials, ["prev_type", "next_type"],
         lambda df: df.groupby(["prev_type", "next_type"], sort=False,
@@ -5967,7 +5958,7 @@ def basket_rules(sf_dir: str, minsup: int = BASKET_MINSUP):
         return out
 
     tagged = hash_partitioned_apply(
-        li, ["l_orderkey"], kernel, int_keys=True).materialize()
+        li, ["l_orderkey"], kernel).materialize()
 
     def _only(kind: int):
         import pyarrow.compute as _pc
@@ -6036,7 +6027,7 @@ def basket_rules(sf_dir: str, minsup: int = BASKET_MINSUP):
             out[c] = out[c].astype("int64")
         return out
 
-    halves = hash_partitioned_apply(u, ["key"], attach_kernel, int_keys=True)
+    halves = hash_partitioned_apply(u, ["key"], attach_kernel)
 
     with_b = hash_partitioned_agg(
         halves, ["part_a", "part_b"],
@@ -6303,8 +6294,7 @@ def conversion_lag(sf_dir: str, from_type: str = LAG_FROM,
              "n_users": vc.to_numpy().astype("int64")})
 
     partials = hash_partitioned_apply(
-        ds.map_batches(partial, batch_format="pandas"), ["u"], kernel,
-        int_keys=True)
+        ds.map_batches(partial, batch_format="pandas"), ["u"], kernel)
     return hash_partitioned_agg(
         partials, ["lag_hours"],
         lambda df: df.groupby("lag_hours", sort=False, as_index=False).agg(
@@ -6434,7 +6424,7 @@ def decile_report(sf_dir: str):
 
     partials = hash_partitioned_apply(cust.map_batches(
         lambda df: df.assign(cell=cell_of(df["cents"].to_numpy())),
-        batch_format="pandas"), ["cell"], rank_kernel, int_keys=True)
+        batch_format="pandas"), ["cell"], rank_kernel)
     return hash_partitioned_agg(
         partials, ["decile"],
         lambda df: df.groupby("decile", sort=False, as_index=False).agg(

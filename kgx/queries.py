@@ -338,11 +338,7 @@ def dedup_exact(sf_dir: str):
 def dedup_ngram_jaccard(sf_dir: str):
     from .stages.dedup import ngram_jaccard_pairs
 
-    d = config_loader.resolve_settings()["processing"]["dedup"]
-    return ngram_jaccard_pairs(
-        _docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T,
-        layout=d.get("pair_layout", "inline"),
-    )
+    return ngram_jaccard_pairs(_docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T)
 
 
 def dedup_minhash_lsh(sf_dir: str):
@@ -355,7 +351,6 @@ def dedup_minhash_lsh(sf_dir: str):
         bands=d["minhash_bands"],
         threshold=d["minhash_jaccard"],
         shingle_k=d["shingle_k"],
-        layout=d.get("pair_layout", "inline"),
     )
 
 
@@ -1341,8 +1336,7 @@ def dedup_agreement(sf_dir: str):
                            return_counts=True)
         return pd.DataFrame({"mask": u, "n_pairs": cnt.astype(np.int64)})
 
-    partials = hash_partitioned_apply(union, ["id_a", "id_b"], kernel,
-                                      int_keys=True)
+    partials = hash_partitioned_apply(union, ["id_a", "id_b"], kernel)
     return hash_partitioned_agg(
         partials, ["mask"],
         lambda df: df.groupby("mask", sort=False, as_index=False).agg(
@@ -2552,7 +2546,7 @@ def kg_seg_yield(sf_dir: str):
              "n_triples": p["tri"].to_numpy().astype("int64")})
 
     return hash_partitioned_apply(
-        segs.union(men).union(tri), ["seg_id"], pivot, int_keys=True)
+        segs.union(men).union(tri), ["seg_id"], pivot)
 
 
 def graph_degree_moments(sf_dir: str):
@@ -4252,7 +4246,7 @@ def corpus_curate(sf_dir: str):
              "n_tokens": out["n_tokens"].astype("int64")}
         )
 
-    return hash_partitioned_apply(u, ["doc_id"], kernel, int_keys=True)
+    return hash_partitioned_apply(u, ["doc_id"], kernel)
 
 
 def _sql_emb_pq() -> str:

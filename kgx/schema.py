@@ -56,19 +56,6 @@ MENTIONS = pa.schema(
     ]
 )
 
-# Raw triples out of the extractor actor (pre-linking).
-RAW_TRIPLES = pa.schema(
-    [
-        pa.field("url", pa.string()),
-        pa.field("seg_id", pa.int32()),
-        pa.field("subj_surface", pa.string()),
-        pa.field("pred", pa.string()),
-        pa.field("obj_surface", pa.string()),
-        pa.field("conf", pa.float32()),
-        pa.field("context", pa.string()),
-    ]
-)
-
 # Linked triples (phase-A checkpoint payload).
 LINKED_TRIPLES = pa.schema(
     [

@@ -1658,8 +1658,8 @@ def sql_dedup_edit(num_perm: int, bands: int, threshold: float,
     """(id_a, id_b): fuzzy-dup pairs under prefix edit distance — the
     byte-identical minhash bh candidate prefix (same bands, same hash
     family), verified by DuckDB's levenshtein over the first ``prefix_len``
-    chars of the normalized text (substr is char-based; char == byte on the
-    ASCII driver corpora, the documented minhash-mirror parity assumption).
+    chars of the normalized text (substr and levenshtein are char-based,
+    like the Ray side's code-point payload).
     The jaccard threshold is unused here (candidates only) but keeps the
     shared prefix text identical."""
     prefix, _ = _sql_minhash_bh(num_perm, bands, threshold, shingle_k)

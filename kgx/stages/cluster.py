@@ -117,28 +117,13 @@ def _min_label_partition(df):
 
 
 def _grouped_min(labels_ds, num_partitions: int):
-    """groupby(node).min(label) via the hash-partitioned exchange (vectorized
-    at both ends — no per-node Python)."""
-    import pandas as pd
+    """groupby(node).min(label) via the hash exchange (vectorized at both
+    ends — no per-node Python)."""
+    from .exchange import hash_partitioned_agg
 
-    def partial(df):
-        g = df.groupby("node", sort=False, as_index=False).agg(label=("label", "min"))
-        g["part_id"] = (
-            pd.util.hash_pandas_object(g["node"], index=False) % num_partitions
-        ).astype("int64")
-        return pa.table(
-            {
-                "node": g["node"].astype("int64"),
-                "label": g["label"].astype("int64"),
-                "part_id": g["part_id"],
-            }
-        )
-
-    def merge(df):
-        return _min_label_partition(df.drop(columns=["part_id"]))
-
-    part = labels_ds.map_batches(partial, batch_format="pandas")
-    return part.groupby("part_id").map_groups(merge, batch_format="pandas")
+    return hash_partitioned_agg(
+        labels_ds, ["node"], _min_label_partition, num_partitions
+    )
 
 
 def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = None):

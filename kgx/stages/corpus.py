@@ -95,7 +95,7 @@ def ngram_topk(docs_ds, n: int = 2, k: int = 20):
     import pyarrow.compute as pc
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_agg_arrow
+    from .exchange import hash_partitioned_agg
 
     _SENT = "\x00"  # can never appear in a token (tokenizer is ASCII words)
     _EMPTY = pa.table(
@@ -135,8 +135,9 @@ def ngram_topk(docs_ds, n: int = 2, k: int = 20):
         out = t.group_by("gram").aggregate([("n_occurrences", "sum")])
         return out.rename_columns(["gram", "n_occurrences"])
 
-    counts = hash_partitioned_agg_arrow(
-        docs_ds.map_batches(partial, batch_format="pyarrow"), ["gram"], combine
+    counts = hash_partitioned_agg(
+        docs_ds.map_batches(partial, batch_format="pyarrow"), ["gram"], combine,
+        kernel_format="pyarrow",
     )
     topk = counts.sort(["n_occurrences", "gram"], descending=[True, False]).limit(k)
 
@@ -212,8 +213,7 @@ def tfidf_topk(docs_ds, n_docs: int, k: int = 3):
             }
         )
 
-    scored = hash_partitioned_apply(tf, ["token"], score_kernel,
-                                    arrow_tag=True)
+    scored = hash_partitioned_apply(tf, ["token"], score_kernel)
 
     def topk_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.sort_values(["doc_id", "score", "token"],
@@ -223,7 +223,7 @@ def tfidf_topk(docs_ds, n_docs: int, k: int = 3):
         out["rank"] = out["rank"].astype("int64")
         return out[["doc_id", "token", "score", "rank"]]
 
-    return hash_partitioned_apply(scored, ["doc_id"], topk_kernel, int_keys=True)
+    return hash_partitioned_apply(scored, ["doc_id"], topk_kernel)
 
 
 def sql_tfidf_topk(sql_token_list: str, k: int = 3) -> str:
@@ -331,7 +331,7 @@ def inverted_index(docs_ds, postings_k: int = 5):
         )
 
     rows = docs_ds.map_batches(partial, batch_format="pyarrow")
-    return hash_partitioned_apply(rows, ["token"], kernel, arrow_tag=True)
+    return hash_partitioned_apply(rows, ["token"], kernel)
 
 
 def sql_inverted_index(sql_token_list: str, postings_k: int = 5) -> str:
@@ -602,7 +602,7 @@ def bigram_lm_score(docs_ds):
             }
         )
 
-    scored = hash_partitioned_apply(bg, ["w1"], score_kernel, arrow_tag=True)
+    scored = hash_partitioned_apply(bg, ["w1"], score_kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("doc_id", sort=False, as_index=False).agg(
@@ -748,7 +748,7 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
              "c12": g["c12"].astype("int64"), "c1": c1.astype("int64")}
         )
 
-    e1 = hash_partitioned_apply(partials, ["a"], c1_kernel, arrow_tag=True)
+    e1 = hash_partitioned_apply(partials, ["a"], c1_kernel)
 
     def score_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         c2 = d.groupby("key", sort=False)["c12"].transform("sum").to_numpy()
@@ -763,7 +763,7 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
         )
         return out[c12 >= min_pair]
 
-    scored = hash_partitioned_apply(e1, ["key"], score_kernel, arrow_tag=True)
+    scored = hash_partitioned_apply(e1, ["key"], score_kernel)
     topk = scored.sort(["pmi_score", "gram"], descending=[True, False]).limit(k)
 
     def add_rank(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -917,7 +917,7 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
         return kernel(d.drop(columns=["bucket"]))
 
     return hash_partitioned_apply(
-        tagged, ["bucket"], drop_bucket_kernel, int_keys=True
+        tagged, ["bucket"], drop_bucket_kernel
     )
 
 
@@ -1119,7 +1119,7 @@ def shuffle_shards(docs_ds, n_shards: int = SHUFFLE_SHARDS):
 
     return hash_partitioned_apply(
         docs_ds.map_batches(keyed, batch_format="pyarrow"),
-        ["shard"], rank_kernel, int_keys=True,
+        ["shard"], rank_kernel
     )
 
 
@@ -1265,7 +1265,7 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
         )
 
     return hash_partitioned_apply(
-        keyed_ds, ["source", "bucket"], kernel, arrow_tag=True,
+        keyed_ds, ["source", "bucket"], kernel
     )
 
 
@@ -1462,7 +1462,7 @@ def cross_source_pairs_exchange(pairs_ds, docs_ds):
     half = hash_partitioned_apply(
         pairs_ds.map_batches(pair_rows, batch_format="pyarrow")
         .union(docs_keyed),
-        ["key"], attach, int_keys=True, kernel_format="pyarrow",
+        ["key"], attach, kernel_format="pyarrow",
         num_partitions=P,
     )
 
@@ -1489,7 +1489,7 @@ def cross_source_pairs_exchange(pairs_ds, docs_ds):
     # exchange 2: key = id_b -> (source_a, source_b) count partials
     cells = hash_partitioned_apply(
         half.union(docs_keyed), ["key"], cell_partials,
-        int_keys=True, kernel_format="pyarrow", num_partitions=P,
+        kernel_format="pyarrow", num_partitions=P,
     )
 
     # per-partition partials are already <= |sources|^2 rows, so the final
@@ -1545,7 +1545,7 @@ def mixture_sample(docs_ds, budget_den: int = MIX_BUDGET_DEN,
     determinism, not exact token arithmetic, is the contract."""
     import pandas as pd
 
-    from .exchange import collect_arrow, hash_partitioned_agg_arrow
+    from .exchange import collect_arrow, hash_partitioned_agg
 
     stats_schema = pa.schema(
         [("doc_id", pa.int64()), ("source", pa.string()),
@@ -1575,7 +1575,8 @@ def mixture_sample(docs_ds, budget_den: int = MIX_BUDGET_DEN,
         ).rename_columns(["source", "toks"])
 
     totals = collect_arrow(
-        hash_partitioned_agg_arrow(stats_ds, ["source"], tok_combine),
+        hash_partitioned_agg(stats_ds, ["source"], tok_combine,
+                             kernel_format="pyarrow"),
         pa.schema([("source", pa.string()), ("toks", pa.int64())]),
     )
     srcs = totals["source"].to_pylist()
@@ -1750,7 +1751,7 @@ def dup_ngram_stats(docs_ds, k: int = DUPGRAM_K):
 
     from ..functions.text import stable_hash64
     from ..functions.textstats import TOKEN_PATTERN
-    from .exchange import hash_partitioned_agg_arrow, hash_partitioned_apply
+    from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     _M62 = 1 << 62
 
@@ -1811,7 +1812,7 @@ def dup_ngram_stats(docs_ds, k: int = DUPGRAM_K):
                          "n_grams": ng, "n_dup": nd})
 
     partials = hash_partitioned_apply(pair_ds, ["fp"], dup_kernel,
-                                      int_keys=True, kernel_format="pyarrow")
+                                      kernel_format="pyarrow")
 
     def combine(t: "pa.Table") -> "pa.Table":
         d = t["doc_id"].to_numpy()
@@ -1823,7 +1824,8 @@ def dup_ngram_stats(docs_ds, k: int = DUPGRAM_K):
         return pa.table({"doc_id": ud.astype("int64"),
                          "n_grams": ng, "n_dup": nd})
 
-    return hash_partitioned_agg_arrow(partials, ["doc_id"], combine)
+    return hash_partitioned_agg(partials, ["doc_id"], combine,
+                                kernel_format="pyarrow")
 
 
 def sql_dup_ngram_stats(sql_token_list: str, k: int = DUPGRAM_K) -> str:
@@ -3039,6 +3041,25 @@ FROM k GROUP BY 1
 # ---------------------------------------------------------------------------
 
 
+def _checked_sums(keys: "pd.Series", vals: "np.ndarray") -> "pd.Series":
+    """Exact per-key sums of a non-negative int64 column, indexed by key.
+    The high and low 32-bit words are summed separately (neither sum can
+    wrap below 2^31 rows per key), so a total past int64 raises
+    ``OverflowError`` instead of wrapping."""
+    import pandas as pd
+
+    v = np.asarray(vals, dtype=np.int64)
+    words = pd.DataFrame({"k": keys.to_numpy(), "hi": v >> 32,
+                          "lo": v & 0xFFFFFFFF})
+    s = words.groupby("k", sort=False)[["hi", "lo"]].sum()
+    totals = [(int(h) << 32) + int(lo) for h, lo in zip(s["hi"], s["lo"])]
+    if totals and max(totals) >= 2 ** 63:
+        raise OverflowError(
+            "frequency_moments: a source's summed f2 passes 2^63 and "
+            "overflows the int64 f2 column — split f2 into hi/lo words")
+    return pd.Series(totals, index=s.index, dtype="int64")
+
+
 def frequency_moments(docs_ds):
     """documents -> (source, f0, f1, f2): per-source token frequency
     moments — f0 = distinct tokens, f1 = total tokens, f2 = sum of squared
@@ -3050,9 +3071,10 @@ def frequency_moments(docs_ds):
     counts); each partition folds its complete groups to <= |sources|
     moment partials and a tiny source-keyed combiner sums.  f2 stays
     int64-exact while every (source, token) count is < ~3.04e9 (c^2 <
-    2^63); beyond that a real corpus splits f2 into hi/lo words — the
-    guard raises instead of wrapping (the PMI-denominator lesson,
-    ADVICE r4)."""
+    2^63) and every source's summed f2 is < 2^63; beyond that a real corpus
+    splits f2 into hi/lo words — the guards (on each count, and on the
+    summed f2 in both the fold and the final combine) raise instead of
+    wrapping (the PMI-denominator lesson, ADVICE r4)."""
     import pandas as pd
 
     from ..functions.text import tokenize
@@ -3089,9 +3111,11 @@ def frequency_moments(docs_ds):
             raise OverflowError(
                 "frequency_moments: a (source, token) count >= ~3.04e9 "
                 "overflows the int64 f2 column — split f2 into hi/lo words")
-        g["sq"] = c.astype(np.int64) * c.astype(np.int64)
-        return g.groupby("source", sort=False, as_index=False).agg(
-            f0=("token", "size"), f1=("cnt", "sum"), f2=("sq", "sum"))
+        out = g.groupby("source", sort=False, as_index=False).agg(
+            f0=("token", "size"), f1=("cnt", "sum"))
+        f2 = _checked_sums(g["source"], c.astype(np.int64) ** 2)
+        out["f2"] = f2.reindex(out["source"]).to_numpy()
+        return out
 
     # partition-ONLY exchange: every (source, token) group lands whole in
     # one partition, so moment_fold sees exact global counts — a combiner
@@ -3102,9 +3126,11 @@ def frequency_moments(docs_ds):
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby("source", sort=False, as_index=False).agg(
-            f0=("f0", "sum"), f1=("f1", "sum"), f2=("f2", "sum"))
-        for col in ("f0", "f1", "f2"):
+            f0=("f0", "sum"), f1=("f1", "sum"))
+        for col in ("f0", "f1"):
             g[col] = g[col].astype("int64")
+        g["f2"] = _checked_sums(df["source"], df["f2"]).reindex(
+            g["source"]).to_numpy()
         return g
 
     return hash_partitioned_agg(folded, ["source"], combine)

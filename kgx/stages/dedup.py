@@ -210,20 +210,17 @@ def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# Slim pair layout (shared by the minhash and ngram self-joins)
+# Slim pair layout (edit-distance dedup)
 #
-# The inline layout above ships each doc's full signature / gram set on EVERY
-# band/prefix row — xbands (or xprefix_len) shuffle amplification that
-# VERDICT r2 flagged as the dedup cost center at 100 TB.  The slim layout
-# ships only (bucket_key, doc_id, sig_hash) band rows (32 B/row), emits
-# UNVERIFIED candidate pairs from the bucket groupby, and then resolves the
-# payloads for verification with two partition-only exchanges against a
-# per-doc payload table (built once) — total volume O(bands*24B + 2*|payload|)
-# per doc instead of O(bands*|payload|).  sig_hash rides along purely as the
+# Band rows carry only (band, band_hash, doc_id, sig_hash) — 32 B/row — the
+# bucket groupby emits UNVERIFIED candidate pairs, and the payloads needed to
+# verify them are resolved with two partition-only exchanges against a
+# per-doc payload table (built once).  sig_hash rides along purely as the
 # bucket sort key so identical docs stay adjacent under the over-cap window
-# (the connectivity-preservation invariant).  Both layouts produce identical
-# pairs on corpora below VERIFY_GROUP_CAP (tests assert equality); pick via
-# the ``layout`` argument / ``processing.dedup.pair_layout`` config.
+# (the connectivity-preservation invariant).  ``edit_prefix_pairs`` needs it
+# because its payload (a text prefix) is not what the bands hash.  The
+# minhash and ngram self-joins carry their payload inline on every
+# band/prefix row instead: one exchange, faster on every measured corpus.
 # ---------------------------------------------------------------------------
 
 
@@ -263,7 +260,7 @@ def _parts_for_bytes(*datasets, target_bytes: int = 64 * 1024 * 1024) -> int:
     return max(2, min(total // target_bytes + 1, cpus * 8))
 
 
-def pairs_with_payloads(pairs_ds, payload_ds, measure: dict | None = None):
+def pairs_with_payloads(pairs_ds, payload_ds):
     """(id_a, id_b) x (doc_id, pay) -> DISTINCT (id_a, id_b, pay_a, pay_b).
 
     Two partition-only exchanges (union + part_id co-partition + one
@@ -350,39 +347,28 @@ def pairs_with_payloads(pairs_ds, payload_ds, measure: dict | None = None):
     u1 = pairs_ds.map_batches(pair_rows1, batch_format="pyarrow").union(
         payload_ds.map_batches(pay_rows1, batch_format="pyarrow")
     )
-    if measure is not None:  # shuffle-bytes accounting mode (scripts/measure_shuffle.py)
-        u1 = u1.materialize()
-        measure["exchange1_bytes"] = u1.size_bytes()
     attached_a = hash_partitioned_apply(
-        u1, ["key"], resolve_a, int_keys=True, kernel_format="pyarrow",
+        u1, ["key"], resolve_a, kernel_format="pyarrow",
         num_partitions=n_parts,
     )
     u2 = attached_a.union(payload_ds.map_batches(pay_rows2, batch_format="pyarrow"))
-    if measure is not None:
-        u2 = u2.materialize()
-        measure["exchange2_bytes"] = u2.size_bytes()
     return hash_partitioned_apply(
-        u2, ["key"], resolve_b, int_keys=True, kernel_format="pyarrow",
+        u2, ["key"], resolve_b, kernel_format="pyarrow",
         num_partitions=n_parts,
     )
 
 
-def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn,
-                         measure: dict | None = None):
+def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn):
     """Slim-layout tail: bucket candidates -> local pre-dedup -> payload
     resolve (which dedups pairs globally for free, see pairs_with_payloads)
     -> vectorized verification (``verify_mask_fn(pay_a, pay_b) -> bool
     mask`` over the pairs' payload lists)."""
     from .exchange import hash_partitioned_apply
 
-    if measure is not None:
-        band_rows = band_rows.materialize()
-        measure["band_rows_bytes"] = band_rows.size_bytes()
-        measure["payload_table_bytes"] = payload_ds.materialize().size_bytes()
     cands = hash_partitioned_apply(
         band_rows, bucket_keys,
         lambda t: _candidate_pair_kernel(t, bucket_keys),
-        int_keys=True, kernel_format="pyarrow",
+        kernel_format="pyarrow",
     )
     # cheap LOCAL dedup (no exchange) so repeat candidates from many bands
     # don't inflate the resolve exchange; the global dedup happens inside
@@ -397,9 +383,6 @@ def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn,
         ),
         batch_format="pyarrow",
     )
-    if measure is not None:
-        cands = cands.materialize()
-        measure["candidate_pair_rows"] = cands.count()
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -415,7 +398,7 @@ def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn,
             schema=_PAIR_SCHEMA,
         )
 
-    resolved = pairs_with_payloads(cands, payload_ds, measure=measure)
+    resolved = pairs_with_payloads(cands, payload_ds)
     return resolved.map_batches(verify, batch_format="pyarrow")
 
 
@@ -439,7 +422,7 @@ def distinct_pairs(pairs_ds):
 
     pre = pairs_ds.map_batches(local_dedup, batch_format="pyarrow")
     return hash_partitioned_apply(
-        pre, ["id_a", "id_b"], local_dedup, int_keys=True, kernel_format="pyarrow"
+        pre, ["id_a", "id_b"], local_dedup, kernel_format="pyarrow"
     )
 
 
@@ -448,89 +431,22 @@ _PAYLOAD_TABLE = pa.schema(
 )
 
 
-def _gram_set_rows(batch: pa.Table, n: int) -> pa.Table:
-    """doc -> ONE payload row (doc_id, sorted hashed gram set, set hash)."""
-    ids, pays, hashes = [], [], []
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        grams = ngram_set(text, n)
-        if not grams:
-            continue
-        hs = sorted(stable_hash64(g) % (1 << 62) for g in grams)
-        ids.append(doc_id)
-        pays.append(hs)
-        hashes.append(stable_hash64("|".join(map(str, hs))) % (1 << 62))
-    return pa.table(
-        {"doc_id": ids, "pay": pays, "sig_hash": hashes}, schema=_PAYLOAD_TABLE
-    )
-
-
-def _prefix_rows_slim(batch: pa.Table, threshold: float) -> pa.Table:
-    """payload table -> slim prefix rows (pfx_hash, doc_id, sig_hash): 24 B
-    of keys per row instead of the full gram set."""
-    out_h, out_d, out_s = [], [], []
-    for doc_id, pay, sh in zip(
-        batch["doc_id"].to_pylist(), batch["pay"].to_pylist(),
-        batch["sig_hash"].to_pylist(),
-    ):
-        for h in pay[: _prefix_len(len(pay), threshold)]:
-            out_h.append(h)
-            out_d.append(doc_id)
-            out_s.append(sh)
-    return pa.table(
-        {"pfx_hash": out_h, "doc_id": out_d, "sig_hash": out_s},
-        schema=pa.schema(
-            [("pfx_hash", pa.int64()), ("doc_id", pa.int64()),
-             ("sig_hash", pa.int64())]
-        ),
-    )
-
-
-def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.8,
-                        layout: str = "inline", measure: dict | None = None):
+def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.8):
     """documents -> all pairs (id_a < id_b) with word-n-gram Jaccard >= t.
 
     Exact (no false negatives): prefix-filter candidate generation + true-
-    Jaccard verification + pair distinct.  Two layouts (same output,
-    tests assert equality):
-
-    * ``inline`` — each prefix row carries the doc's full hashed gram set,
-      so verification happens inside the candidate bucket (one exchange,
-      but O(prefix_len x |grams|) shuffle bytes per doc);
-    * ``slim`` — prefix rows carry only (pfx_hash, doc_id, sig_hash); the
-      bucket groupby emits unverified candidate pairs and the gram sets are
-      resolved via two partition-only exchanges against a once-materialized
-      payload table (O(prefix_len x 24B + 2 x |grams|) per doc — the
-      100 TB-scale layout; see BASELINE.md shuffle-bytes measurement).
+    Jaccard verification + pair distinct.  Each prefix row carries the doc's
+    full hashed gram set, so verification happens inside the candidate
+    bucket (one exchange, O(prefix_len x |grams|) shuffle bytes per doc).
     """
     from .exchange import hash_partitioned_apply
-
-    if layout == "slim":
-        grams = docs_ds.map_batches(
-            lambda b: _gram_set_rows(b, n), batch_format="pyarrow"
-        ).materialize()
-        prefix = grams.map_batches(
-            lambda b: _prefix_rows_slim(b, threshold), batch_format="pyarrow"
-        )
-
-        def verify_mask(pay_a, pay_b):
-            out = []
-            for a, b in zip(pay_a, pay_b):
-                sa, sb = set(a), set(b)
-                inter = len(sa & sb)
-                out.append(
-                    bool(inter and inter / (len(sa) + len(sb) - inter) >= threshold)
-                )
-            return out
-
-        return _verified_pairs_slim(prefix, ["pfx_hash"], grams, verify_mask,
-                                    measure=measure)
 
     prefix = docs_ds.map_batches(
         lambda b: _ngram_prefix_rows(b, n, threshold), batch_format="pyarrow"
     )
     cands = hash_partitioned_apply(
         prefix, ["pfx_hash"], lambda t: _verify_jaccard_kernel(t, threshold),
-        int_keys=True, kernel_format="pyarrow",
+        kernel_format="pyarrow",
     )
     return distinct_pairs(cands)
 
@@ -646,8 +562,6 @@ def minhash_lsh_pairs(
     bands: int = 16,
     threshold: float = 0.7,
     shingle_k: int = 5,
-    layout: str = "inline",
-    measure: dict | None = None,
 ):
     """documents -> near-dup pairs: banded MinHash LSH candidates, verified
     by the signature Jaccard estimate >= threshold.
@@ -655,34 +569,10 @@ def minhash_lsh_pairs(
     16 bands x 4 rows puts the S-curve knee near j~0.7; at j=0.9 the miss
     probability is ~1e-9, so on corpora with well-separated dup clusters the
     output matches the exact join (tests assert this vs the serial oracle).
-
-    ``layout="slim"`` ships only (band, band_hash, doc_id, sig_hash) through
-    the band exchange (32 B/row vs the inline layout's full num_perm x 8 B
-    signature on EVERY band row — a xbands shuffle amplification, VERDICT r2
-    "What's wrong" #3) and resolves signatures for verification via two
-    partition-only exchanges against the once-materialized signature table.
-    Same output pairs (tests assert equality).
+    Each band row carries the full signature, so verification happens inside
+    the band bucket (one exchange).
     """
     from .exchange import hash_partitioned_apply
-
-    if layout == "slim":
-        sigs = docs_ds.map_batches(
-            lambda b: _minhash_sig_rows(b, num_perm, shingle_k),
-            batch_format="pyarrow",
-        ).materialize()
-        band_rows = sigs.map_batches(
-            lambda b: _band_rows_slim(b, bands, num_perm // bands),
-            batch_format="pyarrow",
-        )
-
-        def verify_mask(pay_a, pay_b):
-            a = np.asarray(pay_a, dtype=np.int64)
-            b = np.asarray(pay_b, dtype=np.int64)
-            return (a == b).mean(axis=1) >= threshold
-
-        return _verified_pairs_slim(
-            band_rows, ["band", "band_hash"], sigs, verify_mask, measure=measure
-        )
 
     band_rows = docs_ds.map_batches(
         lambda b: _minhash_band_rows(b, num_perm, bands, shingle_k),
@@ -690,8 +580,7 @@ def minhash_lsh_pairs(
     )
     cands = hash_partitioned_apply(
         band_rows, ["band", "band_hash"],
-        lambda t: _verify_minhash_kernel(t, threshold), int_keys=True,
-        kernel_format="pyarrow",
+        lambda t: _verify_minhash_kernel(t, threshold), kernel_format="pyarrow",
     )
     return distinct_pairs(cands)
 
@@ -764,7 +653,7 @@ def simhash_pairs(docs_ds, max_hamming: int = 3, bands: int = 4):
         lambda b: _simhash_band_rows(b, bands), batch_format="pyarrow"
     )
     cands = hash_partitioned_apply(band_rows, ["band", "band_val"], verify_kernel,
-                                   int_keys=True, kernel_format="pyarrow")
+                                   kernel_format="pyarrow")
     return distinct_pairs(cands)
 
 
@@ -905,8 +794,7 @@ def embedding_dup_pairs_lsh(emb_ds, threshold: float,
         return pa.table({"id_a": a_out, "id_b": b_out}, schema=_PAIR_SCHEMA)
 
     bands = emb_ds.map_batches(band_rows, batch_format="pyarrow")
-    cands = hash_partitioned_apply(bands, ["bucket"], kernel, int_keys=True,
-                                   kernel_format="pyarrow")
+    cands = hash_partitioned_apply(bands, ["bucket"], kernel, kernel_format="pyarrow")
     return distinct_pairs(cands)
 
 
@@ -1033,7 +921,7 @@ def substring_dup_pairs(docs_ds, w: int = SUBSTR_W):
                            as_index=False).size().rename(
                                columns={"size": "n_shared_windows"})
 
-    pairs = hash_partitioned_apply(wins, ["fp"], pair_kernel, int_keys=True)
+    pairs = hash_partitioned_apply(wins, ["fp"], pair_kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby(["doc_a", "doc_b"], sort=False, as_index=False).agg(
@@ -1138,12 +1026,13 @@ EDIT_MAX_DIST = 8
 
 
 def _prefix_payload_rows(batch: pa.Table, prefix_len: int) -> pa.Table:
-    """doc -> ONE fixed-width payload row (doc_id, [len, byte_0..byte_{L-1}])
-    of the first ``prefix_len`` CHARS of the normalized lowercase text,
-    zero-padded (byte == char on the ASCII driver corpora — the same parity
-    assumption the minhash shingle mirror documents).  Fixed width keeps the
-    payload a rectangular list column, so the verify kernel gets one
-    ``np.asarray`` with no ragged handling.  Docs whose normalized text is
+    """doc -> ONE fixed-width payload row (doc_id, [len, cp_0..cp_{L-1}])
+    of the first ``prefix_len`` CHARS of the normalized lowercase text as
+    Unicode code points, zero-padded — characters, not UTF-8 bytes, so the
+    distance matches the SQL mirror's ``levenshtein(substr(...))`` on
+    non-ASCII text too.  Fixed width keeps the payload a rectangular list
+    column, so the verify kernel gets one ``np.asarray`` with no ragged
+    handling.  Docs whose normalized text is
     empty are skipped — the same population rule as ``_minhash_sig_rows``
     (and the SQL mirror's ``length(t) > 0`` filter), so every candidate pair
     always resolves a payload."""
@@ -1155,8 +1044,8 @@ def _prefix_payload_rows(batch: pa.Table, prefix_len: int) -> pa.Table:
         norm = normalize_ws((text or "").lower())
         if not norm:
             continue
-        bts = norm[:prefix_len].encode("utf-8")[:prefix_len]
-        pay = [len(bts)] + list(bts) + [0] * (prefix_len - len(bts))
+        cps = [ord(ch) for ch in norm[:prefix_len]]
+        pay = [len(cps)] + cps + [0] * (prefix_len - len(cps))
         ids.append(doc_id)
         pays.append(pay)
     return pa.table(

@@ -1,25 +1,46 @@
-"""Reusable hash-partitioned aggregate exchange.
+"""The hash exchange: every key-partitioned shuffle in this engine.
 
-The one shuffle shape almost every aggregation in this engine needs:
+One shape, two entry points:
 
-    map_batches(pandas combiner)            # one partial row per key per batch
-      -> tag part_id = hash(keys) % P       # P ~ cluster CPUs, NOT #keys
+    tag part_id = hash(key values) % P      # ONE tagger, format-preserving
       -> groupby(part_id).map_groups(       # ONE exchange, P groups,
-             vectorized pandas re-merge)    #   no per-key Python anywhere
+             kernel)                        #   one vectorized call each
+
+* :func:`hash_partitioned_apply` — partition-only: ``kernel`` runs exactly
+  once per partition over every key the partition holds (holistic per-key
+  work that admits no combiner: sessionization, bucket verification,
+  ordered windows).
+* :func:`hash_partitioned_agg` — the same exchange run over
+  ``ds.map_batches(combine)``, so an associative/commutative ``combine``
+  runs once per input batch (the combiner: one partial row per key per
+  batch) and once per partition (the re-merge).
 
 Compared with ``groupby(keys).map_groups(fn)`` this removes the per-group
 Python call (10^4-10^6 groups -> 10^1-10^2 partitions) while keeping key
-disjointness (every key lands wholly in one partition), so any associative +
-commutative pandas aggregation gives exactly the single-pass result.  Skewed
-KEYS are already neutralized by the combiner (a key is at most one row per
-upstream batch); P bounds per-task width.
+disjointness: every key lands wholly in one partition, so the result equals
+the single-pass one for any block arrangement.
 
-Used by kgx.stages.wide (triple dedup) and kgx.pipelines.relational.
+Tagging keeps each block in its producer's format (Arrow stays Arrow, pandas
+stays pandas), so list columns cross the shuffle without a pandas round
+trip.  The blocks entering one exchange must therefore share a format:
+Ray's sort sampler asserts it, so a union of an Arrow and a pandas producer
+converts one side before the exchange.
+
+``part_id`` depends only on key VALUES, never on block format or dtype:
+numeric keys (any int/uint/float/bool width, nullable or not) hash as
+float64, other keys through pandas' object hasher, and every null key maps
+to one fixed hash.  Key 5 therefore gets the same ``part_id`` in an int64
+Arrow block, a null-holding batch (which pandas widens to float64) and an
+object column.  Values that merely collide — large ints that round to the
+same float64 — share a partition, which stays correct: the kernel groups on
+the real key values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+
+import numpy as np
 
 
 def _default_partitions() -> int:
@@ -28,97 +49,42 @@ def _default_partitions() -> int:
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
-def hash_partitioned_agg(
-    ds,
-    keys: list[str],
-    combine: Callable,
-    num_partitions: int | None = None,
-):
-    """``combine(df) -> df`` must be an associative/commutative pandas
-    aggregation over ``keys`` (groupby + sum/min/max/first-on-sorted...).
-    It runs once per input batch (the combiner) and once per partition (the
-    re-merge); output columns must be stable across both applications."""
+_NUMERIC_OBJECTS = ("integer", "floating", "mixed-integer-float", "boolean",
+                    "decimal")
+
+
+def _value_hash(col) -> np.ndarray:
+    """uint64 hash of one key column's values (see the module docstring)."""
     import pandas as pd
 
-    P = num_partitions or _default_partitions()
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = combine(df)
-        if len(keys) == 1:
-            hashed = pd.util.hash_pandas_object(g[keys[0]], index=False)
-        else:  # row-wise join is fine: partials are one row per key per batch
-            hashed = pd.util.hash_pandas_object(
-                g[keys].astype(str).agg("\x1f".join, axis=1), index=False
-            )
-        g["part_id"] = (hashed % P).astype("int64")
-        return g
-
-    def merge(df: "pd.DataFrame") -> "pd.DataFrame":
-        return combine(df.drop(columns=["part_id"]))
-
-    partial_ds = ds.map_batches(partial, batch_format="pandas")
-    return partial_ds.groupby("part_id").map_groups(merge, batch_format="pandas")
+    s = col if isinstance(col, pd.Series) else col.to_pandas()
+    null = s.isna().to_numpy()
+    if s.dtype == object:  # numbers held as Python objects hash as numbers
+        numeric = pd.api.types.infer_dtype(s, skipna=True) in _NUMERIC_OBJECTS
+    else:
+        numeric = pd.api.types.is_numeric_dtype(s.dtype)
+    if numeric:
+        vals = s.to_numpy(dtype=np.float64, na_value=0.0) + 0.0  # -0.0 -> 0.0
+    else:
+        vals = s.to_numpy(dtype=object)
+    h = pd.util.hash_array(vals)
+    h[null] = 0
+    return h
 
 
-def _arrow_part_id(batch, keys: list[str], P: int):
-    """part_id for an Arrow batch: pandas' C hasher over the KEY column(s)
-    only (value-identical to ``_tag_part_id`` — hash_pandas_object of the
-    same values/dtypes — so mixing taggers within one exchange is safe);
-    every non-key column stays Arrow-resident, so blocks cross the shuffle
-    as Arrow instead of pickled pandas."""
-    import numpy as np
-    import pandas as pd
+def _tag(batch, keys: list[str], P: int):
+    """Append ``part_id = hash(key values) % P`` to an Arrow or pandas batch,
+    returning the same format."""
     import pyarrow as pa
 
-    if len(keys) == 1:
-        hashed = pd.util.hash_pandas_object(
-            batch[keys[0]].to_pandas(), index=False
-        ).to_numpy()
-    else:
-        frame = batch.select(keys).to_pandas()
-        hashed = pd.util.hash_pandas_object(
-            frame[keys].astype(str).agg("\x1f".join, axis=1), index=False
-        ).to_numpy()
-    part = pa.array((hashed % np.uint64(P)).astype(np.int64))
-    return batch.append_column("part_id", part)
-
-
-def hash_partitioned_agg_arrow(
-    ds,
-    keys: list[str],
-    combine: Callable,
-    num_partitions: int | None = None,
-):
-    """Arrow-end-to-end variant of :func:`hash_partitioned_agg` for the
-    hottest exchanges (VERDICT r3 #8): ``combine(pa.Table) -> pa.Table``
-    (typically ``t.group_by(keys).aggregate(...)``) runs once per input
-    batch and once per partition; blocks stay Arrow through tagging AND the
-    shuffle (zero-copy in the object store), with only the key column
-    round-tripping through pandas for the hash."""
-    P = num_partitions or _default_partitions()
-
-    def partial(t):
-        return _arrow_part_id(combine(t), keys, P)
-
-    def merge(t):
-        return combine(t.drop_columns(["part_id"]))
-
-    tagged = ds.map_batches(partial, batch_format="pyarrow")
-    return tagged.groupby("part_id").map_groups(merge, batch_format="pyarrow")
-
-
-def _tag_part_id(df, keys: list[str], P: int):
-    import pandas as pd
-
-    if len(keys) == 1:
-        hashed = pd.util.hash_pandas_object(df[keys[0]], index=False)
-    else:
-        hashed = pd.util.hash_pandas_object(
-            df[keys].astype(str).agg("\x1f".join, axis=1), index=False
-        )
-    df = df.copy()
-    df["part_id"] = (hashed % P).astype("int64")
-    return df
+    h = _value_hash(batch[keys[0]])
+    with np.errstate(over="ignore"):
+        for k in keys[1:]:
+            h = (h * np.uint64(0x9E3779B97F4A7C15)) ^ _value_hash(batch[k])
+    part = (h % np.uint64(P)).astype(np.int64)
+    if isinstance(batch, pa.Table):
+        return batch.append_column("part_id", pa.array(part))
+    return batch.assign(part_id=part)
 
 
 def hash_partitioned_apply(
@@ -126,77 +92,46 @@ def hash_partitioned_apply(
     keys: list[str],
     kernel: Callable,
     num_partitions: int | None = None,
-    int_keys: bool = False,
     kernel_format: str = "pandas",
-    arrow_tag: bool = False,
 ):
-    """Partition-ONLY exchange for holistic per-key operations that admit no
-    combiner (sessionization, as-of joins, ordered windows, bucket
-    verification): rows co-locate by hash(keys) — every key wholly inside
-    one partition — and ``kernel`` runs EXACTLY ONCE per partition over all
-    its keys (so it may sort and scan freely).  This is the
-    per-group-Python-free alternative to ``groupby(keys).map_groups`` when
-    key cardinality is unbounded: P ~ cluster CPUs partitions, one
-    vectorized pandas kernel each.
-
-    With ``int_keys=True`` (caller asserts every key column is integer)
-    tagging stays ZERO-COPY ARROW — one numpy mix + append_column, so
-    blocks cross the shuffle as Arrow, which matters when they carry list
-    columns that are expensive to round-trip through pandas.  Default is
-    the generic pandas hasher.
+    """Partition-ONLY exchange: rows co-locate by hash(keys) and ``kernel``
+    (a ``kernel_format`` batch -> batch function) runs EXACTLY ONCE per
+    partition over all its keys, so it may sort and scan freely.
 
     Default P is 8x the CPU count, NOT the CPU count: the exchange is a
     range-partitioned sort on part_id, and more distinct values give it
     cleaner quantile boundaries and smooth stragglers across
-    heterogeneously-sized kernels (interleaved A/B at sf0.1 shows parity to
-    slightly better; per-key disjointness is unaffected by P)."""
-    import numpy as np
-    import pyarrow as pa
-
+    heterogeneously-sized kernels (per-key disjointness is unaffected by P)."""
     P = num_partitions or _default_partitions() * 8
 
-    def tag_arrow(batch: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        mix = np.zeros(batch.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for i, k in enumerate(keys):
-                # fill_null keeps to_numpy zero-copy-safe on hostile inputs
-                # (null keys all land in one partition, which is correct —
-                # the kernel still groups on the real key values)
-                col = (
-                    pc.fill_null(batch[k], 0).to_numpy(zero_copy_only=False)
-                    .astype(np.uint64)
-                )
-                # Fibonacci-style mix so correlated int keys still spread
-                mix = (mix ^ (col + np.uint64(0x9E3779B97F4A7C15))) * np.uint64(
-                    0xBF58476D1CE4E5B9 + 2 * i
-                )
-        part = pa.array((mix % np.uint64(P)).astype(np.int64))
-        return batch.append_column("part_id", part)
-
-    def tag_pandas(df):
-        return _tag_part_id(df, keys, P)
-
     if kernel_format == "pyarrow":
-        def run(t: "pa.Table") -> "pa.Table":
+        def run(t):
             return kernel(t.drop_columns(["part_id"]))
     else:
         def run(df):
             return kernel(df.drop(columns=["part_id"]))
 
-    if int_keys:
-        tagged = ds.map_batches(tag_arrow, batch_format="pyarrow")
-    elif arrow_tag:
-        # opt-in (caller asserts all columns are Arrow-convertible — no
-        # Python-set/object cells): hash only the key column(s) through
-        # pandas, keep the block Arrow across the shuffle
-        tagged = ds.map_batches(
-            lambda t: _arrow_part_id(t, keys, P), batch_format="pyarrow"
-        )
-    else:
-        tagged = ds.map_batches(tag_pandas, batch_format="pandas")
+    tagged = ds.map_batches(lambda b: _tag(b, keys, P), batch_format=None)
     return tagged.groupby("part_id").map_groups(run, batch_format=kernel_format)
+
+
+def hash_partitioned_agg(
+    ds,
+    keys: list[str],
+    combine: Callable,
+    num_partitions: int | None = None,
+    kernel_format: str = "pandas",
+):
+    """``combine`` must be an associative/commutative aggregation over
+    ``keys`` (groupby + sum/min/max/first-on-sorted...) taking and returning
+    ``kernel_format`` batches.  It runs once per input batch (the combiner)
+    and once per partition (the re-merge); output columns must be stable
+    across both applications.  Default P is the CPU count: after the
+    combiner a partition holds partials, not rows."""
+    return hash_partitioned_apply(
+        ds.map_batches(combine, batch_format=kernel_format), keys, combine,
+        num_partitions or _default_partitions(), kernel_format,
+    )
 
 
 def collect_arrow(ds, schema: "pa.Table | None" = None):

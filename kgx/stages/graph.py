@@ -76,7 +76,7 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
     # src-keyed exchange: outdeg attaches where the per-round kernel needs
     # it anyway, so the iteration ships no degree table separately
     keyed_edges = hash_partitioned_apply(
-        dedup_edges, ["src"], degree_kernel, P, int_keys=True
+        dedup_edges, ["src"], degree_kernel, P
     )
 
     # ---- partitioned-edge Pregel rounds ------------------------------------
@@ -303,8 +303,7 @@ def degree_histogram(edges_ds, num_partitions: int | None = None):
              "n_nodes": np.ones(len(g), dtype="int64")}
         )
 
-    deg = hash_partitioned_apply(partial, ["src"], degree_kernel, P,
-                                 int_keys=True)
+    deg = hash_partitioned_apply(partial, ["src"], degree_kernel, P)
 
     def hist_combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("degree", sort=False, as_index=False).agg(
@@ -808,7 +807,7 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
 
     edges = hash_partitioned_apply(
         edges_ds.map_batches(pre_dedup, batch_format="pandas"),
-        ["src", "dst"], pre_dedup, P, int_keys=True,
+        ["src", "dst"], pre_dedup, P
     ).materialize()
 
     def node_deg(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -883,7 +882,7 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
             u = rows.map_batches(u_edges, batch_format="pandas").union(
                 deg.map_batches(u_deg, batch_format="pandas")
             )
-            return hash_partitioned_apply(u, ["node"], kern, P, int_keys=True)
+            return hash_partitioned_apply(u, ["node"], kern, P)
 
         with_ds = _attach(edges, ["src", "dst"], "src", "ds")
         with_both = _attach(with_ds, ["src", "dst", "ds"], "dst", "dd")
@@ -973,8 +972,7 @@ def neighbor_sample(edges_ds, k: int = NBR_SAMPLE_K,
         return d2[d2["rank"] < k][["node", "neighbor", "rank"]]
 
     partial = edges_ds.map_batches(pre_dedup, batch_format="pandas")
-    return hash_partitioned_apply(partial, ["src"], kernel, num_partitions,
-                                  int_keys=True)
+    return hash_partitioned_apply(partial, ["src"], kernel, num_partitions)
 
 
 def sql_neighbor_sample(k: int = NBR_SAMPLE_K) -> str:

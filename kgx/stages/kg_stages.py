@@ -4,10 +4,10 @@ Stage graph (SURVEY.md §3.1 KG equivalent):
 
     pages --extract_text_batch--> page_text (html dropped immediately)
           --segment_batch-------> segments   (junk/novelty/cap are page-local)
-          --TripleExtractor-----> raw triples   [actor pool: alias automaton +
-                                                 predicate rules built once]
-          --EntityLinker--------> linked triples [actor pool: alias dict +
-                                                  embedding matrix via ray.put]
+          --TripleLinker--------> linked triples [task UDF: alias automaton,
+                                                  predicate rules and the
+                                                  ray.put embedding matrix
+                                                  built once per process]
 
 The wide steps (canonicalize / dedup / adjacency) live in
 ``kgx.stages.wide``.  Every row-level computation delegates to
@@ -107,29 +107,6 @@ class MentionDetector:
         return _rows_to_table(rows, S.MENTIONS)
 
 
-class TripleExtractor:
-    """Actor-pool stage: segments -> raw (subj_surface, pred, obj_surface).
-
-    State built once per actor: alias automaton + predicate-phrase matcher
-    from the rule file (the reference's editable prompt file,
-    knowledge_extraction.txt — SURVEY.md §2.10).  Fail-open per sentence
-    (M13 contract: no parse -> no rows, never an exception).
-    """
-
-    def __init__(self, alias_ref, cfg: dict):
-        import ray
-
-        self.matcher = AliasMatcher(ray.get(alias_ref))
-        self.predicates = PredicateMatcher(cfg["rules"]["predicates"])
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        for seg in batch.to_pylist():
-            rows.extend(raw_triples_for_segment(seg, self.matcher, self.predicates, self.cfg))
-        return _rows_to_table(rows, S.RAW_TRIPLES)
-
-
 # Linked-triple schema incl. surfaces (needed by entity canonicalization).
 LINKED_FULL = pa.schema(
     list(S.LINKED_TRIPLES)
@@ -137,34 +114,10 @@ LINKED_FULL = pa.schema(
 )
 
 
-class EntityLinker:
-    """Actor-pool stage: raw triples -> linked triples.
-
-    Small sides (alias dict + entity embedding matrix) are broadcast with
-    ``ray.put`` on the driver and materialized once per actor here — the
-    broadcast-join pattern replacing a shuffle join (SURVEY.md §2 J2; the
-    reference's weighted argmax alignment, aligner.py:23-81).
-    """
-
-    def __init__(self, alias_ref, emb_ref, cfg: dict):
-        import ray
-
-        self.matcher = AliasMatcher(ray.get(alias_ref))
-        self.embeddings: dict[int, list[float]] = ray.get(emb_ref)
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [
-            link_raw_triple(r, self.matcher, self.embeddings, self.cfg)
-            for r in batch.to_pylist()
-        ]
-        return _rows_to_table(rows, LINKED_FULL)
-
-
 class TripleLinker:
-    """Fused stage: segments -> LINKED triples in one pass (TripleExtractor
-    ∘ EntityLinker row-for-row; both delegate to the same kgx.functions, so
-    semantics are unchanged).
+    """Fused stage: segments -> LINKED triples in one pass
+    (``raw_triples_for_segment`` then ``link_raw_triple`` row-for-row, the
+    same kgx.functions the serial oracle runs).
 
     Deployed as a TASK UDF with a per-worker-process state cache rather
     than an actor pool: the broadcast state here (alias automaton +
@@ -445,8 +398,7 @@ def two_hop_paths(triples, num_partitions: int | None = None):
         return out.groupby(["subj", "obj2"], sort=False,
                            as_index=False).agg(n_paths=("n_paths", "sum"))
 
-    pairs = hash_partitioned_apply(edges, ["mid"], path_kernel, P,
-                                   arrow_tag=True)
+    pairs = hash_partitioned_apply(edges, ["mid"], path_kernel, P)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby(["subj", "obj2"], sort=False,
@@ -935,7 +887,7 @@ def kg_hub_entities(triples_ds, k: int = 15, iterations: int = 3):
              "pr": j["pr"].to_numpy(np.int64),
              "rnk": j["rnk"].to_numpy(np.int64)})
 
-    return hash_partitioned_apply(union, ["node"], attach, int_keys=True)
+    return hash_partitioned_apply(union, ["node"], attach)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1046,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
         return out[["subj", "pred", "obj", "neg_obj"]].astype(str)
 
     return hash_partitioned_apply(
-        ents.union(probes), ["rb"], kernel, num_partitions, int_keys=True)
+        ents.union(probes), ["rb"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1411,7 +1363,7 @@ def entity_walks(triples_ds, walk_len: int = WALK_LEN):
 
     trans = hash_partitioned_apply(
         edges.map_batches(t_partial, batch_format="pandas"),
-        ["src"], t_kernel, int_keys=True).materialize()
+        ["src"], t_kernel).materialize()
 
     # walk state: kind 1 rows carry (start, s1..sL, cur); kind 0 rows are
     # the transition table re-keyed each round.  Fixed schema, -1 padding.
@@ -1463,7 +1415,7 @@ def entity_walks(triples_ds, walk_len: int = WALK_LEN):
         merged = state.union(trans.map_batches(
             lambda df, _r=r: t_rows(df, _r), batch_format="pandas"))
         state = hash_partitioned_apply(
-            merged, ["key"], advance, int_keys=True)
+            merged, ["key"], advance)
 
     def finish(df: "pd.DataFrame") -> "pd.DataFrame":
         out = df[["start", *step_cols]].copy()

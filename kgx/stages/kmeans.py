@@ -474,7 +474,7 @@ def gram_matrix(emb_ds):
     on the driver (d x d is driver-scale by definition)."""
     import pyarrow.compute as pc
 
-    from .exchange import hash_partitioned_agg_arrow
+    from .exchange import hash_partitioned_agg
 
     schema = pa.schema([(c, pa.int64()) for c in GRAM_SCHEMA_COLS])
 
@@ -502,7 +502,8 @@ def gram_matrix(emb_ds):
         ).aggregate([("gram", "sum")]).rename_columns(list(GRAM_SCHEMA_COLS))
 
     partials = emb_ds.map_batches(partial, batch_format="pyarrow")
-    return hash_partitioned_agg_arrow(partials, ["dim_i", "dim_j"], combine)
+    return hash_partitioned_agg(partials, ["dim_i", "dim_j"], combine,
+                                kernel_format="pyarrow")
 
 
 def sql_gram_matrix() -> str:
@@ -1186,7 +1187,7 @@ def centroid_drift(emb_ds):
 
     partials = hash_partitioned_apply(
         emb_ds.map_batches(partial, batch_format="pyarrow"),
-        ["label", "dim"], kernel, int_keys=True)
+        ["label", "dim"], kernel)
 
     return hash_partitioned_agg(
         partials, ["label"],

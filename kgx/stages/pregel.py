@@ -12,10 +12,10 @@ handles.  This module is the single implementation of that machinery
 Partitioning assumption (shared by every caller): node ``n`` — and any
 state VALUE that is itself a node id, e.g. a propagated label — is OWNED
 by partition ``mix(n) % P`` where ``mix`` is the Fibonacci-mix hash below
-(the same constants as ``exchange.tag_arrow``, so Dataset-side and
-raw-ref-side partitionings agree).  Callers must key their edge rows so a
-node's whole in-neighborhood lands in its owner partition (symmetrized /
-both-direction edge rows guarantee every node appears as a key).
+(``owner_of`` is the only ownership rule: edge partitions and every
+round's state splits both go through it).  Callers must key their edge rows
+so a node's whole in-neighborhood lands in its owner partition (symmetrized
+/ both-direction edge rows guarantee every node appears as a key).
 
 Why raw refs and not Dataset rounds: Ray Data cannot hold a partitioned
 dataset co-resident across rounds — each groupby/sort exchange re-ships
@@ -32,8 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-# Fibonacci-mix constants — MUST match kgx.stages.exchange.tag_arrow so
-# Dataset-built partitions and raw-ref owner splits agree on ownership.
+# Fibonacci-mix constants of ``owner_of``.
 _C_ADD = np.uint64(0x9E3779B97F4A7C15)
 _C_MUL = np.uint64(0xBF58476D1CE4E5B9)
 

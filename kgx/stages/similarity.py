@@ -80,7 +80,7 @@ def _merge_topk(cands, k: int):
             schema=_TOPK_OUT,
         )
 
-    return hash_partitioned_apply(cands, ["query_id"], kernel, int_keys=True)
+    return hash_partitioned_apply(cands, ["query_id"], kernel)
 
 
 def ann_topk(emb_ds, queries_ref, k: int = 10):
@@ -443,8 +443,8 @@ def knn_graph_ivf(emb_ds, cent_ref, k: int = KNN_K):
 
     Scale shape: one broadcast (the n_lists x d centroid matrix via
     ``cent_ref``), one vectorized assignment map, ONE list-keyed partition
-    exchange (``int_keys`` tagging keeps the list<float> embedding column
-    Arrow across the shuffle), and a per-list matmul + stable argsort
+    exchange (format-preserving tagging keeps the list<float> embedding
+    column Arrow across the shuffle), and a per-list matmul + stable argsort
     kernel — never an all-pairs pass over the corpus.  PARTITIONING
     ASSUMPTION: one coarse list fits one partition kernel (~n/n_lists
     rows); at web scale raise n_lists with the corpus (the standard IVF
@@ -508,7 +508,7 @@ def knn_graph_ivf(emb_ds, cent_ref, k: int = KNN_K):
 
     assigned = emb_ds.map_batches(assign, batch_format="pyarrow")
     return hash_partitioned_apply(assigned, ["c"], list_kernel,
-                                  int_keys=True, kernel_format="pyarrow")
+                                  kernel_format="pyarrow")
 
 
 def recall_eval(exact_ds, approx_ds, k: int):
@@ -566,8 +566,7 @@ def recall_eval(exact_ds, approx_ds, k: int):
              "n_common": cnt.to_numpy(np.int64),
              "recall_pm": cnt.to_numpy(np.int64) * 10_000 // k})
 
-    return hash_partitioned_apply(union, ["query_id"], kernel,
-                                  int_keys=True)
+    return hash_partitioned_apply(union, ["query_id"], kernel)
 
 def lsh_bucket_balance(emb_ds, nbits: int = 8, tables: int = 4):
     """embeddings -> (t, size, n_buckets): LSH bucket-size histogram per

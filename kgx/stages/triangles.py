@@ -105,8 +105,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         ).drop_duplicates()
 
     pairs = hash_partitioned_apply(
-        lineitem_ds, ["l_orderkey"], order_pairs_kernel, num_partitions,
-        int_keys=True,
+        lineitem_ds, ["l_orderkey"], order_pairs_kernel, num_partitions
     )
 
     # -- 2. distinct edges ------------------------------------------------
@@ -119,7 +118,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
     # without this the diamond reuse re-runs the edge build ~6x)
     edges = hash_partitioned_apply(
         pairs.map_batches(edge_dedup, batch_format="pandas"),
-        ["a", "b"], edge_dedup, num_partitions, int_keys=True,
+        ["a", "b"], edge_dedup, num_partitions
     ).materialize()
 
     # -- 3. degrees (undirected), then attach to both endpoints ----------
@@ -178,8 +177,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         u = edge_rows.map_batches(
             to_union_edges, batch_format="pandas"
         ).union(deg.map_batches(to_union_deg, batch_format="pandas"))
-        return hash_partitioned_apply(u, ["node"], kernel, num_partitions,
-                                      int_keys=True)
+        return hash_partitioned_apply(u, ["node"], kernel, num_partitions)
 
     # -- 4. orient by (degree, id); wedges; closure -----------------------
     def _orient_arrays(a, b, da, db):
@@ -248,7 +246,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         return pd2.DataFrame(out)
 
     wedges = hash_partitioned_apply(
-        oriented, ["src"], wedge_kernel, num_partitions, int_keys=True
+        oriented, ["src"], wedge_kernel, num_partitions
     )
 
     def edge_probe_rows(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -281,8 +279,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
                 n_tri=("n_tri", "sum"))
 
         tri_nodes = hash_partitioned_apply(
-            probe, ["u", "w"], close_nodes_kernel, num_partitions,
-            int_keys=True)
+            probe, ["u", "w"], close_nodes_kernel, num_partitions)
         tri = hash_partitioned_agg(
             tri_nodes, ["node"],
             lambda df: df.groupby("node", sort=False, as_index=False).agg(
@@ -351,7 +348,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
                             m["t"].fillna(0).to_numpy().astype(np.int64))
 
         return hash_partitioned_apply(u, ["node"], cc_kernel,
-                                      num_partitions, int_keys=True)
+                                      num_partitions)
 
     if per_edge:
         def close_edges_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
@@ -376,8 +373,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
             )
 
         tri_edges = hash_partitioned_apply(
-            probe, ["u", "w"], close_edges_kernel, num_partitions,
-            int_keys=True,
+            probe, ["u", "w"], close_edges_kernel, num_partitions
         )
 
         def cn_combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -437,7 +433,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         return pd2.DataFrame({"n_triangles": [np.int64(n)]})
 
     counts = hash_partitioned_apply(
-        probe, ["u", "w"], close_kernel, num_partitions, int_keys=True
+        probe, ["u", "w"], close_kernel, num_partitions
     )
 
     def total(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -598,8 +594,7 @@ def _distinct_pair_weights(lineitem_ds, num_partitions: int | None = None):
             w=("w", "sum"))
 
     pair_w = hash_partitioned_apply(
-        lineitem_ds, ["l_orderkey"], order_pair_weights, num_partitions,
-        int_keys=True)
+        lineitem_ds, ["l_orderkey"], order_pair_weights, num_partitions)
 
     return hash_partitioned_agg(
         pair_w, ["a", "b"],

@@ -284,25 +284,18 @@ def _merge_partials_df(df):
 def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None):
     """Dataset[LINKED_FULL] -> Dataset[TRIPLES].
 
-    Exact dedup as a hash-partitioned exchange with vectorized kernels at
-    BOTH ends: pandas partial merge per batch (the combiner — one row per
-    key per batch, so the shuffle moves partials, not triples), each partial
-    row tagged with ``part_id = hash(dkey) % P``; then ONE
-    groupby(part_id) exchange whose P groups (P ~ cluster CPUs, not #keys)
-    each re-merge their whole partition in a single pandas groupby.  Keys
-    are wholly contained in one partition by construction, the merge is
-    associative/commutative, so the result equals the serial oracle for any
-    block arrangement.  Skewed KEYS are harmless here (a key is one row per
-    upstream batch after the combiner); P bounds per-task width.
-    Categorization (G3) is vectorized in the same final kernel."""
-    import pandas as pd
+    Exact dedup as a hash exchange (``exchange.hash_partitioned_apply``)
+    with vectorized kernels at BOTH ends: pandas partial merge per batch
+    (the combiner — one row per key per batch, so the shuffle moves
+    partials, not triples), then P partitions keyed on ``dkey`` (P ~ cluster
+    CPUs, not #keys), each re-merging its whole partition in a single pandas
+    groupby.  Keys are wholly contained in one partition by construction,
+    the merge is associative/commutative, so the result equals the serial
+    oracle for any block arrangement.  Skewed KEYS are harmless here (a key
+    is one row per upstream batch after the combiner); P bounds per-task
+    width.  Categorization (G3) is vectorized in the same final kernel."""
+    from .exchange import _default_partitions, hash_partitioned_apply
 
-    if num_partitions is None:
-        import ray
-
-        num_partitions = (
-            int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        )
     cat_order = cfg["categories"]["order"]
     cat_kw = cfg["categories"]["keywords"]
 
@@ -324,13 +317,6 @@ def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None
             schema=S.TRIPLES,
         )
 
-    def partial(df):
-        g = partial_dedup_triples_df(df)
-        g["part_id"] = (
-            pd.util.hash_pandas_object(g["dkey"], index=False) % num_partitions
-        ).astype("int64")
-        return g
-
     def merge_decode(df):
         return decode(_merge_partials_df(df))
 
@@ -339,10 +325,11 @@ def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None
     # tasks directly shrink the exchange (the shuffle, not the combiner CPU,
     # is the scarce resource on a single node).
     partial_ds = linked_ds.map_batches(
-        partial, batch_format="pandas", batch_size=200_000
+        partial_dedup_triples_df, batch_format="pandas", batch_size=200_000
     )
-    return partial_ds.groupby("part_id").map_groups(
-        merge_decode, batch_format="pandas"
+    return hash_partitioned_apply(
+        partial_ds, ["dkey"], merge_decode,
+        num_partitions or _default_partitions(),
     )
 
 
@@ -350,29 +337,19 @@ def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
     """Dataset[TRIPLES] -> Dataset[ADJACENCY]: grouped edges per subject with
     deterministic (obj, pred) ordering (O3 sorted graph materialization).
 
-    Same hash-partitioned exchange as ``dedup_and_categorize``: a per-batch
-    combiner shrinks edges to distinct (subj, obj, pred) and tags
-    ``part_id = hash(subj) % P``, then ONE groupby(part_id) whose P groups
-    each build all their adjacency lists in a single vectorized pandas pass —
-    no per-subject Python map_groups (VERDICT r1 "What's wrong" #7).  Subjects
-    are wholly contained in one partition, so output rows equal the serial
-    ``adjacency_rows`` exactly (pytest test_conformance)."""
+    Same hash exchange as ``dedup_and_categorize``: a per-batch combiner
+    shrinks edges to distinct (subj, obj, pred), then P partitions keyed on
+    ``subj``, each building all its adjacency lists in a single vectorized
+    pandas pass — no per-subject Python map_groups (VERDICT r1 "What's
+    wrong" #7).  Subjects are wholly contained in one partition, so output
+    rows equal the serial ``adjacency_rows`` exactly (pytest
+    test_conformance)."""
     import pandas as pd
 
-    if num_partitions is None:
-        import ray
-
-        num_partitions = (
-            int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        )
+    from .exchange import _default_partitions, hash_partitioned_apply
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = df[["subj", "obj", "pred"]].drop_duplicates()
-        g = g.copy()
-        g["part_id"] = (
-            pd.util.hash_pandas_object(g["subj"], index=False) % num_partitions
-        ).astype("int64")
-        return g
+        return df[["subj", "obj", "pred"]].drop_duplicates()
 
     def build(df: "pd.DataFrame") -> pa.Table:
         e = df[["subj", "obj", "pred"]].drop_duplicates()
@@ -392,4 +369,6 @@ def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
         )
 
     part = triples_ds.map_batches(partial, batch_format="pandas", batch_size=200_000)
-    return part.groupby("part_id").map_groups(build, batch_format="pandas")
+    return hash_partitioned_apply(
+        part, ["subj"], build, num_partitions or _default_partitions()
+    )

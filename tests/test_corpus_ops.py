@@ -174,3 +174,26 @@ def test_grouped_median_matches_brute_force(ray_session, tmp_path):
         n: sorted(v)[(len(v) - 1) // 2] for n, v in per_nation.items()
     }
     assert dict(zip(got["c_nationkey"], got["median_orders"])) == want
+
+
+def test_frequency_moment_sums_raise_instead_of_wrapping():
+    """The f2 sums in ``frequency_moments`` (fold and final combine) are
+    exact up to 2^63 - 1 and raise past it, where an int64 sum would wrap
+    to a negative f2."""
+    import pandas as pd
+
+    from kgx.stages.corpus import _checked_sums
+
+    big = 2 ** 62
+    src = pd.Series(["a", "b", "a", "b", "c"])
+    ok = _checked_sums(src, np.array([big, 5, big - 1, 7, 0], np.int64))
+    assert ok.to_dict() == {"a": 2 ** 63 - 1, "b": 12, "c": 0}
+    assert ok.dtype == np.int64
+
+    wraps = np.array([big, big], np.int64)
+    assert wraps.sum() < 0  # what a plain int64 sum would report
+    with pytest.raises(OverflowError):
+        _checked_sums(pd.Series(["a", "a"]), wraps)
+    many = np.full(5, 2 ** 61, np.int64)  # the sum passes 2^63 mid-way
+    with pytest.raises(OverflowError):
+        _checked_sums(pd.Series(["s"] * 5), many)

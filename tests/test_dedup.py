@@ -54,6 +54,48 @@ def pairs_set(ds) -> set[tuple[int, int]]:
     return set(zip(t["id_a"], t["id_b"]))
 
 
+def ngram_brute(tab: pa.Table, n: int, t: float) -> set[tuple[int, int]]:
+    """All pairs with word-n-gram Jaccard >= t, by comparing every pair."""
+    sets = {
+        d: D.ngram_set(x, n)
+        for d, x in zip(tab["doc_id"].to_pylist(), tab["text"].to_pylist())
+    }
+    out = set()
+    for a, b in itertools.combinations(sorted(sets), 2):
+        sa, sb = sets[a], sets[b]
+        if not sa or not sb:
+            continue
+        inter = len(sa & sb)
+        if inter and inter / (len(sa) + len(sb) - inter) >= t:
+            out.add((a, b))
+    return out
+
+
+def minhash_brute(tab: pa.Table, num_perm: int, bands: int, t: float,
+                  k: int) -> set[tuple[int, int]]:
+    """All pairs sharing a band whose signature estimate is >= t."""
+    sigs = {}
+    for d, x in zip(tab["doc_id"].to_pylist(), tab["text"].to_pylist()):
+        codes = shingle_codes(x, k=k)
+        if len(codes):
+            sigs[d] = minhash_from_codes(codes, num_perm=num_perm)
+    rows_per_band = num_perm // bands
+    out = set()
+    for a, b in itertools.combinations(sorted(sigs), 2):
+        sa, sb = sigs[a], sigs[b]
+        shares_band = any(
+            np.array_equal(
+                sa[i * rows_per_band : (i + 1) * rows_per_band],
+                sb[i * rows_per_band : (i + 1) * rows_per_band],
+            )
+            for i in range(bands)
+        )
+        est = float((sa == sb).mean())
+        if shares_band and est >= t:
+            out.add((a, b))
+    return out
+
+
 class TestExactDedup:
     def test_representative_is_min_doc_id(self, docs_ds):
         out = D.exact_dedup(docs_ds).to_pandas()
@@ -69,26 +111,10 @@ class TestExactDedup:
 
 
 class TestNgramJaccard:
-    def brute(self, n: float, t: float) -> set[tuple[int, int]]:
-        tab = docs_table()
-        sets = {
-            d: D.ngram_set(x, n)
-            for d, x in zip(tab["doc_id"].to_pylist(), tab["text"].to_pylist())
-        }
-        out = set()
-        for a, b in itertools.combinations(sorted(sets), 2):
-            sa, sb = sets[a], sets[b]
-            if not sa or not sb:
-                continue
-            inter = len(sa & sb)
-            if inter and inter / (len(sa) + len(sb) - inter) >= t:
-                out.add((a, b))
-        return out
-
     @pytest.mark.parametrize("n,t", [(3, 0.8), (3, 0.5), (1, 0.9), (2, 0.6)])
     def test_matches_brute_force(self, docs_ds, n, t):
         got = pairs_set(D.ngram_jaccard_pairs(docs_ds, n=n, threshold=t))
-        assert got == self.brute(n, t)
+        assert got == ngram_brute(docs_table(), n, t)
 
     def test_prefix_bound_math(self):
         # Jaccard >= 0.8 on |S|=10 requires sharing one of the first 3 under
@@ -98,40 +124,51 @@ class TestNgramJaccard:
 
 
 class TestMinhashLSH:
-    def brute(self, num_perm, bands, t, k) -> set[tuple[int, int]]:
-        tab = docs_table()
-        sigs = {}
-        for d, x in zip(tab["doc_id"].to_pylist(), tab["text"].to_pylist()):
-            codes = shingle_codes(x, k=k)
-            if len(codes):
-                sigs[d] = minhash_from_codes(codes, num_perm=num_perm)
-        rows_per_band = num_perm // bands
-        out = set()
-        for a, b in itertools.combinations(sorted(sigs), 2):
-            sa, sb = sigs[a], sigs[b]
-            shares_band = any(
-                np.array_equal(
-                    sa[i * rows_per_band : (i + 1) * rows_per_band],
-                    sb[i * rows_per_band : (i + 1) * rows_per_band],
-                )
-                for i in range(bands)
-            )
-            est = float((sa == sb).mean())
-            if shares_band and est >= t:
-                out.add((a, b))
-        return out
-
     def test_matches_serial_reference(self, docs_ds):
         got = pairs_set(
             D.minhash_lsh_pairs(docs_ds, num_perm=64, bands=16, threshold=0.5)
         )
-        assert got == self.brute(64, 16, 0.5, 5)
+        assert got == minhash_brute(docs_table(), 64, 16, 0.5, 5)
 
     def test_planted_near_dups_found(self, docs_ds):
         got = pairs_set(
             D.minhash_lsh_pairs(docs_ds, num_perm=64, bands=16, threshold=0.5)
         )
         assert (0, 1) in got  # exact dup always survives
+
+
+def dup_cluster_table() -> pa.Table:
+    """60 docs in 12 clusters of 5 identical members + 40 filler docs."""
+    rows = {"doc_id": [], "text": []}
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+    for c in range(12):
+        base = " ".join(words[(c + i) % len(words)] for i in range(30))
+        for m in range(5):
+            rows["doc_id"].append(c * 5 + m)
+            rows["text"].append(base)  # jaccard 1.0, minhash est 1.0
+    for f in range(40):
+        rows["doc_id"].append(100 + f)
+        rows["text"].append(
+            " ".join(words[(f * (i + 3)) % len(words)] for i in range(25))
+            + f" unique{f} marker{f * 7}"
+        )
+    return pa.table(rows)
+
+
+class TestDupClusters:
+    def test_pair_joins_match_reference(self, ray_session):
+        import ray.data as rd
+
+        tab = dup_cluster_table()
+        ds = rd.from_arrow(tab)
+        minhash = pairs_set(D.minhash_lsh_pairs(ds))
+        ngram = pairs_set(D.ngram_jaccard_pairs(ds, n=3, threshold=0.8))
+        assert minhash == minhash_brute(tab, 64, 16, 0.7, 5)
+        assert ngram == ngram_brute(tab, 3, 0.8)
+        # every 5-clique must be fully connected (10 pairs x 12 clusters)
+        clique = {(c * 5 + i, c * 5 + j) for c in range(12)
+                  for i in range(5) for j in range(i + 1, 5)}
+        assert clique <= minhash and clique <= ngram
 
 
 class TestSimhash:
@@ -264,3 +301,33 @@ class TestEmbeddingDedupGate:
         chain = {(i, i + 1) for i in range(n - 1)}
         assert chain <= got
         assert len(got) < n * (n - 1) // 2  # the cap actually bounded work
+
+
+class TestEditPrefixPayload:
+    def test_accented_prefixes_count_characters(self):
+        """The padded kernel over ``_prefix_payload_rows`` payloads equals a
+        plain Python char Levenshtein on the first ``prefix_len`` chars of
+        the normalized text, also where a char is several UTF-8 bytes."""
+        from kgx.functions.text import normalize_ws
+
+        def lev(s: str, t: str) -> int:
+            d = list(range(len(t) + 1))
+            for i in range(1, len(s) + 1):
+                prev, d[0] = d[0], i
+                for j in range(1, len(t) + 1):
+                    prev, d[j] = d[j], min(d[j] + 1, d[j - 1] + 1,
+                                           prev + (s[i - 1] != t[j - 1]))
+            return d[len(t)]
+
+        L = 12
+        texts = ["Café crème brûlée", "Cafe creme brulee", "Ça  va, Élodie?",
+                 "ça va, elodie?", "日本語のテキスト", "日本語テキスト",
+                 "naïve façade déjà", "plain ascii text"]
+        tab = pa.table({"doc_id": list(range(len(texts))), "text": texts})
+        pay = np.asarray(D._prefix_payload_rows(tab, L)["pay"].to_pylist())
+        pre = [normalize_ws(t.lower())[:L] for t in texts]
+        ia, ib = zip(*itertools.combinations(range(len(texts)), 2))
+        A, B = pay[list(ia)], pay[list(ib)]
+        got = D._levenshtein_padded(A[:, 1:], A[:, 0], B[:, 1:], B[:, 0])
+        assert got.tolist() == [lev(pre[a], pre[b]) for a, b in zip(ia, ib)]
+        assert lev(pre[0], pre[1]) == 2  # é and è: one edit each
