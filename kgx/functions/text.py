@@ -115,10 +115,6 @@ def tokenize(s: str) -> list[str]:
     return _TOKEN_RE.findall(s.lower())
 
 
-def token_count(s: str) -> int:
-    return len(_TOKEN_RE.findall(s))
-
-
 def normalize_entity_key(surface: str) -> str:
     """Canonicalization key for an entity surface form.
 
@@ -294,13 +290,6 @@ def char_shingles(text: str, k: int = 5) -> set[str]:
     if len(t) < k:
         return {t} if t else set()
     return {t[i : i + k] for i in range(len(t) - k + 1)}
-
-
-def word_ngrams(text: str, n: int = 3) -> set[tuple[str, ...]]:
-    toks = tokenize(text)
-    if len(toks) < n:
-        return {tuple(toks)} if toks else set()
-    return {tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)}
 
 
 _MERSENNE = (1 << 61) - 1

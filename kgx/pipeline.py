@@ -51,16 +51,6 @@ def _pool_size(cfg_min: int) -> tuple[int, int]:
     return (1, max(cfg_min, cpus))
 
 
-def apply_ray_data_settings() -> None:
-    """Apply config/settings.yaml ray.* knobs to the current DataContext
-    (driver-side, once per session).  Only block sizing today."""
-    from ray.data import DataContext
-
-    mb = config_loader.get("settings", "ray.target_max_block_size_mb")
-    if mb:
-        DataContext.get_current().target_max_block_size = int(mb) * 1024 * 1024
-
-
 def _lang_filter_ds(pages_ds, cfg: dict):
     """Optional language gate (settings.yaml pipeline.drop_non_target_lang;
     reference analog: audio_only branch selection by content type,

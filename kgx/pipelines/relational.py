@@ -209,8 +209,9 @@ def top_customers_by_orders(sf_dir: str, k: int = 10):
     combine per batch; the final sort sees one row per custkey."""
 
     import pandas as pd
+    import ray.data as rd
 
-    from ..stages.exchange import hash_partitioned_agg
+    from ..stages.exchange import hash_partitioned_agg, top_k
 
     def to_agg_form(df: "pd.DataFrame") -> "pd.DataFrame":
         return pd.DataFrame({"o_custkey": df["o_custkey"], "n_orders": 1})
@@ -226,7 +227,8 @@ def top_customers_by_orders(sf_dir: str, k: int = 10):
     counts = hash_partitioned_agg(
         ds.map_batches(to_agg_form, batch_format="pandas"), ["o_custkey"], combine
     )
-    return counts.sort(["n_orders", "o_custkey"], descending=[True, False]).limit(k)
+    return rd.from_pandas(
+        top_k(counts, ["n_orders", "o_custkey"], [True, False], k))
 
 
 # ---------------------------------------------------------------------------
@@ -1356,15 +1358,16 @@ def top_revenue_orders(sf_dir: str, segment: str = Q3_SEGMENT,
       partials (kind-discriminated union — revenue rows carry cnt>=0,
       order rows are the keep-filter), so qualifying-order revenue
       finishes in ONE exchange;
-    * only k rows cross to the driver (sort + limit + single-block rank,
-      the ngram_topk coalesce rule)."""
+    * only each block's top k rows cross to the driver, which ranks them
+      once (the ngram_topk rule)."""
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
+    import ray.data as rd
 
-    from ..stages.exchange import hash_partitioned_apply
+    from ..stages.exchange import hash_partitioned_apply, top_k
 
     cust = pq.read_table(
         str(Path(sf_dir) / "customer.parquet"),
@@ -1492,19 +1495,11 @@ def top_revenue_orders(sf_dir: str, segment: str = Q3_SEGMENT,
         per_order = hash_partitioned_apply(
             union, ["o_orderkey"], kernel
         )
-    topk = per_order.sort(
-        ["revenue_cp", "o_orderkey"], descending=[True, False]
-    ).limit(k)
-
-    def add_rank(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["revenue_cp", "o_orderkey"],
-                           ascending=[False, True]).reset_index(drop=True)
-        d["rank"] = (d.index + 1).astype("int64")
-        return d[["o_orderkey", "revenue_cp", "rank"]]
-
-    return topk.repartition(1).map_batches(
-        add_rank, batch_format="pandas", batch_size=None
-    )
+    top = top_k(per_order, ["revenue_cp", "o_orderkey"], [True, False], k,
+                pa.schema([("o_orderkey", pa.int64()),
+                           ("revenue_cp", pa.int64())]))
+    top["rank"] = np.arange(1, len(top) + 1, dtype=np.int64)
+    return rd.from_pandas(top[["o_orderkey", "revenue_cp", "rank"]])
 
 
 def sql_top_revenue_orders(segment: str = Q3_SEGMENT, k: int = Q3_K) -> str:
@@ -1714,7 +1709,7 @@ def region_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
     import pyarrow.parquet as pq
     import ray
 
-    from ..stages.exchange import hash_partitioned_apply
+    from ..stages.exchange import finish, hash_partitioned_apply
 
     nation = pq.read_table(
         str(Path(sf_dir) / "nation.parquet"),
@@ -1915,9 +1910,8 @@ def region_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
              "revenue_cp": g["revenue_cp"].astype("int64")}
         )
 
-    return partials.repartition(1).map_batches(
-        final, batch_format="pandas", batch_size=None
-    )
+    return finish(partials, final, schema=pa.schema(
+        [("regionkey", pa.int64()), ("revenue_cp", pa.int64())]))
 
 
 def sql_region_revenue() -> str:
@@ -2052,7 +2046,7 @@ def late_order_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
+    from ..stages.exchange import (collect_arrow, finish, hash_partitioned_agg,
                                    hash_partitioned_apply)
 
     lag_us = np.int64(Q4_LATE_DAYS) * 86_400 * 1_000_000
@@ -2125,8 +2119,8 @@ def late_order_counts(sf_dir: str, broadcast_limit: int = 2_000_000):
                      [str(pri_uniq[c]) for c in g["pri_code"]],
                  "n_late": g["n_late"].astype("int64")})
 
-        return partials.repartition(1).map_batches(
-            final, batch_format="pandas", batch_size=None)
+        return finish(partials, final, schema=pa.schema(
+            [("pri_code", pa.int64()), ("n_late", pa.int64())]))
 
     # unbounded route: max-shipdate combiner exchange, then an
     # orderkey-keyed kind-union exchange against the order rows
@@ -2227,7 +2221,7 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
+    from ..stages.exchange import (collect_arrow, finish, hash_partitioned_agg,
                                    hash_partitioned_apply)
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -2289,8 +2283,8 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
                     ignore_index=True)
             return g.astype("int64")
 
-        return partials.repartition(1).map_batches(
-            final, batch_format="pandas", batch_size=None)
+        return finish(partials, final, schema=pa.schema(
+            [("n_orders", pa.int64()), ("c_count", pa.int64())]))
 
     # unbounded route: custkey-keyed kind-union exchange; each partition
     # owns its customers wholly, so it can emit its own zero bucket
@@ -2328,8 +2322,8 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 2_000_000):
         return df.groupby("n_orders", sort=False, as_index=False).agg(
             c_count=("c_count", "sum")).astype("int64")
 
-    return partials.repartition(1).map_batches(
-        final_merge, batch_format="pandas", batch_size=None)
+    return finish(partials, final_merge, schema=pa.schema(
+        [("n_orders", pa.int64()), ("c_count", pa.int64())]))
 
 
 def sql_customer_order_distribution() -> str:
@@ -2365,8 +2359,8 @@ def returned_item_revenue(sf_dir: str, k: int = Q10_K,
       (zero extra exchanges); the unbounded route is the orderkey-keyed
       kind-union exchange;
     * one custkey-keyed combiner exchange, whose merged partitions emit
-      their LOCAL top-k only — the single-block final merges <= P*k rows,
-      never the customer dimension;
+      their LOCAL top-k only — the driver merges <= P*k rows, never the
+      customer dimension;
     * the name/nation attach happens AFTER top-k: the k winning custkeys
       broadcast (k rows — always safe), the customer scan filters to them
       and collects <= k rows, nation is a driver-scale dim.  Ranking
@@ -2379,7 +2373,7 @@ def returned_item_revenue(sf_dir: str, k: int = Q10_K,
     import ray
 
     from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
-                                   hash_partitioned_apply)
+                                   hash_partitioned_apply, top_k)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     line = _read(sf_dir, "lineitem",
@@ -2473,21 +2467,11 @@ def returned_item_revenue(sf_dir: str, k: int = Q10_K,
             revenue_cp=("revenue_cp", "sum"))
 
     # post-exchange each custkey exists exactly once globally, so a local
-    # top-k per block is a sound prune: the final single block merges
-    # <= blocks * k rows, never the customer dimension
+    # top-k per block is a sound prune: the driver merges <= blocks * k
+    # rows, never the customer dimension
     percust = hash_partitioned_agg(percust_in, ["ck"], combine)
-
-    def local_topk(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["revenue_cp", "ck"],
-                           ascending=[False, True]).head(k)
-        return d.reset_index(drop=True)
-
-    top = percust.map_batches(local_topk, batch_format="pandas") \
-        .repartition(1).map_batches(local_topk, batch_format="pandas",
-                                    batch_size=None).materialize()
-    tpd = top.to_pandas()
-    tpd = tpd.sort_values(["revenue_cp", "ck"],
-                          ascending=[False, True]).head(k)
+    tpd = top_k(percust, ["revenue_cp", "ck"], [True, False], k,
+                pa.schema([("ck", pa.int64()), ("revenue_cp", pa.int64())]))
     win_keys = tpd["ck"].to_numpy().astype(np.int64)
     win_ref = ray.put(np.sort(win_keys))
 
@@ -2667,7 +2651,7 @@ def promo_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import collect_arrow, hash_partitioned_apply
+    from ..stages.exchange import collect_arrow, finish, hash_partitioned_apply
 
     t0 = int(np.datetime64(Q14_START, "us").astype(np.int64))
     t1 = int(np.datetime64(Q14_END, "us").astype(np.int64))
@@ -2741,8 +2725,7 @@ def promo_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
                                                      dtype=np.int64)})
 
         partials = line.map_batches(li_partial, batch_format="pyarrow")
-        return partials.repartition(1).map_batches(
-            final, batch_format="pandas", batch_size=None)
+        return finish(partials, final)
 
     # unbounded route: per-(batch, partkey) cent sums + part flags meet in
     # one partkey-keyed kind-discriminated exchange (is_promo: -1 = line
@@ -2788,8 +2771,7 @@ def promo_revenue(sf_dir: str, broadcast_limit: int = 2_000_000):
 
     partials = hash_partitioned_apply(u, ["k"], join_kernel,
                                       kernel_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        final, batch_format="pandas", batch_size=None)
+    return finish(partials, final)
 
 
 def sql_promo_revenue() -> str:
@@ -2842,7 +2824,7 @@ def big_volume_orders(sf_dir: str, qty_threshold: int = Q18_QTY,
       shuffle moves one row per (batch, orderkey));
     * the HAVING filter + LOCAL top-k run per merged partition — each
       orderkey lives in exactly one partition post-exchange, so the
-      single-block final merges <= P*k rows, never the order fact;
+      driver merges <= P*k rows, never the order fact;
     * ranking happens BEFORE the attach (rank-then-join, the Q10
       convention), then the k winning orderkeys broadcast and the orders /
       customer scans filter to them — <= k rows collect, the dimensions
@@ -2855,7 +2837,7 @@ def big_volume_orders(sf_dir: str, qty_threshold: int = Q18_QTY,
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.exchange import collect_arrow, hash_partitioned_agg
+    from ..stages.exchange import collect_arrow, hash_partitioned_agg, top_k
 
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -2879,17 +2861,11 @@ def big_volume_orders(sf_dir: str, qty_threshold: int = Q18_QTY,
     sums = hash_partitioned_agg(line, ["okey"], qty_partial,
                                 kernel_format="pyarrow")
 
-    def local_top(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df[df["total_qty"] > qty_threshold]
-        d = d.sort_values(["total_qty", "okey"],
-                          ascending=[False, True]).head(k)
-        return d.reset_index(drop=True)
-
-    top = sums.map_batches(local_top, batch_format="pandas") \
-        .repartition(1).map_batches(local_top, batch_format="pandas",
-                                    batch_size=None).materialize()
-    tpd = top.to_pandas().sort_values(
-        ["total_qty", "okey"], ascending=[False, True]).head(k)
+    big = sums.map_batches(
+        lambda t: t.filter(pc.greater(t["total_qty"], qty_threshold)),
+        batch_format="pyarrow")
+    tpd = top_k(big, ["total_qty", "okey"], [True, False], k,
+                pa.schema([("okey", pa.int64()), ("total_qty", pa.int64())]))
     tpd["rank"] = np.arange(1, len(tpd) + 1, dtype=np.int64)
 
     win_ref = ray.put(np.sort(tpd["okey"].to_numpy().astype(np.int64)))
@@ -3955,13 +3931,15 @@ def blame_supplier_counts(sf_dir: str, k: int = 20):
     C-level transforms and folds to per-partition (suppkey, numwait)
     partials, a suppkey-keyed count combiner, then the standard sound
     local top-k prune (each suppkey lives in exactly one partition
-    after the combiner) + single-block rank under
+    after the combiner) + one driver rank under
     (numwait DESC, suppkey ASC).  Ship dates compare as exact int64
     microseconds."""
     import numpy as np
     import pandas as pd
+    import ray.data as rd
 
-    from ..stages.exchange import hash_partitioned_agg, hash_partitioned_apply
+    from ..stages.exchange import (hash_partitioned_agg,
+                                   hash_partitioned_apply, top_k)
 
     line = _read(sf_dir, "lineitem",
                  ["l_orderkey", "l_suppkey", "l_shipdate"])
@@ -4005,21 +3983,11 @@ def blame_supplier_counts(sf_dir: str, k: int = 20):
 
     nw = hash_partitioned_agg(partials, ["s_suppkey"], combine)
 
-    def local_top(df: "pd.DataFrame") -> "pd.DataFrame":
-        return df.sort_values(["numwait", "s_suppkey"],
-                              ascending=[False, True]).head(k) \
-            .reset_index(drop=True)
-
-    def final_rank(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["numwait", "s_suppkey"],
-                           ascending=[False, True]).head(k) \
-            .reset_index(drop=True)
-        d["rnk"] = np.arange(1, len(d) + 1, dtype=np.int64)
-        return d
-
-    return nw.map_batches(local_top, batch_format="pandas") \
-        .repartition(1).map_batches(final_rank, batch_format="pandas",
-                                    batch_size=None)
+    top = top_k(nw, ["numwait", "s_suppkey"], [True, False], k,
+                pa.schema([("s_suppkey", pa.int64()),
+                           ("numwait", pa.int64())]))
+    top["rnk"] = np.arange(1, len(top) + 1, dtype=np.int64)
+    return rd.from_pandas(top)
 
 
 def sql_blame_supplier_counts(k: int = 20) -> str:
@@ -4465,13 +4433,13 @@ def top_supplier_revenue(sf_dir: str):
     revenue row per supplier (each suppkey lives in exactly one partition
     afterwards); each partition then emits only ITS max-revenue rows
     (sound prune: the global max is the max of partition maxima), the
-    <= P survivor rows coalesce into a single block, and one final scan
-    keeps the global argmax set.  Revenue is exact integer disc-cents, so
+    <= P survivor rows meet on the driver, and one final scan keeps the
+    global argmax set.  Revenue is exact integer disc-cents, so
     ties are bit-exact against the DuckDB mirror."""
     import numpy as np
     import pandas as pd
 
-    from ..stages.exchange import hash_partitioned_agg
+    from ..stages.exchange import finish, hash_partitioned_agg
 
     line = _read(sf_dir, "lineitem",
                  ["l_suppkey", "l_shipdate", "l_extendedprice",
@@ -4512,9 +4480,8 @@ def top_supplier_revenue(sf_dir: str):
         return df[df["revenue_cents"] == df["revenue_cents"].max()] \
             .reset_index(drop=True)
 
-    return rev.map_batches(local_max, batch_format="pandas") \
-        .repartition(1).map_batches(local_max, batch_format="pandas",
-                                    batch_size=None)
+    return finish(rev.map_batches(local_max, batch_format="pandas"),
+                  local_max)
 
 
 def sql_top_supplier_revenue() -> str:
@@ -4929,7 +4896,8 @@ def national_market_share(sf_dir: str, part_type: str = "PROMO",
     import pyarrow.parquet as pq
     import ray
 
-    from ..stages.exchange import hash_partitioned_agg, hash_partitioned_apply
+    from ..stages.exchange import (finish, hash_partitioned_agg,
+                                   hash_partitioned_apply)
 
     nation = pq.read_table(str(Path(sf_dir) / "nation.parquet"),
                            columns=["n_nationkey", "n_name"])
@@ -5026,8 +4994,8 @@ def national_market_share(sf_dir: str, part_type: str = "PROMO",
             revenue_cents=("revenue_cents", "sum"))
 
     def finalize(ds):
-        # the (year, nation) matrix is bounded: one block computes the
-        # within-year percent-of-total and attaches names
+        # the (year, nation) matrix is bounded: one driver pass computes
+        # the within-year percent-of-total and attaches names
         def share(df: "pd.DataFrame") -> "pd.DataFrame":
             tot = df.groupby("o_year")["revenue_cents"].transform("sum") \
                 .to_numpy().astype(np.int64)
@@ -5038,8 +5006,7 @@ def national_market_share(sf_dir: str, part_type: str = "PROMO",
                  "revenue_cents": c,
                  "share_pm": 10_000 * c // tot})
 
-        return ds.repartition(1).map_batches(
-            share, batch_format="pandas", batch_size=None)
+        return finish(ds, share, schema=_YN_EMPTY)
 
     total_dim_rows = part.count() + orders.count() + supplier.count()
     if total_dim_rows <= broadcast_limit:
@@ -5455,7 +5422,7 @@ def min_cost_supplier(sf_dir: str, region_name: str = "EUROPE",
     import pyarrow.parquet as pq
     import ray
 
-    from ..stages.exchange import collect_arrow, hash_partitioned_apply
+    from ..stages.exchange import collect_arrow, finish, hash_partitioned_apply
 
     region = pq.read_table(str(Path(sf_dir) / "region.parquet"),
                            columns=["r_regionkey", "r_name"])
@@ -5569,8 +5536,7 @@ def min_cost_supplier(sf_dir: str, region_name: str = "EUROPE",
             df = df.sort_values(**_SORT).head(k)
             return df.reset_index(drop=True)
 
-        return ds.repartition(1).map_batches(
-            cap, batch_format="pandas", batch_size=None)
+        return finish(ds, cap)
 
     total_dim_rows = part.count() + supplier.count()
     if total_dim_rows <= broadcast_limit:

@@ -1259,12 +1259,13 @@ def kg_pagerank_share(sf_dir: str, k: int = 15):
     next to the kg_hub_entities leaderboard.  Per-batch partials carry
     ONE total row + k candidate values (nodes are globally unique after
     the rank exchange, so the global top-k is a subset of the union of
-    per-batch top-ks); <= (k+1) x |batches| rows coalesce to one block
-    for the exact fold."""
+    per-batch top-ks); <= (k+1) x |batches| rows meet on the driver for
+    the exact fold."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
+    from .stages.exchange import finish
     from .stages.kg_stages import kg_entity_pagerank
 
     pr_ds = kg_entity_pagerank(_kg_sql_outputs(sf_dir)["triples"])
@@ -1289,11 +1290,11 @@ def kg_pagerank_share(sf_dir: str, k: int = 15):
             {"k_top": pd.Series([k], dtype="int64"),
              "pr_top": pd.Series([top], dtype="int64"),
              "pr_total": pd.Series([total], dtype="int64"),
-             "share_pm": pd.Series([10_000 * top // total], dtype="int64")})
+             "share_pm": pd.Series([10_000 * top // total if total else 0],
+                                   dtype="int64")})
 
-    return pr_ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(1).map_batches(fold, batch_format="pandas",
-                                    batch_size=None)
+    return finish(pr_ds.map_batches(partial, batch_format="pyarrow"), fold,
+                  schema=_EMPTY)
 
 
 def dedup_agreement(sf_dir: str):
@@ -1497,7 +1498,7 @@ def kg_growth_curve(sf_dir: str):
     import pyarrow as pa
 
     from .pipeline import broadcast_kb, linked_triples_ds
-    from .stages.exchange import hash_partitioned_agg
+    from .stages.exchange import finish, hash_partitioned_agg
     from .stages.kg_stages import entity_freshness
 
     fresh = entity_freshness(
@@ -1529,8 +1530,7 @@ def kg_growth_curve(sf_dir: str):
              "n_new": df["n_new"].to_numpy(np.int64),
              "n_cum": df["n_new"].to_numpy(np.int64).cumsum()})
 
-    return days.repartition(1).map_batches(
-        cum, batch_format="pandas", batch_size=None)
+    return finish(days, cum, schema=_EMPTY)
 
 
 def kg_new_entities(sf_dir: str, window_days: int = 2):

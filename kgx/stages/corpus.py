@@ -83,7 +83,7 @@ def ngram_topk(docs_ds, n: int = 2, k: int = 20):
 
     Counts combine per batch BEFORE the shuffle (one row per distinct gram
     per batch), the keyed exchange merges per partition vectorized, and only
-    the final k-row sort reaches the driver — gram cardinality is unbounded
+    each block's top k rows reach the driver — gram cardinality is unbounded
     at web scale but the exchange moves partial counts, never occurrences.
 
     Arrow end-to-end (VERDICT r3 #8): gram assembly is a flat token array
@@ -91,11 +91,11 @@ def ngram_topk(docs_ds, n: int = 2, k: int = 20):
     dict), counting is one ``pc.value_counts`` C call per batch, and the
     exchange merges with Arrow ``group_by`` — blocks never round-trip
     through pandas until the final k-row rank projection."""
-    import pandas as pd
     import pyarrow.compute as pc
+    import ray.data as rd
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_agg
+    from .exchange import hash_partitioned_agg, top_k
 
     _SENT = "\x00"  # can never appear in a token (tokenizer is ASCII words)
     _EMPTY = pa.table(
@@ -139,22 +139,11 @@ def ngram_topk(docs_ds, n: int = 2, k: int = 20):
         docs_ds.map_batches(partial, batch_format="pyarrow"), ["gram"], combine,
         kernel_format="pyarrow",
     )
-    topk = counts.sort(["n_occurrences", "gram"], descending=[True, False]).limit(k)
-
-    def add_rank(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["n_occurrences", "gram"], ascending=[False, True])
-        d = d.reset_index(drop=True)
-        d["rank"] = (d.index + 1).astype("int64")
-        d["n_occurrences"] = d["n_occurrences"].astype("int64")
-        return d[["gram", "n_occurrences", "rank"]]
-
-    # k rows total: the rank projection is driver-scale by construction.
-    # repartition(1) first — sort().limit(k) may emit MULTIPLE blocks at high
-    # parallelism (the first sorted block can hold < k rows), and a per-block
-    # rank would silently restart at 1 per block (driver-caught r3 bug).
-    return topk.repartition(1).map_batches(
-        add_rank, batch_format="pandas", batch_size=None
-    )
+    # the rank is computed once over the merged top-k, never per block: a
+    # per-block rank restarts at 1 in every block (driver-caught r3 bug)
+    top = top_k(counts, ["n_occurrences", "gram"], [True, False], k, _EMPTY)
+    top["rank"] = np.arange(1, len(top) + 1, dtype=np.int64)
+    return rd.from_pandas(top[["gram", "n_occurrences", "rank"]])
 
 
 IDF_SCALE = 1000
@@ -699,13 +688,14 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
     The partials MATERIALIZE once: that pinned copy feeds the tiny
     N-reduction plus both keyed exchanges without re-running the scan
     (also the natural resume point).  Exchange on a attaches c1 (every
-    (a, *) row co-locates), exchange on b attaches c2 and scores; only the
-    k-row result reaches the driver.
+    (a, *) row co-locates), exchange on b attaches c2 and scores; only
+    each block's top k rows reach the driver.
     """
     import pandas as pd
+    import ray.data as rd
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_apply
+    from .exchange import hash_partitioned_apply, top_k
 
     _SENT = "\x00"
     _EMPTY = pa.table(
@@ -764,18 +754,11 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
         return out[c12 >= min_pair]
 
     scored = hash_partitioned_apply(e1, ["key"], score_kernel)
-    topk = scored.sort(["pmi_score", "gram"], descending=[True, False]).limit(k)
-
-    def add_rank(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["pmi_score", "gram"], ascending=[False, True])
-        d = d.reset_index(drop=True)
-        d["rank"] = (d.index + 1).astype("int64")
-        return d[["gram", "pair_count", "pmi_score", "rank"]]
-
-    # k rows: coalesce before ranking (ngram_topk layout-dependence class)
-    return topk.repartition(1).map_batches(
-        add_rank, batch_format="pandas", batch_size=None
-    )
+    top = top_k(scored, ["pmi_score", "gram"], [True, False], k,
+                pa.schema([("gram", pa.string()), ("pair_count", pa.int64()),
+                           ("pmi_score", pa.int64())]))
+    top["rank"] = np.arange(1, len(top) + 1, dtype=np.int64)
+    return rd.from_pandas(top[["gram", "pair_count", "pmi_score", "rank"]])
 
 
 def sql_pmi_topk(sql_token_list: str, k: int = 20,
@@ -828,7 +811,7 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
     1. token counts materialize once (two tiny int64 columns — the reuse
        point for both passes);
     2. pass A: docs range-bucket by ``(doc_id - lo) // bucket_w``; per-batch
-       np.add.at bucket partials tree-combine to <= num_buckets rows, whose
+       np.add.at bucket partials sum on the driver to num_buckets rows, whose
        exclusive prefix (the per-bucket global offsets, a small array)
        broadcasts into pass B;
     3. pass B: one partition-only exchange on the bucket key — each kernel
@@ -842,7 +825,8 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
     """
     import pandas as pd
 
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import (_default_partitions, collect_arrow,
+                           hash_partitioned_apply)
     from .text_analysis import token_count_batch
 
     counts = docs_ds.map_batches(
@@ -877,16 +861,12 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
         return pa.table({"bucket": pa.array(ub.astype(np.int64)),
                          "n_tokens": pa.array(s)})
 
-    # tree-combine: per-batch partials, then one coalesced merge block
-    merged = counts.map_batches(bucket_sums, batch_format="pyarrow") \
-        .repartition(1).map_batches(
-            lambda t: t.group_by("bucket").aggregate([("n_tokens", "sum")])
-                       .rename_columns(["bucket", "n_tokens"]),
-            batch_format="pyarrow",
-        ).take_all()
+    # per-batch partials, merged on the driver
+    merged = collect_arrow(
+        counts.map_batches(bucket_sums, batch_format="pyarrow"),
+        pa.schema([("bucket", pa.int64()), ("n_tokens", pa.int64())]))
     totals = np.zeros(n_buckets, dtype=np.int64)
-    for r in merged:
-        totals[int(r["bucket"])] = int(r["n_tokens"])
+    np.add.at(totals, merged["bucket"].to_numpy(), merged["n_tokens"].to_numpy())
     bucket_pre = np.cumsum(totals) - totals  # exclusive global offsets
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
@@ -1168,8 +1148,8 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
     1. each doc keys by its wraparound-multiply hash (the doc_shuffle
        family, SQL-mirrorable in HUGEINT) and range-buckets on the key's
        top bits;
-    2. pass A: per-(source, bucket) counts tree-combine to a tiny table;
-       the driver takes per-source totals + per-bucket exclusive prefix
+    2. pass A: per-(source, bucket) counts sum on the driver to a tiny
+       table, then per-source totals + per-bucket exclusive prefix
        offsets (sources x B rows — KB-scale, never corpus-scale);
     3. pass B: ONE partition-only exchange on (source, bucket) — each
        kernel sorts its buckets locally by (key, doc_id); local rank +
@@ -1178,7 +1158,8 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
     """
     import pandas as pd
 
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import (_default_partitions, collect_arrow,
+                           hash_partitioned_apply)
 
     B = num_buckets or _default_partitions() * 8
     bucket_w = ((1 << 62) + B - 1) // B
@@ -1213,14 +1194,12 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
             ["source", "bucket", "n"]
         )
 
-    merged = keyed_ds.map_batches(bucket_counts, batch_format="pyarrow") \
-        .repartition(1).map_batches(
-            lambda t: t.group_by(["source", "bucket"])
-                       .aggregate([("n", "sum")])
-                       .rename_columns(["source", "bucket", "n"]),
-            batch_format="pyarrow",
-        ).take_all()
-    cdf = pd.DataFrame(merged)
+    cdf = collect_arrow(
+        keyed_ds.map_batches(bucket_counts, batch_format="pyarrow"),
+        pa.schema([("source", pa.string()), ("bucket", pa.int64()),
+                   ("n", pa.int64())]),
+    ).group_by(["source", "bucket"]).aggregate([("n", "sum")]) \
+        .rename_columns(["source", "bucket", "n"]).to_pandas()
     if not len(cdf):
         return keyed_ds.map_batches(
             lambda t: pa.table(
@@ -1347,7 +1326,7 @@ def _cross_source_broadcast(pairs_ds, docs_ds):
     cell normalization stays exact on integers)."""
     import ray
 
-    from .exchange import collect_arrow
+    from .exchange import collect_arrow, finish
 
     doc_t = collect_arrow(
         docs_ds, pa.schema([("doc_id", pa.int64()), ("source", pa.string())])
@@ -1376,9 +1355,8 @@ def _cross_source_broadcast(pairs_ds, docs_ds):
             schema=XS_CELL_SCHEMA,
         )
 
-    return pairs_ds.map_batches(
-        cells, batch_format="pyarrow"
-    ).repartition(1).map_batches(_xs_cell_combine, batch_format="pyarrow")
+    return finish(pairs_ds.map_batches(cells, batch_format="pyarrow"),
+                  _xs_cell_combine, "pyarrow", XS_CELL_SCHEMA)
 
 
 def cross_source_pairs_exchange(pairs_ds, docs_ds):
@@ -1386,15 +1364,15 @@ def cross_source_pairs_exchange(pairs_ds, docs_ds):
     kind-discriminated doc_id-keyed exchanges (the corpus_curate
     semi-join pattern) — pair volume plus one doc-cardinality source
     column cross the wire, never a broadcast of the corpus-sized
-    doc->source map; the final cell count coalesces per-partition
-    partials (<= |sources|^2 rows each) into one merge block.
+    doc->source map; the final cell count merges the per-partition
+    partials (<= |sources|^2 rows each) on the driver.
 
     Arrow end-to-end: both attach kernels run ``kernel_format="pyarrow"``
     with explicit output schemas — the first (pandas) version emitted
     schema-less empty pandas blocks from the many empty partitions of a
     small-pair input, which cost a measured ~5 s of size-estimator and
     schema-unification overhead at sf0.1."""
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import _default_partitions, finish, hash_partitioned_apply
 
     # P = CPU count, not the 8x apply default: the attach kernels are
     # uniform O(rows) lookups (no straggler smoothing to buy), and this
@@ -1493,12 +1471,9 @@ def cross_source_pairs_exchange(pairs_ds, docs_ds):
     )
 
     # per-partition partials are already <= |sources|^2 rows, so the final
-    # merge coalesces to ONE block (the pack_sequences tree-combine shape)
-    # instead of paying a third keyed exchange for a cell table bounded by
-    # provenance-bucket cardinality squared
-    return cells.repartition(1).map_batches(
-        _xs_cell_combine, batch_format="pyarrow"
-    )
+    # merge runs on the driver instead of paying a third keyed exchange for
+    # a cell table bounded by provenance-bucket cardinality squared
+    return finish(cells, _xs_cell_combine, "pyarrow", XS_CELL_SCHEMA)
 
 
 def sql_cross_source_pairs(pairs_sql: str) -> str:
@@ -1964,11 +1939,12 @@ def keyword_search(docs_ds, n_docs: int,
       counts, scores them against the closure-broadcast idf vector, and
       keeps only score > 0 rows; because each doc_id is globally unique,
       a per-block local top-k under (score DESC, doc_id) is a sound prune
-      and the single-block final ranks <= blocks * k rows."""
+      and the driver ranks <= blocks * k rows."""
     import pandas as pd
+    import ray.data as rd
 
     from ..functions.text import tokenize
-    from .exchange import collect_arrow, hash_partitioned_agg
+    from .exchange import collect_arrow, hash_partitioned_agg, top_k
 
     qset = {t: i for i, t in enumerate(terms)}
 
@@ -2009,20 +1985,13 @@ def keyword_search(docs_ds, n_docs: int,
         dids, cnt = term_counts(batch)
         score = cnt @ idf
         m = score > 0
-        d = pd.DataFrame({"doc_id": dids[m], "score": score[m]})
-        return d.sort_values(["score", "doc_id"],
-                             ascending=[False, True]).head(k)
+        return pd.DataFrame({"doc_id": dids[m], "score": score[m]})
 
-    def final(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["score", "doc_id"],
-                           ascending=[False, True]).head(k)
-        d = d.reset_index(drop=True)
-        d["rank"] = np.arange(1, len(d) + 1, dtype=np.int64)
-        return d.astype({"doc_id": "int64", "score": "int64"})
-
-    return docs_ds.map_batches(score_rows, batch_format="pyarrow") \
-        .repartition(1).map_batches(final, batch_format="pandas",
-                                    batch_size=None)
+    top = top_k(docs_ds.map_batches(score_rows, batch_format="pyarrow"),
+                ["score", "doc_id"], [True, False], k,
+                pa.schema([("doc_id", pa.int64()), ("score", pa.int64())]))
+    top["rank"] = np.arange(1, len(top) + 1, dtype=np.int64)
+    return rd.from_pandas(top)
 
 
 def sql_keyword_search(sql_token_list: str,
@@ -2256,7 +2225,7 @@ def token_novelty_curve(docs_ds, epoch_us: int, step_us: int = 37_000_000):
     import pyarrow.compute as pc
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import finish, hash_partitioned_agg, hash_partitioned_apply
 
     DAY_US = 86_400_000_000
 
@@ -2310,8 +2279,7 @@ def token_novelty_curve(docs_ds, epoch_us: int, step_us: int = 37_000_000):
                              "n_new": nn, "n_distinct": nd,
                              "novelty_pm": 10_000 * nn // nd})
 
-    return days.repartition(1).map_batches(
-        ratio, batch_format="pandas", batch_size=None)
+    return finish(days, ratio, schema=_DAY_EMPTY)
 
 
 def sql_token_novelty_curve(token_list_expr: str, epoch_us: int,
@@ -2357,11 +2325,11 @@ def vocab_overlap(docs_ds):
     are BOUNDED — ~dozens even at web scale — so pair volume per token is
     bounded); a tiny (src_a, src_b)-keyed combiner sums, and the final
     jaccard_pm = 10000*|A∩B| // |A∪B| is exact integer arithmetic over
-    the <= |sources|^2 coalesced block."""
+    the <= |sources|^2 folded rows, on the driver."""
     import pandas as pd
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import finish, hash_partitioned_agg, hash_partitioned_apply
 
     _ST_EMPTY = pd.DataFrame({"source": pd.Series([], dtype="object"),
                               "token": pd.Series([], dtype="object")})
@@ -2437,11 +2405,9 @@ def vocab_overlap(docs_ds):
         return out[["src_a", "src_b", "n_common", "n_a", "n_b",
                     "jaccard_pm"]]
 
-    # the folded table is <= |sources|^2 rows: coalesce to ONE block so the
-    # size lookup sees every self-pair row (ngram_topk layout-dependence
-    # class)
-    return folded.repartition(1).map_batches(
-        ratio, batch_format="pandas", batch_size=None)
+    # the folded table is <= |sources|^2 rows: one driver pass, so the size
+    # lookup sees every self-pair row (ngram_topk layout-dependence class)
+    return finish(folded, ratio)
 
 
 def sql_vocab_overlap(token_list_expr: str) -> str:
@@ -2493,8 +2459,8 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
     1. one stats scan (vectorized counts, the quality_batch kernel's rules)
        materializes (doc_id, source, n_tokens, score) once;
     2. pass A: docs range-bucket by doc_id (the pack_sequences bucketing);
-       per-batch (source, score, bucket) token sums tree-combine to a
-       BOUNDED table (|sources| x 4 x num_buckets), whose exclusive prefix
+       per-batch (source, score, bucket) token sums merge on the driver
+       to a BOUNDED table (|sources| x 4 x num_buckets), whose exclusive prefix
        under (score DESC, bucket ASC) per source gives every group's
        global starting offset — and PRUNES: any group whose offset already
        exceeds the budget is dropped before the exchange, so at web scale
@@ -2511,7 +2477,8 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
     import ray
 
     from ..functions import textstats as ts
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import (_default_partitions, collect_arrow,
+                           hash_partitioned_apply)
     from .text_analysis import _marker_count
 
     def stats(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2557,13 +2524,10 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
         out["n_tokens"] = out["n_tokens"].astype("int64")
         return out
 
-    merged = st.map_batches(bucket_sums, batch_format="pandas") \
-        .repartition(1).map_batches(
-            lambda df: df.groupby(["source", "score", "bucket"], sort=False,
-                                  as_index=False)
-                         .agg(n_tokens=("n_tokens", "sum")),
-            batch_format="pandas",
-        ).to_pandas()
+    merged = collect_arrow(
+        st.map_batches(bucket_sums, batch_format="pandas")).to_pandas() \
+        .groupby(["source", "score", "bucket"], sort=False, as_index=False) \
+        .agg(n_tokens=("n_tokens", "sum"))
 
     # exclusive global offsets under (score DESC, bucket ASC) per source
     merged = merged.sort_values(["source", "score", "bucket"],
@@ -2850,7 +2814,8 @@ def mix_order(docs_ds, num_buckets: int | None = None):
     import pandas as pd
     import ray
 
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import (_default_partitions, collect_arrow,
+                           hash_partitioned_apply)
 
     def keyed(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.dropna(subset=["doc_id", "source"])
@@ -2883,11 +2848,10 @@ def mix_order(docs_ds, num_buckets: int | None = None):
         out["n"] = out["n"].astype("int64")
         return out
 
-    merged = st.map_batches(bucket_counts, batch_format="pandas") \
-        .repartition(1).map_batches(
-            lambda df: df.groupby(["source", "bucket"], sort=False,
-                                  as_index=False).agg(n=("n", "sum")),
-            batch_format="pandas").to_pandas()
+    merged = collect_arrow(
+        st.map_batches(bucket_counts, batch_format="pandas")).to_pandas() \
+        .groupby(["source", "bucket"], sort=False, as_index=False) \
+        .agg(n=("n", "sum"))
     merged = merged.sort_values(["source", "bucket"], kind="stable")
     csum = merged.groupby("source", sort=False)["n"].cumsum()
     merged["off"] = (csum - merged["n"]).astype("int64")

@@ -1,6 +1,7 @@
-"""The hash exchange: every key-partitioned shuffle in this engine.
+"""The exchanges: every key-partitioned shuffle in this engine, and the one
+all-to-one finish of a driver-scale result.
 
-One shape, two entry points:
+Key-partitioned: one shape, two entry points
 
     tag part_id = hash(key values) % P      # ONE tagger, format-preserving
       -> groupby(part_id).map_groups(       # ONE exchange, P groups,
@@ -34,6 +35,24 @@ Arrow block, a null-holding batch (which pandas widens to float64) and an
 object column.  Values that merely collide — large ints that round to the
 same float64 — share a partition, which stays correct: the kernel groups on
 the real key values.
+
+All-to-one: a small result is finished once, on the driver
+
+A total, a top-k or a small report is driver-scale by construction (the
+caller's bound: per-partition partials, k rows per block, a KB-sized
+table).  It takes no second all-to-all barrier (a one-partition
+repartition); the driver collects it instead.
+
+* :func:`collect_arrow` — the only driver collect: every block as one
+  Arrow table, typed by ``schema`` (or an empty block's own schema) when
+  there are no rows.
+* :func:`finish` — ``fn`` runs EXACTLY ONCE, on the driver, over every
+  row of ``ds``, and ALSO when ``ds`` has zero rows: a fold over nothing
+  still owes its one total row.  (A one-partition repartition followed by
+  ``map_batches(fn)`` never calls ``fn`` on zero rows and returns a
+  column-less Dataset.)  The result is a one-block Dataset.
+* :func:`top_k` — the global top-k: a per-block local top-k, then one
+  driver merge, in ``by`` order (so a rank column is ``arange(1, n + 1)``).
 """
 
 from __future__ import annotations
@@ -134,25 +153,73 @@ def hash_partitioned_agg(
     )
 
 
-def collect_arrow(ds, schema: "pa.Table | None" = None):
-    """Driver-side collect of a SMALL Dataset as one Arrow table.
+def collect_arrow(ds, schema=None):
+    """Every block of a SMALL Dataset as one Arrow table on the driver.
 
-    Skips empty blocks before the concat: a ``groupby(part_id).map_groups``
-    partition with no rows can emit an empty block carrying NO schema (the
-    recurring empty-block trap — at high partition counts over tiny inputs
-    most partitions are empty), and ``pa.concat_tables`` raises on the
-    mixed schemas.  Falls back to ``schema.empty_table()`` when every block
-    is empty.  Caller asserts the collected result is driver-scale (gated
-    key sets, stride samples, sketch grids)."""
+    Empty blocks are skipped before the concat: an exchange partition with
+    no rows can emit an empty block with NO schema, which a strict concat
+    rejects.  With no rows at all the result is ``schema`` (a ``pa.Schema``
+    or a typed empty Arrow table or pandas frame) as an empty table, else
+    the first empty block's own columns, else a column-less table.  The
+    caller asserts the result is driver-scale."""
     import pyarrow as pa
     import ray
+    from ray.data.block import BlockAccessor
 
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if tabs:
-        return pa.concat_tables(tabs).combine_chunks()
-    if schema is not None:
-        # accept either a pa.Schema or a typed empty pa.Table exemplar
-        if isinstance(schema, pa.Table):
-            return schema.schema.empty_table()
-        return schema.empty_table()
-    return pa.table({})
+    # not ray.get(ds.to_arrow_refs()): that runs the plan a second time (a
+    # limit(1) pass for the schema, which cancels tasks when it stops) and
+    # hands a pandas block among Arrow ones over unconverted
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    tabs = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    full = [t for t in tabs if t.num_rows]
+    if full:
+        return pa.concat_tables(full, promote_options="permissive") \
+            .combine_chunks()
+    if isinstance(schema, pa.Table):
+        return schema.schema.empty_table()
+    if schema is not None:  # a pa.Schema, or a typed empty pandas exemplar
+        return (schema if isinstance(schema, pa.Schema) else
+                pa.Schema.from_pandas(schema, preserve_index=False)
+                ).empty_table()
+    typed = [t for t in tabs if t.num_columns]
+    return typed[0].schema.empty_table() if typed else pa.table({})
+
+
+def finish(ds, fn: Callable, batch_format: str = "pandas", schema=None):
+    """Run ``fn`` EXACTLY ONCE, on the driver, over every row of ``ds`` as
+    one ``batch_format`` batch — also when there are zero rows, typed by
+    ``schema`` (see :func:`collect_arrow`).  ``fn`` returns a pandas
+    frame or an Arrow table; the result is a one-block Dataset of it."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    t = collect_arrow(ds, schema)
+    out = fn(t.to_pandas() if batch_format == "pandas" else t)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) \
+        else rd.from_pandas(out)
+
+
+def top_k(ds, by: list[str], descending: list[bool], k: int, schema=None):
+    """The global top-k of ``ds`` under ``by`` (stable: full ties keep
+    input order) as a pandas frame of at most ``k`` rows in ``by`` order.
+
+    Each block keeps its own top-k (the global top-k is a subset of their
+    union), then one driver merge ranks the <= blocks x k survivors, so
+    the row order is the rank order whatever the block layout.  Zero rows
+    give an empty frame typed as in :func:`collect_arrow`."""
+    import pyarrow.compute as pc
+
+    order = [(c, "descending" if d else "ascending")
+             for c, d in zip(by, descending)]
+
+    def local(t):
+        if not t.num_rows:  # may carry no columns
+            return t
+        return t.take(pc.sort_indices(t, sort_keys=order)[:k])
+
+    df = collect_arrow(ds.map_batches(local, batch_format="pyarrow"),
+                       schema).to_pandas()
+    if len(df):
+        df = df.sort_values(by, ascending=[not d for d in descending],
+                            kind="stable").head(k)
+    return df.reset_index(drop=True)

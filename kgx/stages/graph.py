@@ -794,11 +794,12 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
     node-scale deg tables broadcast once via ray.put and both endpoints
     resolve in one vectorized map, the unbounded route chains two
     kind-discriminated node-keyed exchanges; per-batch moment partials
-    (one row each) coalesce into the single output row."""
+    (one row each) fold into the single output row on the driver."""
     import pandas as pd
     import ray
 
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import (collect_arrow, finish, hash_partitioned_agg,
+                           hash_partitioned_apply)
 
     P = num_partitions or max(8, int(ray.cluster_resources().get("CPU", 8)))
 
@@ -839,7 +840,9 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
         ).astype("int64")
 
     if deg.count() <= broadcast_deg_limit:
-        deg_pd = deg.to_pandas()
+        deg_pd = collect_arrow(
+            deg, pa.schema([("node", pa.int64()), ("cnt", pa.int64())])
+        ).to_pandas()
         deg_ref = ray.put(
             pd.Series(deg_pd["cnt"].values, index=deg_pd["node"].values)
         )
@@ -896,9 +899,8 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
     def total(df: "pd.DataFrame") -> "pd.DataFrame":
         return pd.DataFrame({c: [np.int64(df[c].sum())] for c in MOMENTS})
 
-    return partials.repartition(1).map_batches(
-        total, batch_format="pandas", batch_size=None
-    )
+    return finish(partials, total,
+                  schema=pa.schema([(c, pa.int64()) for c in MOMENTS]))
 
 
 def sql_assortativity() -> str:

@@ -825,34 +825,24 @@ def kg_hub_entities(triples_ds, k: int = 15, iterations: int = 3):
     user-facing 'most important entities' artifact a KG browse surface
     shows first).
 
-    Composition: the shared Pregel pagerank over hashed ids, a sound
-    per-partition top-k prune (each node lives in one partition after
-    the final rank exchange), a single-block rank under
-    (pr DESC, node ASC), and the name attach AFTER the top-k via one
+    Composition: the shared Pregel pagerank over hashed ids, the global
+    top-k under (pr DESC, node ASC) (each node lives in one partition
+    after the final rank exchange, so per-block top-ks are a sound
+    prune), and the name attach AFTER the top-k via one
     kind-union hash-keyed exchange against the distinct entity names
     (only k rows ever need a name — the rank-then-join convention)."""
     import numpy as np
     import pandas as pd
+    import ray.data as rd
 
     from ..functions.text import stable_hash64
-    from .exchange import hash_partitioned_apply
+    from .exchange import hash_partitioned_apply, top_k
     from .kg_stages import kg_entity_pagerank  # self-import safe at runtime
 
     pr = kg_entity_pagerank(triples_ds, iterations=iterations)
 
-    def local_top(df: "pd.DataFrame") -> "pd.DataFrame":
-        return df.sort_values(["pr", "node"], ascending=[False, True]) \
-            .head(k).reset_index(drop=True)
-
-    def final_rank(df: "pd.DataFrame") -> "pd.DataFrame":
-        d = df.sort_values(["pr", "node"], ascending=[False, True]) \
-            .head(k).reset_index(drop=True)
-        d["rnk"] = np.arange(1, len(d) + 1, dtype=np.int64)
-        return d
-
-    top = pr.map_batches(local_top, batch_format="pandas") \
-        .repartition(1).map_batches(final_rank, batch_format="pandas",
-                                    batch_size=None)
+    top = top_k(pr, ["pr", "node"], [True, False], k,
+                pa.schema([("node", pa.int64()), ("pr", pa.int64())]))
 
     M62 = 1 << 62
 
@@ -865,17 +855,15 @@ def kg_hub_entities(triples_ds, k: int = 15, iterations: int = 3):
                              "entity": names, "pr": np.int64(0),
                              "rnk": np.int64(0)})
 
-    def top_rows(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame(
-            {"node": df["node"].to_numpy(np.int64),
-             "kind": np.ones(len(df), dtype=np.int64),
-             "entity": "",
-             "pr": df["pr"].to_numpy(np.int64),
-             "rnk": df["rnk"].to_numpy(np.int64)})
+    top_rows = pd.DataFrame(
+        {"node": top["node"].to_numpy(np.int64),
+         "kind": np.ones(len(top), dtype=np.int64),
+         "entity": "",
+         "pr": top["pr"].to_numpy(np.int64),
+         "rnk": np.arange(1, len(top) + 1, dtype=np.int64)})
 
     union = triples_ds.select_columns(["subj", "obj"]).map_batches(
-        name_rows, batch_format="pandas").union(
-        top.map_batches(top_rows, batch_format="pandas"))
+        name_rows, batch_format="pandas").union(rd.from_pandas(top_rows))
 
     def attach(df: "pd.DataFrame") -> "pd.DataFrame":
         nm = df[df["kind"] == 0].drop_duplicates(subset=["node"])

@@ -21,9 +21,9 @@ bit-exactly:
 Scale shape: centroids are a k x d int64 matrix (tiny) broadcast into
 every task; each iteration is ONE streaming pass — per-batch partial
 (cluster, cnt, sums) rows (k rows per batch via np.add.at, never raw
-vectors) tree-combine before at most blocks x k rows reach the driver.
-Seeds are the k smallest vec_ids found by a min-k combiner (k rows per
-batch, then one coalesced block) — no global sort.
+vectors) merge on the driver over at most blocks x k rows.  Seeds are the
+k smallest vec_ids found by a min-k combiner (k rows per batch, then one
+driver merge) — no global sort.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import collect_arrow
+
 KM_SCALE = 1000
 KM_OFFSET = 1 << 20            # makes quantized coords non-negative
 KM_K = 8
 KM_ITERS = 3
-KM_DRIVER_MERGE_LIMIT = 100_000  # partial rows; above -> tree-combine
 
 
 def quantized_matrix(batch: pa.Table):
@@ -61,8 +62,8 @@ def _argmin_cluster(q: np.ndarray, cents: np.ndarray) -> np.ndarray:
 
 def _seed_centroids(emb_ds, k: int) -> np.ndarray:
     """k x d quantized centroids from the k smallest vec_ids: min-k
-    combiner per batch, final min-k over one coalesced block — O(batches
-    x k) rows move, no global sort."""
+    combiner per batch, final min-k on the driver — O(batches x k) rows
+    move, no global sort."""
     def min_k(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -71,10 +72,8 @@ def _seed_centroids(emb_ds, k: int) -> np.ndarray:
         idx = np.argsort(ids, kind="stable")[:k]
         return batch.take(pa.array(idx))
 
-    cands = emb_ds.map_batches(min_k, batch_format="pyarrow")
-    rows = cands.repartition(1).map_batches(
-        min_k, batch_format="pyarrow"
-    ).take_all()
+    cands = collect_arrow(emb_ds.map_batches(min_k, batch_format="pyarrow"))
+    rows = min_k(cands).to_pylist() if cands.num_rows else []
     rows.sort(key=lambda r: r["vec_id"])
     mat = np.asarray([r["embedding"] for r in rows], dtype=np.float64)
     return np.floor(mat * KM_SCALE + 0.5).astype(np.int64) + KM_OFFSET
@@ -82,9 +81,8 @@ def _seed_centroids(emb_ds, k: int) -> np.ndarray:
 
 def _update_centroids(emb_ds, cents: np.ndarray) -> np.ndarray:
     """One Lloyd iteration: per-batch (cluster, cnt, sums) partials
-    (np.add.at fold — k rows per batch regardless of batch size),
-    level-2 combine per coalesced block, final floor-mean on the driver
-    over <= blocks x k rows."""
+    (np.add.at fold — k rows per batch regardless of batch size), then
+    merge and floor-mean on the driver over <= blocks x k rows."""
     k, d = cents.shape
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -124,22 +122,8 @@ def _update_centroids(emb_ds, cents: np.ndarray) -> np.ndarray:
                  pa.array(sums[nz].ravel()), d)}
         )
 
-    parts = emb_ds.map_batches(partial, batch_format="pyarrow")
-    # partials are <= input_blocks x k rows; when that is driver-scale,
-    # skip the repartition(1) barrier (one shuffle per Lloyd pass — the
-    # dominant cost on small corpora) and merge the k x d sums directly;
-    # the tree-combine stays as the many-block route
-    n_parts = emb_ds.num_blocks() * k
-    if n_parts <= KM_DRIVER_MERGE_LIMIT:
-        import ray
-
-        pieces = [p for p in ray.get(parts.materialize().to_arrow_refs())
-                  if p.num_rows]
-        rows = merge(pa.concat_tables(pieces)).to_pylist() if pieces else []
-    else:
-        rows = parts.repartition(1).map_batches(
-            merge, batch_format="pyarrow"
-        ).take_all()
+    parts = collect_arrow(emb_ds.map_batches(partial, batch_format="pyarrow"))
+    rows = merge(parts).to_pylist() if parts.num_rows else []
 
     new = cents.copy()  # empty clusters keep their previous centroid
     for r in rows:
@@ -552,8 +536,6 @@ def pca_project(emb_ds, k: int = PCA_COMPONENTS):
     is not SQL-expressible; the driver records the weaker rows-only
     check and pytest carries serial parity."""
     import numpy as np
-
-    from .exchange import collect_arrow
 
     g_tab = collect_arrow(
         gram_matrix(emb_ds),

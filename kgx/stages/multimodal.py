@@ -60,14 +60,6 @@ def decode_image_real(payload: bytes) -> "object":
     raise NotImplementedError("image codecs are not available in this environment")
 
 
-def payload_width(doc_id: int) -> int:
-    return doc_id % 640 + 16
-
-
-def payload_height(doc_id: int) -> int:
-    return (doc_id * 7) % 480 + 16
-
-
 def _binary_buffers(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(null_mask, offsets, data) numpy views of an Arrow binary column.
 

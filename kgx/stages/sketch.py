@@ -577,7 +577,7 @@ def quantile_histogram(lineitem_ds, bin_w: int = QUANT_BIN_W,
     """
     import pandas as pd
 
-    from .exchange import hash_partitioned_agg
+    from .exchange import finish, hash_partitioned_agg
 
     def partial(batch: pa.Table) -> "pd.DataFrame":
         col = batch["l_extendedprice"].drop_null()  # NaN floors to INT64_MIN
@@ -617,12 +617,11 @@ def quantile_histogram(lineitem_ds, bin_w: int = QUANT_BIN_W,
              "est_cents": np.asarray(out_est, dtype=np.int64)}
         )
 
-    # the histogram is bounded (value_range/bin_w rows) — coalesce to ONE
-    # block before the cumulative scan (same layout-dependence class as the
-    # ngram_topk rank projection, r3 driver bug)
-    return hist.repartition(1).map_batches(
-        finalize, batch_format="pandas", batch_size=None
-    )
+    # the histogram is bounded (value_range/bin_w rows): the cumulative
+    # scan sees every bin at once on the driver (a per-block scan would be
+    # layout-dependent, the ngram_topk rank bug class)
+    return finish(hist, finalize,
+                  schema=pa.schema([("bin", pa.int64()), ("cnt", pa.int64())]))
 
 
 def sql_quantile_histogram(bin_w: int = QUANT_BIN_W,

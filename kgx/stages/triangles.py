@@ -85,7 +85,8 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
     the triangle credits."""
     import pandas as pd
 
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import (collect_arrow, finish, hash_partitioned_agg,
+                           hash_partitioned_apply)
 
     if clustering:
         per_edge = True        # wedge rows must carry their center node
@@ -198,7 +199,9 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         import pandas as pd_b
         import ray
 
-        deg_pd = deg.to_pandas()
+        deg_pd = collect_arrow(
+            deg, pa.schema([("node", pa.int64()), ("cnt", pa.int64())])
+        ).to_pandas()
         deg_ref = ray.put(
             pd_b.Series(deg_pd["cnt"].values, index=deg_pd["node"].values)
         )
@@ -443,10 +446,10 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
             {"n_triangles": [np.int64(df["n_triangles"].sum())]}
         )
 
-    # per-partition counts are tiny: one coalesced block sums them
-    return counts.repartition(1).map_batches(
-        total, batch_format="pandas", batch_size=None
-    )
+    # per-partition counts are tiny: one driver fold sums them (zero
+    # partitions -> 0 triangles)
+    return finish(counts, total,
+                  schema=pa.schema([("n_triangles", pa.int64())]))
 
 
 def sql_cosupplier_triangles() -> str:
@@ -642,12 +645,12 @@ def cosupplier_degree_moments(lineitem_ds, num_partitions: int | None = None):
 
     Stages 1-2 are the shared distinct-pair build; stage 3 emits both
     endpoints of each distinct edge into a node-keyed degree combiner;
-    stage 4 folds per-batch scalar moment partials (constant key — a
-    driver-scale single-row exchange).  n_edges = sum(d) // 2 by the
-    handshake lemma."""
+    stage 4 folds per-batch scalar moment partials on the driver (an
+    edge-free graph still gives its one all-zero row).  n_edges =
+    sum(d) // 2 by the handshake lemma."""
     import pandas as pd
 
-    from .exchange import hash_partitioned_agg
+    from .exchange import finish, hash_partitioned_agg
 
     weights = _distinct_pair_weights(lineitem_ds, num_partitions)
 
@@ -667,26 +670,24 @@ def cosupplier_degree_moments(lineitem_ds, num_partitions: int | None = None):
     def moment_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df["d"].to_numpy()
         return pd.DataFrame(
-            {"k": np.int64(0), "n_nodes": np.int64(len(d)),
+            {"n_nodes": np.int64(len(d)),
              "sum_d": d.sum(dtype=np.int64),
              "n_wedges": (d * (d - 1) // 2).sum(dtype=np.int64),
              "max_deg": np.int64(d.max()) if len(d) else np.int64(0)},
             index=[0])
 
-    folded = hash_partitioned_agg(
-        degrees.map_batches(moment_partial, batch_format="pandas"),
-        ["k"],
-        lambda df: df.groupby("k", sort=False, as_index=False).agg(
-            n_nodes=("n_nodes", "sum"), sum_d=("sum_d", "sum"),
-            n_wedges=("n_wedges", "sum"), max_deg=("max_deg", "max")),
-        num_partitions)
+    def fold(df: "pd.DataFrame") -> "pd.DataFrame":
+        return pd.DataFrame(
+            {"n_nodes": [np.int64(df["n_nodes"].sum())],
+             "n_edges": [np.int64(df["sum_d"].sum() // 2)],
+             "n_wedges": [np.int64(df["n_wedges"].sum())],
+             "max_deg": [np.int64(df["max_deg"].max()) if len(df)
+                         else np.int64(0)]})
 
-    def finish(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        df["n_edges"] = df["sum_d"] // 2
-        return df[["n_nodes", "n_edges", "n_wedges", "max_deg"]]
-
-    return folded.map_batches(finish, batch_format="pandas")
+    return finish(
+        degrees.map_batches(moment_partial, batch_format="pandas"), fold,
+        schema=pa.schema([(c, pa.int64()) for c in
+                          ("n_nodes", "sum_d", "n_wedges", "max_deg")]))
 
 
 def sql_degree_moments() -> str:

@@ -40,6 +40,27 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
 
+def mismatch(ours: pd.DataFrame, theirs: pd.DataFrame) -> str | None:
+    """Why a query result differs from its oracle's, or None: same column
+    names, same row count, same sorted values (floats compare with NULL
+    as 0, everything else as strings)."""
+    ours, theirs = canon(ours), canon(theirs)
+    if list(ours.columns) != list(theirs.columns):
+        return f"columns {list(ours.columns)} != {list(theirs.columns)}"
+    if len(ours) != len(theirs):
+        return f"rows {len(ours)} != {len(theirs)}"
+    for c in ours.columns:
+        a, b = ours[c], theirs[c]
+        if a.dtype.kind == "f" or b.dtype.kind == "f":
+            same = (a.astype(float).fillna(0) == b.astype(float).fillna(0)).all()
+        else:
+            same = (a.astype(str) == b.astype(str)).all()
+        if not same:
+            return (f"column {c} differs "
+                    f"(ours={a.head(3).tolist()} theirs={b.head(3).tolist()})")
+    return None
+
+
 def main() -> int:
     argv = [a for a in sys.argv[1:] if a != "--small-blocks"]
     small_blocks = "--small-blocks" in sys.argv[1:]
@@ -86,33 +107,12 @@ def main() -> int:
         if name not in sqls:
             print(f"ok   {name}: {len(raw)} rows (rows-only, no SQL) [{dt:.1f}s]")
             continue
-        ours = canon(raw)
-        theirs = canon(con.execute(sqls[name]).fetchdf())
-        if list(ours.columns) != list(theirs.columns):
-            print(f"FAIL {name}: columns {list(ours.columns)} != {list(theirs.columns)}")
+        why = mismatch(raw, con.execute(sqls[name]).fetchdf())
+        if why:
+            print(f"FAIL {name}: {why}")
             failed.append(name)
-            continue
-        if len(ours) != len(theirs):
-            print(f"FAIL {name}: rows {len(ours)} != {len(theirs)}")
-            failed.append(name)
-            continue
-        eq = True
-        for c in ours.columns:
-            a, b = ours[c], theirs[c]
-            if a.dtype.kind == "f" or b.dtype.kind == "f":
-                same = (a.astype(float).fillna(0) == b.astype(float).fillna(0)).all()
-            else:
-                same = (a.astype(str) == b.astype(str)).all()
-            if not same:
-                bad = (a.astype(str) != b.astype(str)) if a.dtype.kind != "f" else None
-                print(f"FAIL {name}: column {c} differs "
-                      f"(ours={a.head(3).tolist()} theirs={b.head(3).tolist()})")
-                eq = False
-                break
-        if eq:
-            print(f"ok   {name}: {len(ours)} rows match oracle [{dt:.1f}s]")
         else:
-            failed.append(name)
+            print(f"ok   {name}: {len(raw)} rows match oracle [{dt:.1f}s]")
     if failed:
         print("FAILED:", failed)
         return 1

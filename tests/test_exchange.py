@@ -1,11 +1,17 @@
-"""The hash exchange (kgx.stages.exchange): one key tagger behind
-``hash_partitioned_apply`` and ``hash_partitioned_agg``.
+"""The exchanges (kgx.stages.exchange).
 
-The invariant under test is key disjointness: every key value lands wholly
-in one partition, whatever format (Arrow / pandas) or dtype its blocks have,
-so a per-partition group-by returns each key exactly once."""
+The hash exchange — one key tagger behind ``hash_partitioned_apply`` and
+``hash_partitioned_agg`` — must keep keys disjoint: every key value lands
+wholly in one partition, whatever format (Arrow / pandas) or dtype its
+blocks have, so a per-partition group-by returns each key exactly once.
+
+The all-to-one finish — ``finish`` and ``top_k`` — must see every row
+once on the driver, whatever the block layout, zero rows included."""
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -153,3 +159,152 @@ def test_tag_depends_only_on_key_values():
             pd.DataFrame({"s": pd.Series(["a", "b", None], dtype="string")})]
     sp = [list(np.asarray(X._tag(r, ["s"], P)["part_id"])) for r in strs]
     assert all(p == sp[0] for p in sp)
+
+
+# ---------------------------------------------------------------------------
+# all-to-one finish
+# ---------------------------------------------------------------------------
+
+
+def _blocks(n_blocks: int, rows: int, seed: int) -> list[pa.Table]:
+    rng = np.random.default_rng(seed)
+    return [pa.table({"id": np.arange(b * rows, (b + 1) * rows, dtype=np.int64),
+                      "score": rng.integers(0, 5, rows),
+                      "gram": [f"g{i % 7}" for i in range(rows)]})
+            for b in range(n_blocks)]
+
+
+def _counting(fn):
+    calls = []
+
+    def wrapped(batch):
+        calls.append(len(batch))
+        return fn(batch)
+
+    return wrapped, calls
+
+
+def test_collect_runs_the_plan_once(ray_session, tmp_path):
+    """One execution per collect, pandas blocks among Arrow ones converted:
+    ``ray.get(ds.to_arrow_refs())`` ran the plan again to fetch the schema
+    and passed the pandas blocks through as DataFrames."""
+    import ray.data as rd
+
+    log = tmp_path / "calls"
+
+    def mixed(t: pa.Table):
+        with open(log, "a") as fh:
+            fh.write("x")
+        return t.to_pandas() if t["id"][0].as_py() // 4 % 2 else t
+
+    blocks = _blocks(8, 4, seed=5)
+    got = X.collect_arrow(rd.from_arrow(blocks).map_batches(
+        mixed, batch_format="pyarrow"))
+    assert len(log.read_text()) == 8
+    assert got.sort_by("id").equals(pa.concat_tables(blocks))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_finish_runs_once_over_every_block(ray_session, fmt):
+    import ray.data as rd
+
+    blocks = _blocks(9, 11, seed=1)
+    ds = rd.from_arrow(blocks)
+    assert ds.num_blocks() >= 8
+
+    def total(b):
+        v = int(np.asarray(b["score"]).sum())
+        return pa.table({"n": [len(b)], "s": [v]}) if fmt == "pyarrow" \
+            else pd.DataFrame({"n": [len(b)], "s": [v]})
+
+    fn, calls = _counting(total)
+    got = X.finish(ds, fn, fmt).to_pandas()
+    assert calls == [99]
+    want = sum(int(np.asarray(t["score"]).sum()) for t in blocks)
+    assert got.to_dict("list") == {"n": [99], "s": [want]}
+
+
+@pytest.mark.parametrize("schema", ["given", "from_blocks"])
+def test_finish_runs_once_over_zero_rows(ray_session, schema):
+    """A fold over nothing still returns its typed total row: the
+    one-partition ``repartition`` + ``map_batches`` tail never called
+    ``fn`` on zero rows and returned a column-less Dataset."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    ds = rd.from_arrow(_blocks(8, 5, seed=2)).map_batches(
+        lambda t: t.filter(pc.greater(t["score"], 100)),
+        batch_format="pyarrow")
+
+    def total(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": pd.Series([len(df)], dtype="int64"),
+                             "s": pd.Series([df["score"].sum()],
+                                            dtype="int64")})
+
+    fn, calls = _counting(total)
+    kw = {"schema": pa.schema([("score", pa.int64())])} \
+        if schema == "given" else {}
+    got = X.finish(ds, fn, **kw).to_pandas()
+    assert calls == [0]
+    assert got.to_dict("list") == {"n": [0], "s": [0]}
+    assert got.dtypes.astype(str).tolist() == ["int64", "int64"]
+
+
+@pytest.mark.parametrize("by,desc", [
+    (["score", "id"], [True, False]),
+    (["score", "gram", "id"], [False, True, True]),
+    (["gram", "score", "id"], [True, True, False]),
+])
+@pytest.mark.parametrize("k", [1, 7, 40, 1000])
+def test_top_k_equals_pandas_sort_head(ray_session, by, desc, k):
+    """Scores 0-4 and grams g0-g6 repeat across 12 blocks, so the k-th row
+    of ``by`` order is decided by the trailing key."""
+    import ray.data as rd
+
+    blocks = _blocks(12, 23, seed=3)
+    got = X.top_k(rd.from_arrow(blocks), by, desc, k)
+    want = pa.concat_tables(blocks).to_pandas().sort_values(
+        by, ascending=[not d for d in desc]).head(k).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_top_k_zero_rows_keeps_schema(ray_session):
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    ds = rd.from_arrow(_blocks(8, 3, seed=4)).map_batches(
+        lambda t: t.filter(pc.greater(t["score"], 100)),
+        batch_format="pyarrow")
+    schema = pa.schema([("id", pa.int64()), ("score", pa.int64()),
+                        ("gram", pa.string())])
+    got = X.top_k(ds, ["score", "id"], [True, False], 5, schema)
+    assert len(got) == 0 and list(got.columns) == ["id", "score", "gram"]
+
+
+def _ray_get_calls(src: str):
+    """The argument text of every ``ray.get(...)`` call (any alias ending
+    in ``ray``), parentheses balanced."""
+    for m in re.finditer(r"ray\.get\(", src):
+        depth, i = 1, m.end()
+        while depth and i < len(src):
+            depth += {"(": 1, ")": -1}.get(src[i], 0)
+            i += 1
+        yield src[m.end():i]
+
+
+def test_small_results_finish_only_through_the_exchange_module():
+    """No one-partition repartition anywhere in the package, and no
+    hand-rolled ``ray.get(ds.to_arrow_refs())`` collect outside
+    exchange.py: small results finish through ``finish`` / ``top_k`` /
+    ``collect_arrow``."""
+    root = Path(__file__).resolve().parent.parent / "kgx"
+    one_part = re.compile(r"repartition\(\s*(num_blocks\s*=\s*)?1\s*[,)]")
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text()
+        rel = path.relative_to(root.parent).as_posix()
+        bad += [f"{rel}: repartition(1)" for _ in one_part.finditer(src)]
+        if rel != "kgx/stages/exchange.py":
+            bad += [f"{rel}: ray.get(...to_arrow_refs())"
+                    for arg in _ray_get_calls(src) if "to_arrow_refs" in arg]
+    assert bad == []

@@ -666,21 +666,3 @@ def test_kmeans_cost_matches_serial(ray_session):
         assert row["n_vecs"].tolist() == [int(m.sum())]
         assert row["sse"].tolist() == [int(dist[m].sum())]
 
-
-def test_kmeans_tree_combine_path_agrees(ray_session, monkeypatch):
-    import ray.data as rd
-
-    import kgx.stages.kmeans as km
-
-    rng = np.random.RandomState(53)
-    vecs = rng.normal(0, 1, (90, 4)).astype(np.float32)
-    tbl = pa.table(
-        {"vec_id": np.arange(90, dtype=np.int64),
-         "embedding": pa.FixedSizeListArray.from_arrays(
-             pa.array(vecs.ravel()), 4).cast(pa.list_(pa.float32()))}
-    )
-    ds = rd.from_arrow(tbl).repartition(6)
-    fast = _collect(km.kmeans_labels(ds, k=3, iters=2)).sort_values("vec_id")
-    monkeypatch.setattr(km, "KM_DRIVER_MERGE_LIMIT", 0)  # force tree path
-    tree = _collect(km.kmeans_labels(ds, k=3, iters=2)).sort_values("vec_id")
-    assert fast["cluster"].tolist() == tree["cluster"].tolist()
