@@ -1296,184 +1296,40 @@ def _xs_cell_combine(t: pa.Table) -> pa.Table:
     )
 
 
-def cross_source_pairs(pairs_ds, docs_ds, n_docs: int | None = None,
-                       broadcast_limit: int = 2_000_000):
+def cross_source_pairs(pairs_ds, docs_ds):
     """near-dup pairs (id_a, id_b) + documents (doc_id, source) ->
     (source_a, source_b, n_pairs) with source_a <= source_b — the
     contamination matrix over whatever similarity the chosen pair
     generator encodes.
 
-    Measured-size strategy split (the semi/anti-join gate convention):
+    Two :func:`~kgx.stages.exchange.lookup_join` hops attach each
+    endpoint's source (doc_id -> source); the second folds to per-cell
+    pair counts (<= |sources|^2 rows per batch or partition), which the
+    driver merges."""
+    from .exchange import finish, lookup_join
 
-    * ``n_docs <= broadcast_limit`` — the (doc_id, source-code) map is two
-      int64 arrays; broadcast it once via ``ray.put`` and resolve both
-      pair endpoints in ONE vectorized map over the pair stream (zero
-      extra all-to-all barriers — the exchange route's four chained
-      barriers cost ~6 s of pure wall at sf0.1 for a 256-pair input);
-    * larger — :func:`cross_source_pairs_exchange`, where nothing
-      corpus-sized ever lands on the driver or in a broadcast.
+    docs_ds = docs_ds.materialize()  # one scan serves both hops
 
-    Both routes return identical cells (agreement-tested)."""
-    if n_docs is not None and n_docs <= broadcast_limit:
-        return _cross_source_broadcast(pairs_ds, docs_ds)
-    return cross_source_pairs_exchange(pairs_ds, docs_ds)
-
-
-def _cross_source_broadcast(pairs_ds, docs_ds):
-    """Broadcast route: sorted doc_id array + factorized source codes pin
-    once in the object store (codes index np.unique's SORTED distinct
-    sources, so code order == lexical source order and the least/greatest
-    cell normalization stays exact on integers)."""
-    import ray
-
-    from .exchange import collect_arrow, finish
-
-    doc_t = collect_arrow(
-        docs_ds, pa.schema([("doc_id", pa.int64()), ("source", pa.string())])
-    )
-    ids = doc_t["doc_id"].to_numpy()
-    srcs = doc_t["source"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ids)
-    uniq, codes = np.unique(srcs[order], return_inverse=True)
-    ref = ray.put((ids[order], codes.astype(np.int64), uniq))
-
-    def cells(batch: pa.Table) -> pa.Table:
-        ids_s, codes_s, u = ray.get(ref)
-        a = batch["id_a"].to_numpy()
-        b = batch["id_b"].to_numpy()
-        if not len(a):
-            return XS_CELL_SCHEMA.empty_table()
-        ca = codes_s[np.searchsorted(ids_s, a)]
-        cb = codes_s[np.searchsorted(ids_s, b)]
-        lo = np.minimum(ca, cb)
-        hi = np.maximum(ca, cb)
-        cell, n = np.unique(lo * len(u) + hi, return_counts=True)
-        return pa.table(
-            {"source_a": pa.array(u[cell // len(u)], pa.string()),
-             "source_b": pa.array(u[cell % len(u)], pa.string()),
-             "n_pairs": pa.array(n.astype(np.int64))},
-            schema=XS_CELL_SCHEMA,
-        )
-
-    return finish(pairs_ds.map_batches(cells, batch_format="pyarrow"),
-                  _xs_cell_combine, "pyarrow", XS_CELL_SCHEMA)
-
-
-def cross_source_pairs_exchange(pairs_ds, docs_ds):
-    """Unbounded route: the doc_id -> source attach is TWO
-    kind-discriminated doc_id-keyed exchanges (the corpus_curate
-    semi-join pattern) — pair volume plus one doc-cardinality source
-    column cross the wire, never a broadcast of the corpus-sized
-    doc->source map; the final cell count merges the per-partition
-    partials (<= |sources|^2 rows each) on the driver.
-
-    Arrow end-to-end: both attach kernels run ``kernel_format="pyarrow"``
-    with explicit output schemas — the first (pandas) version emitted
-    schema-less empty pandas blocks from the many empty partitions of a
-    small-pair input, which cost a measured ~5 s of size-estimator and
-    schema-unification overhead at sf0.1."""
-    from .exchange import _default_partitions, finish, hash_partitioned_apply
-
-    # P = CPU count, not the 8x apply default: the attach kernels are
-    # uniform O(rows) lookups (no straggler smoothing to buy), and this
-    # pipeline chains FOUR all-to-all barriers (two pair-generator sorts +
-    # two attach exchanges) whose reduce-task count is P each — 8x here
-    # paid ~4 s of pure task overhead at sf0.1 for zero balance gain.
-    P = _default_partitions()
-
-    xs_schema = pa.schema(
-        [("key", pa.int64()), ("other", pa.int64()),
-         ("src", pa.string()), ("kind", pa.int64())]
-    )
-    cell_schema = pa.schema(
-        [("source_a", pa.string()), ("source_b", pa.string()),
-         ("n_pairs", pa.int64())]
-    )
-
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].to_numpy().astype(np.int64)
-        b = batch["id_b"].to_numpy().astype(np.int64)
-        return pa.table(
-            {"key": pa.array(a), "other": pa.array(b),
-             "src": pa.array([""] * len(a), pa.string()),
-             "kind": pa.array(np.zeros(len(a), dtype=np.int64))},
-            schema=xs_schema,
-        )
-
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        return pa.table(
-            {"key": pa.array(ids),
-             "other": pa.array(np.full(len(ids), -1, dtype=np.int64)),
-             "src": batch["source"].cast(pa.string()),
-             "kind": pa.array(np.ones(len(ids), dtype=np.int64))},
-            schema=xs_schema,
-        )
-
-    def _lut(t: pa.Table):
-        """(sorted doc keys, src column aligned to that order) — the
-        vectorized searchsorted lookup both kernels share.  Pairs come
-        from the same corpus, so every probe resolves."""
-        kind = t["kind"].to_numpy()
-        keys = t["key"].to_numpy()
-        doc_idx = np.flatnonzero(kind == 1)
-        order = np.argsort(keys[doc_idx])
-        return keys[doc_idx][order], t["src"].take(pa.array(doc_idx[order]))
-
-    def attach(t: pa.Table) -> pa.Table:
-        dk, dsrc = _lut(t)
-        p_idx = np.flatnonzero(t["kind"].to_numpy() == 0)
-        if not len(p_idx):
-            return xs_schema.empty_table()
-        pos = np.searchsorted(dk, t["key"].to_numpy()[p_idx])
-        n = len(p_idx)
-        return pa.table(
-            {"key": t["other"].take(pa.array(p_idx)),
-             "other": pa.array(np.full(n, -1, dtype=np.int64)),
-             "src": dsrc.take(pa.array(pos)),
-             "kind": pa.array(np.zeros(n, dtype=np.int64))},
-            schema=xs_schema,
-        )
-
-    docs_keyed = docs_ds.map_batches(doc_rows, batch_format="pyarrow")
-    # exchange 1: key = id_a -> re-key rows by id_b carrying source_a
-    half = hash_partitioned_apply(
-        pairs_ds.map_batches(pair_rows, batch_format="pyarrow")
-        .union(docs_keyed),
-        ["key"], attach, kernel_format="pyarrow",
-        num_partitions=P,
-    )
-
-    def cell_partials(t: pa.Table) -> pa.Table:
-        dk, dsrc = _lut(t)
-        p_idx = np.flatnonzero(t["kind"].to_numpy() == 0)
-        if not len(p_idx):
-            return cell_schema.empty_table()
-        pos = np.searchsorted(dk, t["key"].to_numpy()[p_idx])
-        sa = t["src"].take(pa.array(p_idx)).to_numpy(zero_copy_only=False)
-        sb = dsrc.take(pa.array(pos)).to_numpy(zero_copy_only=False)
+    def cells(t: pa.Table) -> pa.Table:
+        sa = t["source_a"].to_numpy(zero_copy_only=False)
+        sb = t["source"].to_numpy(zero_copy_only=False)
         swap = sa > sb
-        lo = np.where(swap, sb, sa)
-        hi = np.where(swap, sa, sb)
         return pa.table(
-            {"source_a": pa.array(lo, pa.string()),
-             "source_b": pa.array(hi, pa.string())}
+            {"source_a": pa.array(np.where(swap, sb, sa), pa.string()),
+             "source_b": pa.array(np.where(swap, sa, sb), pa.string())}
         ).group_by(["source_a", "source_b"]).aggregate(
             [([], "count_all")]
         ).rename_columns(["source_a", "source_b", "n_pairs"]).cast(
-            cell_schema
+            XS_CELL_SCHEMA
         )
 
-    # exchange 2: key = id_b -> (source_a, source_b) count partials
-    cells = hash_partitioned_apply(
-        half.union(docs_keyed), ["key"], cell_partials,
-        kernel_format="pyarrow", num_partitions=P,
-    )
-
-    # per-partition partials are already <= |sources|^2 rows, so the final
-    # merge runs on the driver instead of paying a third keyed exchange for
-    # a cell table bounded by provenance-bucket cardinality squared
-    return finish(cells, _xs_cell_combine, "pyarrow", XS_CELL_SCHEMA)
+    half = lookup_join(
+        pairs_ds, "id_a", docs_ds, "doc_id", ["source"],
+        then=lambda t: pa.table({"id_b": t["id_b"],
+                                 "source_a": t["source"]}))
+    return finish(
+        lookup_join(half, "id_b", docs_ds, "doc_id", ["source"], then=cells),
+        _xs_cell_combine, "pyarrow", XS_CELL_SCHEMA)
 
 
 def sql_cross_source_pairs(pairs_sql: str) -> str:
@@ -2251,8 +2107,6 @@ def token_novelty_curve(docs_ds, epoch_us: int, step_us: int = 37_000_000):
                                "n_distinct": pd.Series([], dtype="int64")})
 
     def novelty_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(d):
-            return _DAY_EMPTY
         d = d.drop_duplicates(["token", "day"])
         fday = d.groupby("token")["day"].transform("min").to_numpy(np.int64)
         day = d["day"].to_numpy(np.int64)
@@ -2333,9 +2187,6 @@ def vocab_overlap(docs_ds):
 
     _ST_EMPTY = pd.DataFrame({"source": pd.Series([], dtype="object"),
                               "token": pd.Series([], dtype="object")})
-    _PAIR_EMPTY = pd.DataFrame({"src_a": pd.Series([], dtype="object"),
-                                "src_b": pd.Series([], dtype="object"),
-                                "n": pd.Series([], dtype="int64")})
 
     def st_partial(batch: pa.Table) -> "pd.DataFrame":
         srcs: list[str] = []
@@ -2353,8 +2204,6 @@ def vocab_overlap(docs_ds):
                              "token": toks}).drop_duplicates()
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return _PAIR_EMPTY
         d = df.drop_duplicates(["source", "token"])
         # per-source distinct-token sizes, emitted as self-pair rows
         # (additive across partitions: tokens are partition-disjoint)
@@ -2548,8 +2397,6 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
         return g.merge(off, on=["source", "score", "bucket"], how="inner")
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(d):
-            return empty
         d = d.sort_values(["source", "score", "bucket", "doc_id"],
                           kind="stable")
         cum = d.groupby(["source", "score", "bucket"], sort=False)[
@@ -2644,13 +2491,7 @@ def quality_dup_matrix(docs_ds):
         return pd.DataFrame(
             {"fp": text.map(md5_fingerprint).astype(str), "score": score})
 
-    _EMPTY = pd.DataFrame({"score": pd.Series([], dtype="int64"),
-                           "is_dup": pd.Series([], dtype="int64"),
-                           "n_docs": pd.Series([], dtype="int64")})
-
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(d):
-            return _EMPTY
         sizes = d.groupby("fp", sort=False)["fp"].transform("size")
         g = pd.DataFrame({"score": d["score"].astype("int64"),
                           "is_dup": (sizes > 1).astype("int64")})
@@ -3005,6 +2846,14 @@ FROM k GROUP BY 1
 # ---------------------------------------------------------------------------
 
 
+def _null_source(df: "pd.DataFrame") -> "pd.DataFrame":
+    """A ``groupby(dropna=False)`` labels the null source group NaN; put it
+    back as None, the SQL NULL the DuckDB mirrors return."""
+    df["source"] = df["source"].astype(object).where(df["source"].notna(),
+                                                     None)
+    return df
+
+
 def _checked_sums(keys: "pd.Series", vals: "np.ndarray") -> "pd.Series":
     """Exact per-key sums of a non-negative int64 column, indexed by key.
     The high and low 32-bit words are summed separately (neither sum can
@@ -3015,7 +2864,7 @@ def _checked_sums(keys: "pd.Series", vals: "np.ndarray") -> "pd.Series":
     v = np.asarray(vals, dtype=np.int64)
     words = pd.DataFrame({"k": keys.to_numpy(), "hi": v >> 32,
                           "lo": v & 0xFFFFFFFF})
-    s = words.groupby("k", sort=False)[["hi", "lo"]].sum()
+    s = words.groupby("k", sort=False, dropna=False)[["hi", "lo"]].sum()
     totals = [(int(h) << 32) + int(lo) for h, lo in zip(s["hi"], s["lo"])]
     if totals and max(totals) >= 2 ** 63:
         raise OverflowError(
@@ -3057,26 +2906,20 @@ def frequency_moments(docs_ds):
                  "token": pd.Series([], dtype=object),
                  "cnt": pd.Series([], dtype="int64")})
         g = pd.DataFrame({"source": srcs, "token": toks})
-        return g.groupby(["source", "token"], sort=False,
-                         as_index=False).size() \
-            .rename(columns={"size": "cnt"})
+        return g.groupby(["source", "token"], sort=False, as_index=False,
+                         dropna=False).size().rename(columns={"size": "cnt"})
 
     def moment_fold(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"source": pd.Series([], dtype=object),
-                 "f0": pd.Series([], dtype="int64"),
-                 "f1": pd.Series([], dtype="int64"),
-                 "f2": pd.Series([], dtype="int64")})
-        g = df.groupby(["source", "token"], sort=False, as_index=False).agg(
-            cnt=("cnt", "sum"))
+        g = df.groupby(["source", "token"], sort=False, as_index=False,
+                       dropna=False).agg(cnt=("cnt", "sum"))
         c = g["cnt"].to_numpy()
         if int(c.max()) ** 2 >= 2 ** 63:
             raise OverflowError(
                 "frequency_moments: a (source, token) count >= ~3.04e9 "
                 "overflows the int64 f2 column — split f2 into hi/lo words")
-        out = g.groupby("source", sort=False, as_index=False).agg(
-            f0=("token", "size"), f1=("cnt", "sum"))
+        out = g.groupby("source", sort=False, as_index=False,
+                        dropna=False).agg(f0=("token", "size"),
+                                          f1=("cnt", "sum"))
         f2 = _checked_sums(g["source"], c.astype(np.int64) ** 2)
         out["f2"] = f2.reindex(out["source"]).to_numpy()
         return out
@@ -3089,13 +2932,13 @@ def frequency_moments(docs_ds):
         ["source", "token"], moment_fold)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = df.groupby("source", sort=False, as_index=False).agg(
-            f0=("f0", "sum"), f1=("f1", "sum"))
+        g = df.groupby("source", sort=False, as_index=False,
+                       dropna=False).agg(f0=("f0", "sum"), f1=("f1", "sum"))
         for col in ("f0", "f1"):
             g[col] = g[col].astype("int64")
         g["f2"] = _checked_sums(df["source"], df["f2"]).reindex(
             g["source"]).to_numpy()
-        return g
+        return _null_source(g)
 
     return hash_partitioned_agg(folded, ["source"], combine)
 
@@ -3145,9 +2988,9 @@ def quality_by_source(docs_ds):
             + (ts.QUALITY_STOP_RATIO_DEN * nstop
                <= ts.QUALITY_STOP_RATIO_NUM * nt).astype("int64")
         )
-        g = pd.DataFrame({"source": df["source"].astype(str),
-                          "score": score, "nt": nt})
-        out = g.groupby(["source", "score"], sort=False, as_index=False) \
+        g = pd.DataFrame({"source": df["source"], "score": score, "nt": nt})
+        out = g.groupby(["source", "score"], sort=False, as_index=False,
+                        dropna=False) \
             .agg(n_docs=("nt", "size"), n_tokens=("nt", "sum"))
         for c in ("n_docs", "n_tokens"):
             out[c] = out[c].astype("int64")
@@ -3156,9 +2999,10 @@ def quality_by_source(docs_ds):
     return hash_partitioned_agg(
         docs_ds.map_batches(scan, batch_format="pandas"),
         ["source", "score"],
-        lambda df: df.groupby(["source", "score"], sort=False,
-                              as_index=False).agg(
-            n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum")))
+        lambda df: _null_source(df.groupby(
+            ["source", "score"], sort=False, as_index=False,
+            dropna=False).agg(n_docs=("n_docs", "sum"),
+                              n_tokens=("n_tokens", "sum"))))
 
 
 def sql_quality_by_source() -> str:
@@ -3208,24 +3052,17 @@ def dup_by_source(docs_ds):
         df = df.dropna(subset=["doc_id"])
         return pd.DataFrame(
             {"fp": df["text"].fillna("").map(md5_fingerprint).astype(str),
-             "source": df["source"].astype(str)})
-
-    _EMPTY = pd.DataFrame(
-        {"source": pd.Series([], dtype=object),
-         "n_docs": pd.Series([], dtype="int64"),
-         "n_dup_docs": pd.Series([], dtype="int64"),
-         "n_distinct_fps": pd.Series([], dtype="int64")})
+             "source": df["source"]})
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(d):
-            return _EMPTY
         sizes = d.groupby("fp", sort=False)["fp"].transform("size")
         dup = (sizes > 1).astype("int64")
         per_doc = pd.DataFrame({"source": d["source"], "dup": dup})
-        docs = per_doc.groupby("source", sort=False, as_index=False).agg(
+        docs = per_doc.groupby("source", sort=False, as_index=False,
+                               dropna=False).agg(
             n_docs=("dup", "size"), n_dup_docs=("dup", "sum"))
         fps = d.drop_duplicates(["fp", "source"]).groupby(
-            "source", sort=False, as_index=False).agg(
+            "source", sort=False, as_index=False, dropna=False).agg(
             n_distinct_fps=("fp", "size"))
         out = docs.merge(fps, on="source")
         for c in ("n_docs", "n_dup_docs", "n_distinct_fps"):
@@ -3236,9 +3073,10 @@ def dup_by_source(docs_ds):
         docs_ds.map_batches(scan, batch_format="pandas"), ["fp"], kernel)
     return hash_partitioned_agg(
         partials, ["source"],
-        lambda df: df.groupby("source", sort=False, as_index=False).agg(
+        lambda df: _null_source(df.groupby(
+            "source", sort=False, as_index=False, dropna=False).agg(
             n_docs=("n_docs", "sum"), n_dup_docs=("n_dup_docs", "sum"),
-            n_distinct_fps=("n_distinct_fps", "sum")))
+            n_distinct_fps=("n_distinct_fps", "sum"))))
 
 
 def sql_dup_by_source(sql_fp: str) -> str:

@@ -385,8 +385,6 @@ def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn):
     )
 
     def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"id_a": [], "id_b": []}, schema=_PAIR_SCHEMA)
         pay_a = batch["pay_a"].to_pylist()
         pay_b = batch["pay_b"].to_pylist()
         mask = np.asarray(verify_mask_fn(pay_a, pay_b), dtype=bool)

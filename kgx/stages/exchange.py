@@ -53,6 +53,38 @@ repartition); the driver collects it instead.
   column-less Dataset.)  The result is a one-block Dataset.
 * :func:`top_k` — the global top-k: a per-block local top-k, then one
   driver merge, in ``by`` order (so a rank column is ``arange(1, n + 1)``).
+
+Zero rows: a ``kernel`` or ``combine`` passed to
+:func:`hash_partitioned_apply` / :func:`hash_partitioned_agg` never sees
+zero rows.  Ray passes an empty block through ``map_batches`` without
+calling the function, and ``map_groups`` calls it only on non-empty groups,
+so such functions need no typed-empty guard.  ``finish`` is the exception:
+it calls ``fn`` on zero rows by contract.
+
+Lookup join: a fact stream probes a keyed dimension
+
+:func:`lookup_join` attaches dimension columns to fact rows (``inner``) or
+filters fact rows by key membership (``semi`` / ``anti``).  The route is
+chosen once, from the pinned dimension's row count:
+
+* at most :data:`BROADCAST_ROWS` rows — broadcast: the dimension is
+  collected, sorted by key, put in the object store once, and every fact
+  batch is probed with one vectorized ``searchsorted``;
+* more — exchange: fact and dimension rows are tagged by side and meet in
+  one :func:`hash_partitioned_apply` on the key, where each partition runs
+  the same probe over its own dimension rows.
+
+Both routes return the same rows.  ``then`` folds the join output; it runs
+per output batch on the broadcast route and per partition on the exchange
+route, so it must be a combiner (any split of the rows gives partials that
+the caller merges), and it never sees zero rows.  Semantics:
+
+* a null fact key never matches: ``inner`` and ``semi`` drop the row,
+  ``anti`` keeps it (SQL ``NOT EXISTS``); a null dimension key is ignored;
+* ``inner`` needs a unique dimension key — a duplicate raises
+  ``ValueError`` on both routes (at the call on the broadcast route, when
+  the plan runs on the exchange route).  ``semi`` and ``anti`` accept
+  duplicates.
 """
 
 from __future__ import annotations
@@ -60,6 +92,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
+
+
+BROADCAST_ROWS = 2_000_000
+_DIM = "__dim"  # side tag of a dimension row on the exchange route
 
 
 def _default_partitions() -> int:
@@ -223,3 +259,113 @@ def top_k(ds, by: list[str], descending: list[bool], k: int, schema=None):
         df = df.sort_values(by, ascending=[not d for d in descending],
                             kind="stable").head(k)
     return df.reset_index(drop=True)
+
+
+def _sorted_dim(t, key: str, cols, how: str):
+    """(sorted non-null keys, ``cols`` in that order) of a dimension table;
+    keys are unique (``inner`` raises on a duplicate, the rest dedup)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if not t.num_rows:  # may carry no columns
+        return np.array([]), pa.table({c: pa.nulls(0) for c in cols})
+    t = t.filter(pc.is_valid(t[key]))
+    dk = t[key].to_numpy()
+    order = np.argsort(dk, kind="stable")
+    dk = dk[order]
+    dup = dk[1:] == dk[:-1]
+    if how != "inner":
+        return dk[np.r_[True, ~dup]] if len(dk) else dk, None
+    if dup.any():
+        raise ValueError(
+            f"lookup_join: duplicate dimension key {dk[1:][dup][0]!r}")
+    return dk, t.select(list(cols)).take(pa.array(order))
+
+
+def _probe(t, key: str, dk: np.ndarray, dv, how: str):
+    """One vectorized lookup of ``t[key]`` in the sorted keys ``dk``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    col = t[key]
+    hit = np.zeros(t.num_rows, dtype=bool)
+    pos = np.zeros(t.num_rows, dtype=np.int64)
+    if col.null_count:  # probe only the non-null keys
+        idx = np.flatnonzero(pc.is_valid(col).to_numpy(zero_copy_only=False))
+        kv = col.take(pa.array(idx)).to_numpy()
+    else:
+        idx, kv = slice(None), col.to_numpy()
+    if len(dk) and len(kv):
+        p = np.searchsorted(dk, kv).clip(max=len(dk) - 1)
+        hit[idx] = dk[p] == kv
+        pos[idx] = p
+    if how == "anti":
+        return t.filter(pa.array(~hit))
+    out = t.filter(pa.array(hit))
+    if how == "inner":
+        rows = pa.array(pos[hit])
+        for c in dv.column_names:
+            out = out.append_column(c, dv[c].take(rows))
+    return out
+
+
+def lookup_join(fact, key: str, dim, dim_key: str, cols=(),
+                how: str = "inner", then: Callable | None = None):
+    """Fact rows of ``fact`` probed on ``key`` against ``dim[dim_key]``
+    (see "Lookup join" in the module docstring): ``inner`` appends the
+    dimension's ``cols``, ``semi`` keeps matching rows, ``anti`` keeps the
+    rest.  ``then`` (an Arrow table -> Arrow table or pandas frame
+    combiner) folds the output; without it the result is the joined Arrow
+    rows."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    if how not in ("inner", "semi", "anti"):
+        raise ValueError(f"lookup_join: unknown how={how!r}")
+    cols = list(cols)
+    if cols and how != "inner":
+        raise ValueError("lookup_join: only an inner join attaches cols")
+    dim = dim.materialize()
+
+    def folded(out):
+        if then is None:
+            return out
+        return then(out) if out.num_rows else pa.table({})
+
+    def checked(t):
+        clash = set(t.column_names) & {*cols, _DIM}
+        if clash:
+            raise ValueError(f"lookup_join: fact already has {sorted(clash)}")
+        return t
+
+    if dim.count() <= BROADCAST_ROWS:
+        ref = ray.put(_sorted_dim(collect_arrow(dim), dim_key, cols, how))
+
+        def probe(b):
+            dk, dv = ray.get(ref)
+            return folded(_probe(checked(b), key, dk, dv, how))
+
+        return fact.map_batches(probe, batch_format="pyarrow")
+
+    def fact_rows(b):
+        b = checked(b)
+        if how != "anti":  # a null key never matches: no need to ship it
+            b = b.filter(pc.is_valid(b[key]))
+        return b.append_column(_DIM, pa.array(np.zeros(b.num_rows, bool)))
+
+    def dim_rows(b):
+        b = b.select([dim_key, *cols]).rename_columns([key, *cols])
+        return b.append_column(_DIM, pa.array(np.ones(b.num_rows, bool)))
+
+    def kernel(t):
+        side = t[_DIM].to_numpy(zero_copy_only=False)
+        d = t.filter(pa.array(side))
+        f = t.filter(pa.array(~side)).drop_columns(
+            [c for c in (*cols, _DIM) if c in t.column_names])
+        dk, dv = _sorted_dim(d, key, cols, how)
+        return folded(_probe(f, key, dk, dv, how))
+
+    u = fact.map_batches(fact_rows, batch_format="pyarrow").union(
+        dim.map_batches(dim_rows, batch_format="pyarrow"))
+    return hash_partitioned_apply(u, [key], kernel, kernel_format="pyarrow")

@@ -34,6 +34,17 @@ DAMP_DEN = 100
 BASE = R0 * (DAMP_DEN - DAMP_NUM) // DAMP_DEN
 
 _RANK_SCHEMA = pa.schema([("node", pa.int64()), ("pr", pa.int64())])
+EDGE_KEYS = pa.schema([("node", pa.int64()), ("other", pa.int64())])
+
+
+def edge_keys(t: pa.Table) -> pa.Table:
+    """A (src, dst) edge block as the (node, other) rows that
+    ``pregel.make_splitter`` owner-partitions on ``node``.  The splitter
+    sees raw materialized blocks, and an empty one can come without
+    columns, so zero rows map to the typed empty table."""
+    if t.num_rows == 0:
+        return EDGE_KEYS.empty_table()
+    return pa.table({"node": t["src"], "other": t["dst"]}, schema=EDGE_KEYS)
 
 
 def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None):
@@ -350,17 +361,9 @@ def cc_rounds_ds(edges_ds, rounds: int = CC_ROUNDS):
     )
 
     P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
-
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"node": [], "other": []}, schema=key_schema)
-        return pa.table(
-            {"node": t["src"], "other": t["dst"]}, schema=key_schema
-        )
 
     edge_parts = partition_edges(
-        edges_ds, make_splitter(norm, "node", P), P
+        edges_ds, make_splitter(edge_keys, "node", P), P
     )
 
     def _min_per_node(n: np.ndarray, l: np.ndarray):
@@ -485,15 +488,6 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
     )
 
     P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
-
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"node": [], "other": []}, schema=key_schema)
-        return pa.table(
-            {"node": t["src"], "other": t["dst"]}, schema=key_schema
-        )
-
     def dedup_part(t: pa.Table) -> pa.Table:
         n = t["node"].to_numpy()
         o = t["other"].to_numpy()
@@ -504,10 +498,11 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
         return pa.table(
             {"node": ns[keep].astype(np.int64),
              "other": os_[keep].astype(np.int64)},
-            schema=key_schema,
+            schema=EDGE_KEYS,
         )
 
-    raw_parts = partition_edges(edges_ds, make_splitter(norm, "node", P), P)
+    raw_parts = partition_edges(
+        edges_ds, make_splitter(edge_keys, "node", P), P)
     dedup_r = ray.remote(dedup_part)
     edge_parts = [dedup_r.remote(p) for p in raw_parts]
 
@@ -664,17 +659,9 @@ def bfs_rounds_ds(edges_ds, rounds: int = BFS_ROUNDS):
     )
 
     P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
-
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"node": [], "other": []}, schema=key_schema)
-        return pa.table(
-            {"node": t["src"], "other": t["dst"]}, schema=key_schema
-        )
 
     edge_parts = partition_edges(
-        edges_ds, make_splitter(norm, "node", P), P
+        edges_ds, make_splitter(edge_keys, "node", P), P
     )
 
     def _min_per_node(n: np.ndarray, d: np.ndarray):

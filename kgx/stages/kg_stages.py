@@ -425,19 +425,7 @@ def alias_stats(linked_ds):
 
     from .exchange import hash_partitioned_apply
 
-    _EMPTY = pd.DataFrame(
-        {"surface": pd.Series([], dtype=object),
-         "entity_key": pd.Series([], dtype=object),
-         "n_mentions": pd.Series([], dtype="int64"),
-         "n_pages": pd.Series([], dtype="int64")})
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"surface": pd.Series([], dtype=object),
-                 "entity_key": pd.Series([], dtype=object),
-                 "url": pd.Series([], dtype=object),
-                 "cnt": pd.Series([], dtype="int64")})
         sm = pd.concat([
             df[["subj_surface", "subj_key", "url"]].set_axis(
                 ["surface", "entity_key", "url"], axis=1),
@@ -448,8 +436,6 @@ def alias_stats(linked_ds):
                           as_index=False).agg(cnt=("url", "size"))
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return _EMPTY
         g = df.groupby(["surface", "entity_key"], sort=False,
                        as_index=False).agg(n_mentions=("cnt", "sum"),
                                            n_pages=("url", "nunique"))
@@ -1097,6 +1083,7 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
     import ray.data as rd
 
     from .exchange import collect_arrow
+    from .graph import edge_keys
     from .pregel import (concat_parts, make_splitter, partition_edges,
                          run_rounds, split_by_owner)
 
@@ -1118,19 +1105,13 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
         return None, seed_ids
 
     P = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
     state_schema = pa.schema([("node", pa.int64()), ("packed", pa.int64())])
     INF_PACK = np.uint64(0)
     for s in range(k):
         INF_PACK |= np.uint64(15) << np.uint64(4 * s)
 
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"node": [], "other": []}, schema=key_schema)
-        return pa.table({"node": t["src"], "other": t["dst"]},
-                        schema=key_schema)
-
-    edge_parts = partition_edges(edges_mat, make_splitter(norm, "node", P), P)
+    edge_parts = partition_edges(
+        edges_mat, make_splitter(edge_keys, "node", P), P)
 
     def _unpack(packed_i64: np.ndarray) -> np.ndarray:
         """(n,) int64 bit patterns -> (n, k) uint8 nibble depths."""

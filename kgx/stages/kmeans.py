@@ -1109,8 +1109,6 @@ def centroid_drift(emb_ds):
          "nb2_q": pd.Series([], dtype="int64")})
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(d):
-            return _EMPTY_K
         g = d.groupby(["label", "half", "dim"], sort=False,
                       as_index=False).agg(sum_q=("sum_q", "sum"),
                                           n_vecs=("n_vecs", "sum"))

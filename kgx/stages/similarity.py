@@ -473,8 +473,6 @@ def knn_graph_ivf(emb_ds, cent_ref, k: int = KNN_K):
                       ("rank", pa.int64())])
 
     def list_kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT.empty_table()
         c = t["c"].to_numpy()
         ids, mat = normalized_matrix(t)
         out_q, out_n, out_r = [], [], []

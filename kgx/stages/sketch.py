@@ -787,11 +787,6 @@ def theta_sketches(events_ds, k: int = THETA_K):
             .reset_index(drop=True)
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"event_type": pd.Series([], dtype=object),
-                 "rnk": pd.Series([], dtype="int64"),
-                 "h": pd.Series([], dtype="int64")})
         g = df.drop_duplicates().sort_values(
             ["event_type", "h"], kind="stable") \
             .groupby("event_type", sort=False).head(k) \
@@ -890,11 +885,6 @@ def theta_source_sketches(docs_ds, k: int = THETA_K):
             .groupby("source", sort=False).head(k).reset_index(drop=True)
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"source": pd.Series([], dtype=object),
-                 "rnk": pd.Series([], dtype="int64"),
-                 "h": pd.Series([], dtype="int64")})
         g = df.drop_duplicates().sort_values(
             ["source", "h"], kind="stable") \
             .groupby("source", sort=False).head(k).reset_index(drop=True)

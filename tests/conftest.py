@@ -28,6 +28,24 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def each_route(monkeypatch):
+    """``each_route(fn)`` calls ``fn()`` once per ``lookup_join`` route —
+    broadcast (a row threshold above every dimension), then exchange (a
+    threshold below every dimension, the empty one included) — and
+    returns the two results in that order."""
+    from kgx.stages import exchange
+
+    def run(fn):
+        out = []
+        for rows in (1 << 62, -1):
+            monkeypatch.setattr(exchange, "BROADCAST_ROWS", rows)
+            out.append(fn())
+        return out
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def kb():
     from kgx import synth

@@ -131,6 +131,44 @@ def test_null_keys_share_one_partition_and_kernel_sees_values(ray_session):
         assert sorted(v for vs in out["vals"] for v in vs) == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ["agg", "apply"])
+@pytest.mark.parametrize("empty", ["some_blocks", "all_blocks"])
+def test_kernels_never_see_zero_rows(ray_session, mode, fmt, empty):
+    """A kernel or combine never runs on zero rows, so it needs no
+    typed-empty guard: Ray passes empty blocks through ``map_batches``
+    without calling the function, and ``map_groups`` calls it only on
+    non-empty groups."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    blocks = [pa.table({"k": pa.array([i % 3, 5], pa.int64()),
+                        "v": pa.array([i, 100], pa.int64())})
+              for i in range(6)]
+
+    def thin(t: pa.Table):
+        if empty == "all_blocks" or t["v"][0].as_py() % 2:
+            t = t.filter(pc.less(t["v"], 0))
+        return t if fmt == "pyarrow" else t.to_pandas()
+
+    ds = rd.from_arrow(blocks).map_batches(thin, batch_format="pyarrow")
+    inner = _sum_kernel(["k"], fmt)
+
+    def kernel(b):
+        if not len(b):
+            raise AssertionError("kernel called on zero rows")
+        return inner(b)
+
+    fn = X.hash_partitioned_agg if mode == "agg" else X.hash_partitioned_apply
+    got = X.collect_arrow(fn(ds, ["k"], kernel, 8, fmt)).to_pandas()
+    if empty == "all_blocks":
+        assert len(got) == 0
+        return
+    kept = [t for t in blocks if t["v"][0].as_py() % 2 == 0]
+    want = pa.concat_tables(kept).to_pandas().groupby("k")["v"].sum()
+    assert dict(zip(got["k"], got["v"])) == want.to_dict()
+
+
 def test_tag_depends_only_on_key_values():
     """Same values, six representations: identical part_id for every
     non-null row; the format of the batch is preserved."""
@@ -308,3 +346,159 @@ def test_small_results_finish_only_through_the_exchange_module():
             bad += [f"{rel}: ray.get(...to_arrow_refs())"
                     for arg in _ray_get_calls(src) if "to_arrow_refs" in arg]
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# lookup_join: one key lookup, two routes, one semantics
+# ---------------------------------------------------------------------------
+
+
+def _fact_blocks(fmt: str):
+    """Fact rows over keys 0-9 with nulls, in three blocks."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    blocks = []
+    for b in range(3):
+        k = rng.integers(0, 10, 20).astype(object)
+        k[rng.random(20) < 0.2] = None
+        blocks.append(pa.table({"k": pa.array(list(k), pa.int64()),
+                                "v": pa.array(np.arange(20) + 100 * b)}))
+    if fmt == "pandas":
+        return rd.from_pandas([t.to_pandas() for t in blocks]), blocks
+    return rd.from_arrow(blocks), blocks
+
+
+def _dim(keys, dup=False):
+    import ray.data as rd
+
+    keys = list(keys) + ([keys[0]] if dup else []) + [None]
+    return rd.from_arrow(pa.table({
+        "dk": pa.array(keys, pa.int64()),
+        "name": [None if k is None else f"n{k}" for k in keys]}))
+
+
+def _join_ref(blocks, keys, how):
+    f = pa.concat_tables(blocks).to_pandas()
+    keyset = set(keys)
+    hit = f["k"].map(lambda x: x == x and int(x) in keyset).astype(bool)
+    if how == "anti":
+        return f[~hit]
+    f = f[hit].copy()
+    if how == "inner":
+        f["name"] = [f"n{int(x)}" for x in f["k"]]
+    return f
+
+
+def _rows(df: pd.DataFrame) -> list:
+    cols = sorted(df.columns)
+    return sorted(map(tuple, df[cols].astype(object).where(
+        df[cols].notna(), None).to_numpy().tolist()), key=repr)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_lookup_join_routes_match_reference(ray_session, each_route, how,
+                                            fmt):
+    """Null fact keys never match (anti keeps them), a null dimension key
+    is ignored, and both routes return the reference rows."""
+    keys = [1, 3, 4, 8, 11]
+    cols = ["name"] if how == "inner" else []
+
+    def run():
+        fact, _ = _fact_blocks(fmt)
+        return X.collect_arrow(X.lookup_join(
+            fact, "k", _dim(keys), "dk", cols, how)).to_pandas()
+
+    _, blocks = _fact_blocks(fmt)
+    want = _rows(_join_ref(blocks, keys, how))
+    bc, ex = each_route(run)
+    assert _rows(bc) == want
+    assert _rows(ex) == want
+    if how == "anti":
+        assert bc["k"].isna().sum() > 0
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_lookup_join_then_folds_identically(ray_session, each_route, how):
+    """``then`` runs per batch on one route and per partition on the other;
+    merged partials agree, and it never sees zero rows."""
+    cols = ["name"] if how == "inner" else []
+
+    def then(t: pa.Table) -> pd.DataFrame:
+        assert t.num_rows
+        return pd.DataFrame({"n": [t.num_rows],
+                             "s": [int(np.nansum(t["v"].to_numpy(
+                                 zero_copy_only=False)))]})
+
+    def run():
+        fact, _ = _fact_blocks("pyarrow")
+        out = X.lookup_join(fact.repartition(6), "k", _dim([2, 5, 7]), "dk",
+                            cols, how, then)
+        t = X.collect_arrow(out).to_pandas()
+        return int(t["n"].sum()), int(t["s"].sum())
+
+    _, blocks = _fact_blocks("pyarrow")
+    ref = _join_ref(blocks, [2, 5, 7], how)
+    assert each_route(run) == [(len(ref), int(ref["v"].sum()))] * 2
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_lookup_join_empty_sides(ray_session, each_route, how):
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    cols = ["name"] if how == "inner" else []
+    _, blocks = _fact_blocks("pyarrow")
+    n_all = sum(t.num_rows for t in blocks)
+
+    def empty_dim():
+        fact, _ = _fact_blocks("pyarrow")
+        dim = _dim([1]).map_batches(lambda t: t.slice(0, 0),
+                                    batch_format="pyarrow")
+        return X.collect_arrow(X.lookup_join(
+            fact, "k", dim, "dk", cols, how)).num_rows
+
+    def empty_fact():
+        fact = rd.from_arrow(blocks).map_batches(
+            lambda t: t.filter(pc.less(t["v"], -1)), batch_format="pyarrow")
+        return X.collect_arrow(X.lookup_join(
+            fact, "k", _dim([1, 2]), "dk", cols, how)).num_rows
+
+    assert each_route(empty_dim) == [n_all if how == "anti" else 0] * 2
+    assert each_route(empty_fact) == [0, 0]
+
+
+def test_lookup_join_duplicate_dim_key_raises(ray_session, each_route):
+    """A duplicate dimension key under ``inner`` raises on both routes;
+    ``semi`` accepts it."""
+
+    def inner():
+        fact, _ = _fact_blocks("pyarrow")
+        with pytest.raises(ValueError, match="duplicate"):
+            X.lookup_join(fact, "k", _dim([1, 2], dup=True), "dk",
+                          ["name"]).materialize()
+        return True
+
+    def semi():
+        fact, _ = _fact_blocks("pyarrow")
+        return X.collect_arrow(X.lookup_join(
+            fact, "k", _dim([1, 2], dup=True), "dk", how="semi")).num_rows
+
+    assert each_route(inner) == [True, True]
+    _, blocks = _fact_blocks("pyarrow")
+    assert each_route(semi) == [len(_join_ref(blocks, [1, 2], "semi"))] * 2
+
+
+def test_one_lookup_join():
+    """Key lookups go through ``lookup_join``: no per-operator broadcast
+    threshold anywhere in the package, and no hand-written sorted-array
+    probe or kind-union helper left in the relational operators."""
+    root = Path(__file__).resolve().parent.parent / "kgx"
+    gated = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
+             if "broadcast_limit" in f.read_text()]
+    assert not gated, f"broadcast_limit in {gated}"
+    rel = (root / "pipelines" / "relational.py").read_text()
+    helpers = re.findall(r"def (_lookup|_sorted_map|_ku)\(", rel)
+    assert not helpers, f"relational.py defines {helpers}"
+    assert ".clip(max=len(" not in rel, "hand-written probe in relational.py"

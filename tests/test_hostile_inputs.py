@@ -66,3 +66,52 @@ class TestHostilePagesThroughPipeline:
         )
         want = ora.to_pandas().sort_values("url").reset_index(drop=True)
         assert got.equals(want)
+
+
+class TestNullSourceMatchesMirror:
+    """A document with a NULL source forms its own NULL group in the
+    DuckDB mirrors; the per-source operators must keep that group too (not
+    drop it, not rename it to the string 'None')."""
+
+    @pytest.mark.parametrize("name", ["sketch_f2", "doc_quality_by_source",
+                                      "doc_dup_by_source"])
+    def test_null_source_group(self, ray_session, tmp_path, name):
+        import sys
+        from pathlib import Path
+
+        import duckdb
+        import pyarrow.parquet as pq
+
+        from kgx import queries
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                               / "scripts"))
+        from check_queries import mismatch, to_pandas
+
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        words = ["the", "a", "of", "graph", "ray", "data", "node", "edge",
+                 "and", "to"]
+        n = 80
+        texts = [" ".join(rng.choice(words, rng.integers(5, 120)))
+                 for _ in range(n)]
+        texts[3] = texts[4]  # one exact duplicate pair
+        docs = pa.table({
+            "doc_id": pa.array(np.arange(n), pa.int64()),
+            "text": texts,
+            "lang": ["en"] * n,
+            "source": [None if i % 7 == 0 else f"src{i % 3}"
+                       for i in range(n)],
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+        })
+        pq.write_table(docs, tmp_path / "documents.parquet")
+
+        got = to_pandas(queries.registry()[name](str(tmp_path)))
+        con = duckdb.connect()
+        con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet("
+                    f"'{tmp_path / 'documents.parquet'}')")
+        want = con.execute(queries.oracle_sql()[name]).df()
+        assert want["source"].isna().any()
+        assert got["source"].isna().any(), "NULL source group lost"
+        assert mismatch(got, want) is None

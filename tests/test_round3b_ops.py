@@ -329,16 +329,14 @@ def test_anti_join_vs_pandas(ray_session):
     assert got == expect and got
 
 
-def test_anti_join_native_path_agrees(ray_session):
-    """Force the left_anti join branch (broadcast_limit=0) — must agree
-    with the broadcast branch."""
+def test_anti_join_native_path_agrees(ray_session, each_route):
+    """The exchange route of the anti-join agrees with the broadcast
+    route."""
     from kgx.pipelines.relational import customers_without_urgent
 
-    a = set(_collect(customers_without_urgent(SF))["c_custkey"])
-    b = set(
-        _collect(customers_without_urgent(SF, broadcast_limit=0))["c_custkey"]
-    )
-    assert a == b
+    a, b = each_route(lambda: set(
+        _collect(customers_without_urgent(SF))["c_custkey"]))
+    assert a == b and a
 
 
 def test_pivot_vs_pandas(ray_session):
@@ -567,22 +565,17 @@ def test_semi_join_bloom_cost_gate(ray_session):
     assert low_gate == exact
 
 
-def test_grouped_mode_join_path_agrees(ray_session):
-    """priority_mode_per_segment with the dim-too-big-to-broadcast gate
-    tripped (broadcast_limit=0 forces the native-join attach) returns the
-    same table as the broadcast path."""
+def test_grouped_mode_join_path_agrees(ray_session, each_route):
+    """priority_mode_per_segment on the exchange route (the segment
+    attach of a dimension too big to broadcast) returns the same table as
+    the broadcast route."""
     from kgx.pipelines.relational import priority_mode_per_segment
 
-    a = (
+    a, b = each_route(lambda: (
         _collect(priority_mode_per_segment(SF))
         .sort_values("c_mktsegment")
         .reset_index(drop=True)
-    )
-    b = (
-        _collect(priority_mode_per_segment(SF, broadcast_limit=0))
-        .sort_values("c_mktsegment")
-        .reset_index(drop=True)
-    )
+    ))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 

@@ -574,6 +574,42 @@ def test_top_revenue_null_rows_drop(ray_session, tmp_path):
         10: 100 * 100, 11: 200 * 90}
 
 
+def test_top_revenue_orders_exchange_route(ray_session, each_route,
+                                           tmp_path):
+    """A segment key set too big to broadcast takes the exchange route and
+    returns the broadcast route's rows (it raised NotImplementedError)."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from kgx.pipelines.relational import (sql_top_revenue_orders,
+                                          top_revenue_orders)
+
+    rng = np.random.RandomState(5)
+    n_cust, n_ord, n_line = 30, 150, 600
+    tables = {
+        "customer": pa.table(
+            {"c_custkey": np.arange(n_cust, dtype=np.int64),
+             "c_mktsegment": [("BUILDING" if i % 2 else "AUTO")
+                              for i in range(n_cust)]}),
+        "orders": pa.table(
+            {"o_orderkey": np.arange(n_ord, dtype=np.int64),
+             "o_custkey": rng.randint(0, n_cust, n_ord).astype(np.int64)}),
+        "lineitem": pa.table(
+            {"l_orderkey": rng.randint(0, n_ord, n_line).astype(np.int64),
+             "l_extendedprice": np.round(rng.uniform(1, 1000, n_line), 2),
+             "l_discount": np.round(rng.choice([0.0, 0.05], n_line), 2)}),
+    }
+    con = duckdb.connect()
+    for name, t in tables.items():
+        pq.write_table(t, tmp_path / f"{name}.parquet")
+        con.execute(f"CREATE VIEW {name} AS SELECT * FROM "
+                    f"'{tmp_path / name}.parquet'")
+    want = con.execute(sql_top_revenue_orders()).df().astype("int64")
+    for got in each_route(lambda: _collect(top_revenue_orders(str(tmp_path)))):
+        assert got.astype("int64").values.tolist() == want.values.tolist()
+    assert len(want) == 10
+
+
 # ---------------------------------------------------------------------------
 # exact-substring dedup
 # ---------------------------------------------------------------------------

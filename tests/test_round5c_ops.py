@@ -298,62 +298,45 @@ def _random_cross_source_input(rng, n=120, n_sources=4, n_pairs=300):
     return docs, sources, pairs, a, b
 
 
-def test_cross_source_matches_brute(ray_session):
+def test_cross_source_matches_brute(ray_session, each_route):
     import ray.data as rd
 
-    from kgx.stages.corpus import cross_source_pairs_exchange
+    from kgx.stages.corpus import cross_source_pairs
 
     rng = np.random.default_rng(3)
     docs, sources, pairs, a, b = _random_cross_source_input(rng)
-    got = _collect(cross_source_pairs_exchange(
-        rd.from_arrow(pairs).repartition(5),
-        rd.from_arrow(docs).repartition(3),
-    ))
     want: dict[tuple[str, str], int] = {}
     for x, y in zip(a, b):
         sa, sb = sources[int(x)], sources[int(y)]
         cell = (min(sa, sb), max(sa, sb))
         want[cell] = want.get(cell, 0) + 1
-    got_map = {
-        (r.source_a, r.source_b): int(r.n_pairs) for r in got.itertuples()
-    }
-    assert got_map == want
+    for got in each_route(lambda: _collect(cross_source_pairs(
+            rd.from_arrow(pairs).repartition(5),
+            rd.from_arrow(docs).repartition(3)))):
+        got_map = {
+            (r.source_a, r.source_b): int(r.n_pairs) for r in got.itertuples()
+        }
+        assert got_map == want
 
 
-def test_cross_source_broadcast_route_agrees(ray_session):
-    """Both cost-gate routes return identical cells (the repo's standard
+def test_cross_source_broadcast_route_agrees(ray_session, each_route):
+    """Both lookup routes return identical cells (the repo's standard
     both-paths agreement convention)."""
     import ray.data as rd
 
-    from kgx.stages.corpus import (
-        cross_source_pairs,
-        cross_source_pairs_exchange,
-    )
+    from kgx.stages.corpus import cross_source_pairs
 
     rng = np.random.default_rng(17)
     docs, _, pairs, _, _ = _random_cross_source_input(rng, n=80, n_sources=3)
-    bc = _collect(cross_source_pairs(
-        rd.from_arrow(pairs).repartition(4),
-        rd.from_arrow(docs).repartition(2),
-        n_docs=80,  # <= limit -> broadcast route
-    ))
-    ex = _collect(cross_source_pairs_exchange(
-        rd.from_arrow(pairs).repartition(4),
-        rd.from_arrow(docs).repartition(2),
-    ))
     key = ["source_a", "source_b"]
-    bc = bc.sort_values(key).reset_index(drop=True)
-    ex = ex.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(bc, ex, check_dtype=False)
-    # the gate wrapper takes the exchange route when n_docs is unknown
-    un = _collect(cross_source_pairs(
+    bc, ex = each_route(lambda: _collect(cross_source_pairs(
         rd.from_arrow(pairs).repartition(4),
         rd.from_arrow(docs).repartition(2),
-    )).sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(un, ex, check_dtype=False)
+    )).sort_values(key).reset_index(drop=True))
+    pd.testing.assert_frame_equal(bc, ex, check_dtype=False)
 
 
-def test_cross_source_empty_pairs(ray_session):
+def test_cross_source_empty_pairs(ray_session, each_route):
     import ray.data as rd
 
     from kgx.stages.corpus import cross_source_pairs
@@ -365,13 +348,9 @@ def test_cross_source_empty_pairs(ray_session):
     pairs = pa.table(
         {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
     )
-    got = _collect(cross_source_pairs(rd.from_arrow(pairs), rd.from_arrow(docs)))
-    assert len(got) == 0
-    # broadcast route too
-    got_bc = _collect(cross_source_pairs(
-        rd.from_arrow(pairs), rd.from_arrow(docs), n_docs=10
-    ))
-    assert len(got_bc) == 0
+    for got in each_route(lambda: _collect(cross_source_pairs(
+            rd.from_arrow(pairs), rd.from_arrow(docs)))):
+        assert len(got) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +919,8 @@ def test_event_gaps_null_ts_dropped(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_region_revenue_both_paths_match_duckdb(ray_session):
+def test_region_revenue_both_paths_match_duckdb(ray_session,
+                                                each_route):
     import duckdb
 
     from kgx.pipelines.relational import region_revenue, sql_region_revenue
@@ -953,10 +933,10 @@ def test_region_revenue_both_paths_match_duckdb(ray_session):
         )
     want = {r[0]: int(r[1])
             for r in con.execute(sql_region_revenue()).fetchall()}
-    for limit in (2_000_000, 0):  # broadcast path, then exchange path
-        out = _collect(region_revenue(sf, broadcast_limit=limit))
+    for route, out in zip(("broadcast", "exchange"),
+                          each_route(lambda: _collect(region_revenue(sf)))):
         got = {r.r_name: int(r.revenue_cp) for r in out.itertuples()}
-        assert got == want, ("bcast" if limit else "exchange")
+        assert got == want, route
     assert len(want) >= 1
 
 
@@ -1245,13 +1225,13 @@ def test_late_orders_matches_serial(ray_session, tmp_path):
     assert want  # fixture produces a non-trivial late set
 
 
-def test_late_orders_both_routes_agree(ray_session, tmp_path):
+def test_late_orders_both_routes_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import late_order_counts
 
     sf, want = _late_fixture(tmp_path)
-    out = _collect(late_order_counts(str(sf), broadcast_limit=0))
-    got = {r.o_orderpriority: int(r.n_late) for r in out.itertuples()}
-    assert got == want
+    for out in each_route(lambda: _collect(late_order_counts(str(sf)))):
+        got = {r.o_orderpriority: int(r.n_late) for r in out.itertuples()}
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -1294,13 +1274,14 @@ def test_custdist_matches_serial(ray_session, tmp_path):
     assert 0 in want and want[0] > 0  # zero bucket exercised
 
 
-def test_custdist_both_routes_agree(ray_session, tmp_path):
+def test_custdist_both_routes_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import customer_order_distribution
 
     sf, want = _custdist_fixture(tmp_path)
-    out = _collect(customer_order_distribution(str(sf), broadcast_limit=0))
-    got = {int(r.n_orders): int(r.c_count) for r in out.itertuples()}
-    assert got == want
+    for out in each_route(
+            lambda: _collect(customer_order_distribution(str(sf)))):
+        got = {int(r.n_orders): int(r.c_count) for r in out.itertuples()}
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -1493,14 +1474,15 @@ def test_returned_revenue_matches_serial(ray_session, tmp_path):
     assert got == want and len(want) == 20
 
 
-def test_returned_revenue_both_routes_agree(ray_session, tmp_path):
+def test_returned_revenue_both_routes_agree(ray_session, each_route,
+                                           tmp_path):
     from kgx.pipelines.relational import returned_item_revenue
 
     sf, want = _q10_fixture(tmp_path)
-    out = _collect(returned_item_revenue(str(sf), broadcast_limit=0))
-    got = {(int(r.c_custkey), r.c_name, r.n_name, int(r.revenue_cp),
-            int(r.rank)) for r in out.itertuples()}
-    assert got == want
+    for out in each_route(lambda: _collect(returned_item_revenue(str(sf)))):
+        got = {(int(r.c_custkey), r.c_name, r.n_name, int(r.revenue_cp),
+                int(r.rank)) for r in out.itertuples()}
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -1593,14 +1575,14 @@ def test_promo_revenue_matches_serial(ray_session, tmp_path):
     assert want[1] > 0 and 0 < want[0] < want[1]
 
 
-def test_promo_revenue_both_routes_agree(ray_session, tmp_path):
+def test_promo_revenue_both_routes_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import promo_revenue
 
     sf, want = _promo_fixture(tmp_path)
-    out = _collect(promo_revenue(str(sf), broadcast_limit=0))
-    r = out.iloc[0]
-    assert (int(r.promo_cents), int(r.total_cents),
-            int(r.promo_permyriad)) == want
+    for out in each_route(lambda: _collect(promo_revenue(str(sf)))):
+        r = out.iloc[0]
+        assert (int(r.promo_cents), int(r.total_cents),
+                int(r.promo_permyriad)) == want
 
 
 def test_promo_revenue_empty_window(ray_session, tmp_path):
@@ -1632,7 +1614,8 @@ def test_promo_revenue_empty_window(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_big_volume_orders_matches_serial(ray_session, tmp_path):
+def test_big_volume_orders_matches_serial(ray_session, each_route,
+                                          tmp_path):
     import pyarrow.parquet as pq
 
     from kgx.pipelines.relational import big_volume_orders
@@ -1672,12 +1655,13 @@ def test_big_volume_orders_matches_serial(ray_session, tmp_path):
         day = int(odate[o].astype("datetime64[D]").astype(np.int64))
         want[o] = (s, int(ocust[o]), f"Customer#{int(ocust[o]):09d}",
                    day, r)
-    out = _collect(big_volume_orders(str(sf), qty_threshold=thr, k=k))
-    got = {int(r.o_orderkey): (int(r.total_qty), int(r.o_custkey),
-                               str(r.c_name), int(r.o_orderdate_day),
-                               int(r.rank))
-           for r in out.itertuples()}
-    assert got == want
+    for out in each_route(lambda: _collect(
+            big_volume_orders(str(sf), qty_threshold=thr, k=k))):
+        got = {int(r.o_orderkey): (int(r.total_qty), int(r.o_custkey),
+                                   str(r.c_name), int(r.o_orderdate_day),
+                                   int(r.rank))
+               for r in out.itertuples()}
+        assert got == want
     assert len(qual) == k  # threshold actually selective in the fixture
 
 
@@ -1731,14 +1715,14 @@ def test_dormant_rich_matches_serial(ray_session, tmp_path):
     assert got == want and want
 
 
-def test_dormant_rich_both_routes_agree(ray_session, tmp_path):
+def test_dormant_rich_both_routes_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import dormant_rich_customers
 
     sf, want = _dormant_fixture(tmp_path)
-    out = dormant_rich_customers(str(sf), broadcast_limit=0)
-    got = {r.c_mktsegment: (int(r.n_cust), int(r.sum_bal_cents))
-           for r in out.itertuples()}
-    assert got == want
+    for out in each_route(lambda: dormant_rich_customers(str(sf))):
+        got = {r.c_mktsegment: (int(r.n_cust), int(r.sum_bal_cents))
+               for r in out.itertuples()}
+        assert got == want
 
 
 def test_dormant_rich_empty_result_keeps_schema(ray_session, tmp_path):
@@ -1922,14 +1906,15 @@ def test_value_share_matches_serial(ray_session, tmp_path):
     assert 0 < len(want) < 4  # the HAVING actually filters
 
 
-def test_value_share_both_routes_agree(ray_session, tmp_path):
+def test_value_share_both_routes_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import part_value_share
 
     sf, want, (num, den) = _value_share_fixture(tmp_path)
-    out = part_value_share(str(sf), broadcast_limit=0, num=num, den=den)
-    got = {r.p_type: (int(r.value_cents), int(r.share_permyriad))
-           for r in out.itertuples()}
-    assert got == want
+    for out in each_route(
+            lambda: part_value_share(str(sf), num=num, den=den)):
+        got = {r.p_type: (int(r.value_cents), int(r.share_permyriad))
+               for r in out.itertuples()}
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -2045,13 +2030,14 @@ def test_supplier_types_matches_serial(ray_session, tmp_path):
     assert got == want and want
 
 
-def test_supplier_types_both_routes_agree(ray_session, tmp_path):
+def test_supplier_types_both_routes_agree(ray_session, each_route,
+                                         tmp_path):
     from kgx.pipelines.relational import supplier_type_counts
 
     sf, want = _supplier_types_fixture(tmp_path)
-    out = supplier_type_counts(str(sf), broadcast_limit=0)
-    got = {r.p_type: int(r.n_suppliers) for r in out.itertuples()}
-    assert got == want
+    for out in each_route(lambda: supplier_type_counts(str(sf))):
+        got = {r.p_type: int(r.n_suppliers) for r in out.itertuples()}
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

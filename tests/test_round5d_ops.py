@@ -115,24 +115,21 @@ def test_small_qty_matches_serial(ray_session, tmp_path):
     assert n > 0  # the planted extremes made the mask non-trivial
 
 
-def test_small_qty_both_paths_agree(ray_session, tmp_path):
+def test_small_qty_both_paths_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import small_qty_revenue
 
     sf, part, line = _q17_sf(tmp_path, n_parts=9, n_rows=300)
-    fast = _collect(small_qty_revenue(sf))
-    slow = _collect(small_qty_revenue(sf, broadcast_limit=0))
+    fast, slow = each_route(lambda: _collect(small_qty_revenue(sf)))
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_small_qty_empty_brand(ray_session, tmp_path):
+def test_small_qty_empty_brand(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import small_qty_revenue
 
     sf, part, line = _q17_sf(tmp_path, n_parts=4, n_rows=50)
-    out = _collect(small_qty_revenue(sf, brand="Brand#99"))
-    assert list(out.iloc[0]) == [0, 0, 0]
-    out2 = _collect(small_qty_revenue(sf, brand="Brand#99",
-                                      broadcast_limit=0))
-    assert list(out2.iloc[0]) == [0, 0, 0]
+    for out in each_route(
+            lambda: _collect(small_qty_revenue(sf, brand="Brand#99"))):
+        assert list(out.iloc[0]) == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +221,13 @@ def test_shipmode_matches_serial(ray_session, tmp_path):
     assert got == ref and sum(v[0] + v[1] for v in got.values()) > 0
 
 
-def test_shipmode_both_paths_agree(ray_session, tmp_path):
+def test_shipmode_both_paths_agree(ray_session, each_route, tmp_path):
     from kgx.pipelines.relational import shipmode_priority_counts
 
     sf, _, _ = _q12_sf(tmp_path)
-    fast = _collect(shipmode_priority_counts(sf)) \
-        .sort_values("l_linestatus").reset_index(drop=True)
-    slow = _collect(shipmode_priority_counts(sf, broadcast_limit=0)) \
-        .sort_values("l_linestatus").reset_index(drop=True)
+    fast, slow = each_route(lambda: _collect(shipmode_priority_counts(sf))
+                            .sort_values("l_linestatus")
+                            .reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
 
 
@@ -399,19 +395,18 @@ def test_media_stats_consistent_with_frame_explode(ray_session):
 # ---------------------------------------------------------------------------
 
 
-def test_nation_trade_both_paths_agree(ray_session):
+def test_nation_trade_both_paths_agree(ray_session, each_route):
     from kgx.pipelines.relational import nation_trade_matrix
 
     sf = "/root/testdata/sf0.001"
-    fast = _collect(nation_trade_matrix(sf)) \
-        .sort_values(["supp_nation", "cust_nation"]).reset_index(drop=True)
-    slow = _collect(nation_trade_matrix(sf, broadcast_limit=0)) \
-        .sort_values(["supp_nation", "cust_nation"]).reset_index(drop=True)
+    fast, slow = each_route(
+        lambda: _collect(nation_trade_matrix(sf))
+        .sort_values(["supp_nation", "cust_nation"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 20 and (fast["revenue_cents"] > 0).all()
 
 
-def test_nation_trade_matches_serial(ray_session, tmp_path):
+def test_nation_trade_matches_serial(ray_session, each_route, tmp_path):
     import pyarrow.parquet as pq
 
     from kgx.pipelines.relational import nation_trade_matrix
@@ -458,14 +453,10 @@ def test_nation_trade_matches_serial(ray_session, tmp_path):
     ref = j.groupby(["s_nationkey", "c_nationkey"])["cents"].sum()
     ref = {(names[a], names[b]): int(v) for (a, b), v in ref.items()}
 
-    out = _collect(nation_trade_matrix(str(sf)))
-    got = {(r.supp_nation, r.cust_nation): int(r.revenue_cents)
-           for r in out.itertuples()}
-    assert got == ref
-    out2 = _collect(nation_trade_matrix(str(sf), broadcast_limit=0))
-    got2 = {(r.supp_nation, r.cust_nation): int(r.revenue_cents)
-            for r in out2.itertuples()}
-    assert got2 == ref
+    for out in each_route(lambda: _collect(nation_trade_matrix(str(sf)))):
+        got = {(r.supp_nation, r.cust_nation): int(r.revenue_cents)
+               for r in out.itertuples()}
+        assert got == ref
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,8 @@ def test_pred_stats_matches_serial(ray_session):
 # ---------------------------------------------------------------------------
 
 
-def test_disjunctive_matches_serial_and_both_paths(ray_session, tmp_path):
+def test_disjunctive_matches_serial_and_both_paths(ray_session, each_route,
+                                                  tmp_path):
     import pyarrow.parquet as pq
 
     from kgx.pipelines.relational import (Q19_CLAUSES, disjunctive_revenue)
@@ -574,10 +566,9 @@ def test_disjunctive_matches_serial_and_both_paths(ray_session, tmp_path):
     ref = (int(cents[m].sum()), int(m.sum()))
     assert ref[1] > 0
 
-    fast = _collect(disjunctive_revenue(str(sf)))
+    fast, slow = each_route(lambda: _collect(disjunctive_revenue(str(sf))))
     assert (int(fast.iloc[0]["revenue_cents"]),
             int(fast.iloc[0]["n_rows"])) == ref
-    slow = _collect(disjunctive_revenue(str(sf), broadcast_limit=0))
     pd.testing.assert_frame_equal(fast, slow)
 
 

@@ -22,19 +22,17 @@ def _collect(ds) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 
-def test_q5_both_paths_agree(ray_session):
+def test_q5_both_paths_agree(ray_session, each_route):
     from kgx.pipelines.relational import local_supplier_volume
 
     sf = "/root/testdata/sf0.001"
-    fast = _collect(local_supplier_volume(sf)) \
-        .sort_values("n_name").reset_index(drop=True)
-    slow = _collect(local_supplier_volume(sf, broadcast_limit=0)) \
-        .sort_values("n_name").reset_index(drop=True)
+    fast, slow = each_route(lambda: _collect(local_supplier_volume(sf))
+                            .sort_values("n_name").reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 0 and (fast["revenue_cents"] > 0).all()
 
 
-def test_q5_matches_serial(ray_session, tmp_path):
+def test_q5_matches_serial(ray_session, each_route, tmp_path):
     import pyarrow.parquet as pq
 
     from kgx.pipelines.relational import local_supplier_volume
@@ -92,13 +90,13 @@ def test_q5_matches_serial(ray_session, tmp_path):
     ref = {names[k]: int(v)
            for k, v in j.groupby("s_nationkey")["cents"].sum().items()}
 
-    for limit in (2_000_000, 0):
-        out = _collect(local_supplier_volume(str(sf), broadcast_limit=limit))
+    for route, out in zip(("broadcast", "exchange"), each_route(
+            lambda: _collect(local_supplier_volume(str(sf))))):
         got = {r.n_name: int(r.revenue_cents) for r in out.itertuples()}
-        assert got == ref, f"route broadcast_limit={limit}"
+        assert got == ref, route
 
 
-def test_q5_empty_window(ray_session, tmp_path):
+def test_q5_empty_window(ray_session, each_route, tmp_path):
     """No orders inside the window -> empty result on both routes."""
     import pyarrow.parquet as pq
 
@@ -129,8 +127,7 @@ def test_q5_empty_window(ray_session, tmp_path):
          "l_extendedprice": pa.array([100.0]),
          "l_discount": pa.array([0.05])}), sf / "lineitem.parquet")
 
-    for limit in (2_000_000, 0):
-        out = _collect(local_supplier_volume(str(sf), broadcast_limit=limit))
+    for out in each_route(lambda: _collect(local_supplier_volume(str(sf)))):
         assert len(out) == 0
 
 
@@ -309,14 +306,13 @@ def test_pred_cooccurrence_matches_serial(ray_session):
 # ---------------------------------------------------------------------------
 
 
-def test_q8_both_paths_agree(ray_session):
+def test_q8_both_paths_agree(ray_session, each_route):
     from kgx.pipelines.relational import national_market_share
 
     sf = "/root/testdata/sf0.001"
-    fast = _collect(national_market_share(sf)) \
-        .sort_values(["o_year", "n_name"]).reset_index(drop=True)
-    slow = _collect(national_market_share(sf, broadcast_limit=0)) \
-        .sort_values(["o_year", "n_name"]).reset_index(drop=True)
+    fast, slow = each_route(
+        lambda: _collect(national_market_share(sf))
+        .sort_values(["o_year", "n_name"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 0
     # shares within a year sum to <= 10000 (floor division loses at most
@@ -326,7 +322,7 @@ def test_q8_both_paths_agree(ray_session):
     assert (fast["share_pm"] >= 0).all()
 
 
-def test_q8_share_arithmetic(ray_session, tmp_path):
+def test_q8_share_arithmetic(ray_session, each_route, tmp_path):
     """Hand-built case: one year, two nations at 3:1 revenue -> 7500/2500
     permyriad; non-member part rows drop."""
     import pyarrow.parquet as pq
@@ -358,9 +354,9 @@ def test_q8_share_arithmetic(ray_session, tmp_path):
          "l_discount": pa.array([0.0, 0.0, 0.0])}),
         sf / "lineitem.parquet")
 
-    for limit in (2_000_000, 0):
-        out = _collect(national_market_share(str(sf), broadcast_limit=limit)) \
-            .sort_values("n_name").reset_index(drop=True)
+    for out in each_route(
+            lambda: _collect(national_market_share(str(sf)))
+            .sort_values("n_name").reset_index(drop=True)):
         assert list(out["o_year"]) == [1997, 1997]
         assert list(out["n_name"]) == ["AAA", "BBB"]
         assert list(out["revenue_cents"]) == [30_000, 10_000]

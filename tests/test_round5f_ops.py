@@ -21,20 +21,18 @@ def _collect(ds) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 
-def test_q9_both_paths_agree(ray_session):
+def test_q9_both_paths_agree(ray_session, each_route):
     from kgx.pipelines.relational import product_profit
 
     sf = "/root/testdata/sf0.001"
     key = ["o_year", "n_name"]
-    fast = _collect(product_profit(sf)) \
-        .sort_values(key).reset_index(drop=True)
-    slow = _collect(product_profit(sf, broadcast_limit=0)) \
-        .sort_values(key).reset_index(drop=True)
+    fast, slow = each_route(lambda: _collect(product_profit(sf))
+                            .sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 0
 
 
-def test_q9_matches_serial(ray_session, tmp_path):
+def test_q9_matches_serial(ray_session, each_route, tmp_path):
     import pyarrow.parquet as pq
 
     from kgx.pipelines.relational import product_profit
@@ -99,11 +97,11 @@ def test_q9_matches_serial(ray_session, tmp_path):
     assert any(v < 0 for v in ref.values()), "planted data must exercise " \
         "the negative-amount branch"
 
-    for limit in (2_000_000, 0):
-        out = _collect(product_profit(str(sf), broadcast_limit=limit))
+    for route, out in zip(("broadcast", "exchange"), each_route(
+            lambda: _collect(product_profit(str(sf))))):
         got = {(int(r.o_year), r.n_name): int(r.profit_cents)
                for r in out.itertuples()}
-        assert got == ref, f"route broadcast_limit={limit}"
+        assert got == ref, route
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,13 @@ def test_q9_matches_serial(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_q2_both_paths_agree(ray_session):
+def test_q2_both_paths_agree(ray_session, each_route):
     from kgx.pipelines.relational import min_cost_supplier
 
     sf = "/root/testdata/sf0.001"
     key = ["p_partkey", "s_name"]
-    fast = _collect(min_cost_supplier(sf)) \
-        .sort_values(key).reset_index(drop=True)
-    slow = _collect(min_cost_supplier(sf, broadcast_limit=0)) \
-        .sort_values(key).reset_index(drop=True)
+    fast, slow = each_route(lambda: _collect(min_cost_supplier(sf))
+                            .sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 0
 
@@ -162,31 +158,30 @@ def _q2_fixture(tmp_path):
     return sf
 
 
-def test_q2_region_scoped_min_keeps_ties(ray_session, tmp_path):
+def test_q2_region_scoped_min_keeps_ties(ray_session, each_route,
+                                         tmp_path):
     from kgx.pipelines.relational import min_cost_supplier
 
     sf = _q2_fixture(tmp_path)
-    for limit in (2_000_000, 0):
-        out = _collect(min_cost_supplier(str(sf), broadcast_limit=limit)) \
-            .sort_values("s_name").reset_index(drop=True)
-        assert list(out["s_name"]) == ["SuppA", "SuppB"], \
-            f"route broadcast_limit={limit}"
+    for route, out in zip(("broadcast", "exchange"), each_route(
+            lambda: _collect(min_cost_supplier(str(sf)))
+            .sort_values("s_name").reset_index(drop=True))):
+        assert list(out["s_name"]) == ["SuppA", "SuppB"], route
         assert list(out["unit_cents"]) == [500, 500]
         assert list(out["n_name"]) == ["AAA", "BBB"]
         assert list(out["acctbal_cents"]) == [10_000, 90_000]
         assert list(out["p_partkey"]) == [7, 7]
 
 
-def test_q2_cap_orders_by_acctbal_desc(ray_session, tmp_path):
+def test_q2_cap_orders_by_acctbal_desc(ray_session, each_route,
+                                       tmp_path):
     """k=1 must keep the tie row with the HIGHER acctbal (SuppB)."""
     from kgx.pipelines.relational import min_cost_supplier
 
     sf = _q2_fixture(tmp_path)
-    for limit in (2_000_000, 0):
-        out = _collect(min_cost_supplier(str(sf), k=1,
-                                         broadcast_limit=limit))
-        assert list(out["s_name"]) == ["SuppB"], \
-            f"route broadcast_limit={limit}"
+    for route, out in zip(("broadcast", "exchange"), each_route(
+            lambda: _collect(min_cost_supplier(str(sf), k=1)))):
+        assert list(out["s_name"]) == ["SuppB"], route
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,12 @@ def _pairs_set(ds):
 
 
 class TestSemiJoinPartitionedPath:
-    def test_partitioned_equals_broadcast(self, ray_session):
+    def test_partitioned_equals_broadcast(self, ray_session, each_route):
         from kgx.pipelines.relational import customers_with_orders
 
         sf = "/root/testdata/sf0.001"
-        broadcast = sorted(
-            customers_with_orders(sf).to_pandas()["c_custkey"].tolist()
-        )
-        partitioned = sorted(
-            customers_with_orders(sf, broadcast_limit=0).to_pandas()["c_custkey"].tolist()
-        )
+        broadcast, partitioned = each_route(lambda: sorted(
+            customers_with_orders(sf).to_pandas()["c_custkey"].tolist()))
         assert partitioned == broadcast
         assert len(broadcast) > 0
 
