@@ -45,10 +45,9 @@ def _pool_size(cfg_min: int) -> tuple[int, int]:
     the config value is a floor.  On a 256-node cluster the same code sizes
     each pool to the CPUs actually available (SURVEY.md §4.2 sizing row);
     autoscaling (min=1) keeps small jobs from paying idle-actor startup."""
-    import ray
+    from .stages.exchange import _default_partitions
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(cfg_min, cpus))
+    return (1, max(cfg_min, _default_partitions()))
 
 
 def _lang_filter_ds(pages_ds, cfg: dict):

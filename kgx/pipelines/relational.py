@@ -99,7 +99,7 @@ def _join_partitions(*datasets, target_bytes: int = 128 * 1024 * 1024) -> int:
     partition is a long-lived aggregator, so 32 partitions on a 10 MB input
     is pure startup overhead, while at 100 TB the same rule yields
     thousands of partitions.  Clamped to [2, 4x CPUs] on this cluster."""
-    import ray
+    from ..stages.exchange import _default_partitions
 
     total = 0
     for ds in datasets:
@@ -107,7 +107,7 @@ def _join_partitions(*datasets, target_bytes: int = 128 * 1024 * 1024) -> int:
             total += ds.size_bytes() or 0
         except Exception:
             total += target_bytes
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = _default_partitions()
     return max(2, min(total // target_bytes + 1, cpus * 4))
 
 

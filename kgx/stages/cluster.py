@@ -85,9 +85,9 @@ def cluster_ids(docs_ds, pairs_ds, edge_limit: int = 5_000_000,
         ]
         return _driver_labels_tag(docs_ds, _components(edges))
 
-    import ray
+    from .exchange import _default_partitions
 
-    n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    n_parts = max(8, _default_partitions())
     labels_ds = label_propagation_ds(pairs, stats=stats)
     identity = docs_ds.select_columns(["doc_id"]).map_batches(
         lambda b: pa.table(
@@ -158,6 +158,7 @@ def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = No
     import ray
     import ray.data as rd
 
+    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
         make_splitter,
@@ -166,7 +167,7 @@ def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = No
         split_by_owner,
     )
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    P = max(2, _default_partitions())
 
     edge_key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
 

@@ -248,7 +248,7 @@ def _parts_for_bytes(*datasets, target_bytes: int = 64 * 1024 * 1024) -> int:
     """Partition count for a payload-carrying exchange, sized from input
     bytes (hundreds of near-empty sort partitions are pure fixed cost at
     small scale; at 100 TB the same rule yields thousands)."""
-    import ray
+    from .exchange import _default_partitions
 
     total = 0
     for ds in datasets:
@@ -256,7 +256,7 @@ def _parts_for_bytes(*datasets, target_bytes: int = 64 * 1024 * 1024) -> int:
             total += ds.size_bytes() or 0
         except Exception:
             total += target_bytes
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = _default_partitions()
     return max(2, min(total // target_bytes + 1, cpus * 8))
 
 

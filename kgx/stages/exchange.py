@@ -1,11 +1,15 @@
 """The exchanges: every key-partitioned shuffle in this engine, and the one
 all-to-one finish of a driver-scale result.
 
-Key-partitioned: one shape, two entry points
+Key-partitioned: one shape, two entry points, two routes
 
-    tag part_id = hash(key values) % P      # ONE tagger, format-preserving
-      -> groupby(part_id).map_groups(       # ONE exchange, P groups,
-             kernel)                        #   one vectorized call each
+    pin the input, count its rows
+    0 < rows <= DRIVER_ROWS:                # driver route
+        kernel(all rows)                    #   ONE call, on the driver
+    otherwise:                              # exchange route
+        tag part_id = hash(key values) % P  #   ONE tagger, format-preserving
+        -> groupby(part_id).map_groups(     #   ONE exchange, P groups,
+               kernel)                      #     one vectorized call each
 
 * :func:`hash_partitioned_apply` — partition-only: ``kernel`` runs exactly
   once per partition over every key the partition holds (holistic per-key
@@ -20,6 +24,22 @@ Compared with ``groupby(keys).map_groups(fn)`` this removes the per-group
 Python call (10^4-10^6 groups -> 10^1-10^2 partitions) while keeping key
 disjointness: every key lands wholly in one partition, so the result equals
 the single-pass one for any block arrangement.
+
+The route.  A kernel that is correct on every key-complete row set is
+correct on all rows at once, so a small input (the usual case after a
+combiner: 10^4 partials for 10^2 keys) skips the all-to-all, whose cost is
+its stages and their scheduling, not its bytes.  The input is pinned
+(``materialize``) and counted when the function is CALLED, so the choice
+and the driver-route kernel run eagerly; the exchange route stays lazy.
+One constant, :data:`DRIVER_ROWS`, bounds every driver-vs-exchange choice
+in this module (this route and :func:`lookup_join`'s).  On the driver
+route the kernel gets one batch in its producer's format where it can:
+pandas blocks for a pandas kernel are one ``pd.concat`` (no Arrow round
+trip, so object columns Arrow cannot hold pass unchanged); anything else
+is one Arrow table with a SINGLE chunk per column (``combine_chunks``: a
+per-key ``take`` on a many-chunk table re-concatenates every chunk, which
+made MinHash bucket verification about 14x slower).  The result is a
+one-block Dataset.
 
 Tagging keeps each block in its producer's format (Arrow stays Arrow, pandas
 stays pandas), so list columns cross the shuffle without a pandas round
@@ -56,10 +76,11 @@ repartition); the driver collects it instead.
 
 Zero rows: a ``kernel`` or ``combine`` passed to
 :func:`hash_partitioned_apply` / :func:`hash_partitioned_agg` never sees
-zero rows.  Ray passes an empty block through ``map_batches`` without
-calling the function, and ``map_groups`` calls it only on non-empty groups,
-so such functions need no typed-empty guard.  ``finish`` is the exception:
-it calls ``fn`` on zero rows by contract.
+zero rows.  A zero-row input takes the exchange route, where Ray passes an
+empty block through ``map_batches`` without calling the function and
+``map_groups`` calls it only on non-empty groups; the driver route runs
+only on at least one row.  So such functions need no typed-empty guard.
+``finish`` is the exception: it calls ``fn`` on zero rows by contract.
 
 Lookup join: a fact stream probes a keyed dimension
 
@@ -67,7 +88,7 @@ Lookup join: a fact stream probes a keyed dimension
 filters fact rows by key membership (``semi`` / ``anti``).  The route is
 chosen once, from the pinned dimension's row count:
 
-* at most :data:`BROADCAST_ROWS` rows — broadcast: the dimension is
+* at most :data:`DRIVER_ROWS` rows — broadcast: the dimension is
   collected, sorted by key, put in the object store once, and every fact
   batch is probed with one vectorized ``searchsorted``;
 * more — exchange: fact and dimension rows are tagged by side and meet in
@@ -94,7 +115,7 @@ from collections.abc import Callable
 import numpy as np
 
 
-BROADCAST_ROWS = 2_000_000
+DRIVER_ROWS = 2_000_000
 _DIM = "__dim"  # side tag of a dimension row on the exchange route
 
 
@@ -153,10 +174,18 @@ def hash_partitioned_apply(
     (a ``kernel_format`` batch -> batch function) runs EXACTLY ONCE per
     partition over all its keys, so it may sort and scan freely.
 
+    The input is pinned and the route chosen now, from its row count (see
+    "Key-partitioned" in the module docstring): at most
+    :data:`DRIVER_ROWS` rows run ``kernel`` once on the driver over all of
+    them, as one single-chunk batch; more (or zero) rows take the exchange.
+
     Default P is 8x the CPU count, NOT the CPU count: the exchange is a
     range-partitioned sort on part_id, and more distinct values give it
     cleaner quantile boundaries and smooth stragglers across
     heterogeneously-sized kernels (per-key disjointness is unaffected by P)."""
+    ds = ds.materialize()
+    if 0 < ds.count() <= DRIVER_ROWS:
+        return _on_driver(ds, kernel, kernel_format)
     P = num_partitions or _default_partitions() * 8
 
     if kernel_format == "pyarrow":
@@ -170,6 +199,28 @@ def hash_partitioned_apply(
     return tagged.groupby("part_id").map_groups(run, batch_format=kernel_format)
 
 
+def _on_driver(ds, kernel: Callable, kernel_format: str):
+    """``kernel`` once over every row of the pinned ``ds`` as a one-block
+    Dataset.  Pandas blocks reach a pandas kernel through one ``pd.concat``;
+    otherwise the blocks become one single-chunk Arrow table (a per-key
+    ``take`` on a chunked table re-concatenates every chunk)."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
+    blocks = [b for b in _blocks(ds) if len(b)]
+    if kernel_format == "pandas" and all(
+            isinstance(b, pd.DataFrame) for b in blocks):
+        batch = pd.concat(blocks, ignore_index=True)
+    else:
+        t = pa.concat_tables(
+            [BlockAccessor.for_block(b).to_arrow() for b in blocks],
+            promote_options="permissive").combine_chunks()
+        batch = BlockAccessor.for_block(t).to_batch_format(kernel_format)
+    return rd.from_blocks([BlockAccessor.batch_to_block(kernel(batch))])
+
+
 def hash_partitioned_agg(
     ds,
     keys: list[str],
@@ -181,12 +232,25 @@ def hash_partitioned_agg(
     ``keys`` (groupby + sum/min/max/first-on-sorted...) taking and returning
     ``kernel_format`` batches.  It runs once per input batch (the combiner)
     and once per partition (the re-merge); output columns must be stable
-    across both applications.  Default P is the CPU count: after the
-    combiner a partition holds partials, not rows."""
+    across both applications.  The route is chosen from the combiner
+    output's row count: at most :data:`DRIVER_ROWS` partials are re-merged
+    by one driver call.  Default P is the CPU count: after the combiner a
+    partition holds partials, not rows."""
     return hash_partitioned_apply(
         ds.map_batches(combine, batch_format=kernel_format), keys, combine,
         num_partitions or _default_partitions(), kernel_format,
     )
+
+
+def _blocks(ds) -> list:
+    """Every block of ``ds``, in its producer's format, on the driver."""
+    import ray
+
+    # not ray.get(ds.to_arrow_refs()): that runs the plan a second time (a
+    # limit(1) pass for the schema, which cancels tasks when it stops) and
+    # hands a pandas block among Arrow ones over unconverted
+    return ray.get([r for b in ds.iter_internal_ref_bundles()
+                    for r in b.block_refs])
 
 
 def collect_arrow(ds, schema=None):
@@ -199,14 +263,9 @@ def collect_arrow(ds, schema=None):
     the first empty block's own columns, else a column-less table.  The
     caller asserts the result is driver-scale."""
     import pyarrow as pa
-    import ray
     from ray.data.block import BlockAccessor
 
-    # not ray.get(ds.to_arrow_refs()): that runs the plan a second time (a
-    # limit(1) pass for the schema, which cancels tasks when it stops) and
-    # hands a pandas block among Arrow ones over unconverted
-    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
-    tabs = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    tabs = [BlockAccessor.for_block(b).to_arrow() for b in _blocks(ds)]
     full = [t for t in tabs if t.num_rows]
     if full:
         return pa.concat_tables(full, promote_options="permissive") \
@@ -339,7 +398,7 @@ def lookup_join(fact, key: str, dim, dim_key: str, cols=(),
             raise ValueError(f"lookup_join: fact already has {sorted(clash)}")
         return t
 
-    if dim.count() <= BROADCAST_ROWS:
+    if dim.count() <= DRIVER_ROWS:
         ref = ray.put(_sorted_dim(collect_arrow(dim), dim_key, cols, how))
 
         def probe(b):

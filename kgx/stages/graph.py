@@ -64,9 +64,10 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
     import pandas as pd
     import ray
 
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import (_default_partitions, hash_partitioned_agg,
+                           hash_partitioned_apply)
 
-    P = num_partitions or max(8, int(ray.cluster_resources().get("CPU", 8)))
+    P = num_partitions or max(8, _default_partitions())
 
     # ---- distinct edges + outdegree, built once ----------------------------
     def edge_combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -294,11 +295,11 @@ def degree_histogram(edges_ds, num_partitions: int | None = None):
        exchange is near-constant).
     """
     import pandas as pd
-    import ray
 
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import (_default_partitions, hash_partitioned_agg,
+                           hash_partitioned_apply)
 
-    P = num_partitions or max(8, int(ray.cluster_resources().get("CPU", 8)))
+    P = num_partitions or max(8, _default_partitions())
 
     def pre_dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
@@ -352,6 +353,7 @@ def cc_rounds_ds(edges_ds, rounds: int = CC_ROUNDS):
     import ray
     import ray.data as rd
 
+    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
         make_splitter,
@@ -360,7 +362,7 @@ def cc_rounds_ds(edges_ds, rounds: int = CC_ROUNDS):
         split_by_owner,
     )
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    P = max(2, _default_partitions())
 
     edge_parts = partition_edges(
         edges_ds, make_splitter(edge_keys, "node", P), P
@@ -479,6 +481,7 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
     import ray
     import ray.data as rd
 
+    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
         make_splitter,
@@ -487,7 +490,7 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
         split_by_owner,
     )
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    P = max(2, _default_partitions())
     def dedup_part(t: pa.Table) -> pa.Table:
         n = t["node"].to_numpy()
         o = t["other"].to_numpy()
@@ -650,6 +653,7 @@ def bfs_rounds_ds(edges_ds, rounds: int = BFS_ROUNDS):
     import ray
     import ray.data as rd
 
+    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
         make_splitter,
@@ -658,7 +662,7 @@ def bfs_rounds_ds(edges_ds, rounds: int = BFS_ROUNDS):
         split_by_owner,
     )
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    P = max(2, _default_partitions())
 
     edge_parts = partition_edges(
         edges_ds, make_splitter(edge_keys, "node", P), P
@@ -762,11 +766,7 @@ def sql_supplier_part_bfs(rounds: int = BFS_ROUNDS) -> str:
 # the symmetrized edge list — the "do hubs link to hubs?" diagnostic.
 # ---------------------------------------------------------------------------
 
-ASSORT_BCAST_LIMIT = 2_000_000     # deg rows; above -> exchange attach
-
-
-def assortativity_moments(edges_ds, num_partitions: int | None = None,
-                          broadcast_deg_limit: int = ASSORT_BCAST_LIMIT):
+def assortativity_moments(edges_ds, num_partitions: int | None = None):
     """edges (src, dst; symmetric) -> ONE row of exact integer moments of
     (deg(src), deg(dst)) over the distinct directed edge list:
     (n_edges, sum_ds, sum_dd, sum_dsdd, sum_ds2, sum_dd2).  Pearson
@@ -777,18 +777,15 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
 
     Scale shape: distinct edges pin once (combiner-pre-deduped exchange);
     degrees come from the same partition kernel as degree_histogram;
-    degree attach is COST-GATED (the triangles/orient convention):
-    node-scale deg tables broadcast once via ray.put and both endpoints
-    resolve in one vectorized map, the unbounded route chains two
-    kind-discriminated node-keyed exchanges; per-batch moment partials
-    (one row each) fold into the single output row on the driver."""
+    both endpoints' degrees attach through ``lookup_join``; per-batch
+    moment partials (one row each) fold into the single output row on the
+    driver."""
     import pandas as pd
-    import ray
 
-    from .exchange import (collect_arrow, finish, hash_partitioned_agg,
-                           hash_partitioned_apply)
+    from .exchange import (_default_partitions, finish, hash_partitioned_agg,
+                           hash_partitioned_apply, lookup_join)
 
-    P = num_partitions or max(8, int(ray.cluster_resources().get("CPU", 8)))
+    P = num_partitions or max(8, _default_partitions())
 
     def pre_dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
@@ -817,7 +814,9 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
     MOMENTS = ["n_edges", "sum_ds", "sum_dd", "sum_dsdd", "sum_ds2",
                "sum_dd2"]
 
-    def _moment_row(ds_: np.ndarray, dd_: np.ndarray) -> "pd.DataFrame":
+    def moments(t: pa.Table) -> "pd.DataFrame":
+        ds_ = t["ds"].to_numpy().astype(np.int64)
+        dd_ = t["dd"].to_numpy().astype(np.int64)
         return pd.DataFrame(
             {"n_edges": [np.int64(len(ds_))],
              "sum_ds": [ds_.sum()], "sum_dd": [dd_.sum()],
@@ -826,62 +825,13 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None,
              "sum_dd2": [(dd_ * dd_).sum()]}
         ).astype("int64")
 
-    if deg.count() <= broadcast_deg_limit:
-        deg_pd = collect_arrow(
-            deg, pa.schema([("node", pa.int64()), ("cnt", pa.int64())])
-        ).to_pandas()
-        deg_ref = ray.put(
-            pd.Series(deg_pd["cnt"].values, index=deg_pd["node"].values)
-        )
+    def deg_as(col):
+        return deg.map_batches(lambda df: df.rename(columns={"cnt": col}),
+                               batch_format="pandas")
 
-        def moments_bcast(df: "pd.DataFrame") -> "pd.DataFrame":
-            import ray as _ray
-
-            s = _ray.get(deg_ref)
-            ds_ = s.reindex(df["src"].to_numpy()).to_numpy().astype(np.int64)
-            dd_ = s.reindex(df["dst"].to_numpy()).to_numpy().astype(np.int64)
-            return _moment_row(ds_, dd_)
-
-        partials = edges.map_batches(moments_bcast, batch_format="pandas")
-    else:
-        # unbounded-node route: two kind-discriminated node-keyed attaches
-        def _attach(rows, cols, key_col, out_col):
-            all_cols = list(cols) + ["node", "cnt"]
-
-            def u_edges(df: "pd.DataFrame") -> "pd.DataFrame":
-                out = df.copy()
-                out["node"] = out[key_col].astype("int64")
-                out["cnt"] = np.int64(-1)
-                return out[all_cols]
-
-            def u_deg(df: "pd.DataFrame") -> "pd.DataFrame":
-                out = pd.DataFrame(
-                    {c: np.full(len(df), -1, dtype=np.int64) for c in cols}
-                )
-                out["node"] = df["node"].to_numpy().astype(np.int64)
-                out["cnt"] = df["cnt"].to_numpy().astype(np.int64)
-                return out[all_cols]
-
-            def kern(d: "pd.DataFrame") -> "pd.DataFrame":
-                dd = d[d["cnt"] >= 0]
-                ee = d[d["cnt"] < 0]
-                m = ee.merge(dd[["node", "cnt"]].rename(
-                    columns={"cnt": out_col}), on="node", how="inner")
-                return m.drop(columns=["node", "cnt"])
-
-            u = rows.map_batches(u_edges, batch_format="pandas").union(
-                deg.map_batches(u_deg, batch_format="pandas")
-            )
-            return hash_partitioned_apply(u, ["node"], kern, P)
-
-        with_ds = _attach(edges, ["src", "dst"], "src", "ds")
-        with_both = _attach(with_ds, ["src", "dst", "ds"], "dst", "dd")
-
-        def moments_rows(df: "pd.DataFrame") -> "pd.DataFrame":
-            return _moment_row(df["ds"].to_numpy().astype(np.int64),
-                               df["dd"].to_numpy().astype(np.int64))
-
-        partials = with_both.map_batches(moments_rows, batch_format="pandas")
+    partials = lookup_join(
+        lookup_join(edges, "src", deg_as("ds"), "node", ["ds"]),
+        "dst", deg_as("dd"), "node", ["dd"], then=moments)
 
     def total(df: "pd.DataFrame") -> "pd.DataFrame":
         return pd.DataFrame({c: [np.int64(df[c].sum())] for c in MOMENTS})

@@ -1082,7 +1082,7 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
     import ray
     import ray.data as rd
 
-    from .exchange import collect_arrow
+    from .exchange import _default_partitions, collect_arrow
     from .graph import edge_keys
     from .pregel import (concat_parts, make_splitter, partition_edges,
                          run_rounds, split_by_owner)
@@ -1104,7 +1104,7 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
     if k == 0:
         return None, seed_ids
 
-    P = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    P = max(2, _default_partitions())
     state_schema = pa.schema([("node", pa.int64()), ("packed", pa.int64())])
     INF_PACK = np.uint64(0)
     for s in range(k):

@@ -20,9 +20,8 @@ Scale shape (all existing exchange machinery, no new primitives):
    oriented edge set in ONE pair-keyed exchange; per-partition match
    counts tree-sum to a single (n_triangles) row.
 
-Degrees attach to edge endpoints via kind-discriminated union rows through
-the SAME keyed exchanges (the inverted-index pattern) — no driver-side
-node map at any point.
+Degrees attach to edge endpoints through ``lookup_join`` (a broadcast of
+the node-sized degree table, or a node-keyed exchange when it is big).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def _group_bounds(keys: np.ndarray):
 
 
 def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
-                         broadcast_deg_limit: int = 2_000_000,
                          per_edge: bool = False, jaccard: bool = False,
                          clustering: bool = False):
     """lineitem -> one row (n_triangles,): exact triangle count of the
@@ -77,16 +75,15 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
     With ``clustering=True`` the pipeline instead returns the per-node
     LOCAL CLUSTERING COEFFICIENT table (node, deg, n_tri, cc_pm): each
     matched wedge is a triangle crediting its three nodes +1; a
-    node-keyed count combiner folds the credits to T(v); degrees join
-    back in (riding the same broadcast-vs-exchange cost gate as the
-    orientation) and cc_pm = 10000 * T(v) // C(deg, 2) exactly in
+    node-keyed count combiner folds the credits to T(v) together with
+    every node's degree, and cc_pm = 10000 * T(v) // C(deg, 2) exactly in
     integers.  Nodes with deg >= 2 and ZERO triangles appear with
-    cc_pm = 0 — the deg table (all nodes) drives the final join, not
-    the triangle credits."""
+    cc_pm = 0 — every degree row enters that fold, not only the
+    triangle credits."""
     import pandas as pd
 
-    from .exchange import (collect_arrow, finish, hash_partitioned_agg,
-                           hash_partitioned_apply)
+    from .exchange import (finish, hash_partitioned_agg,
+                           hash_partitioned_apply, lookup_join)
 
     if clustering:
         per_edge = True        # wedge rows must carry their center node
@@ -141,96 +138,27 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         ["node"], deg_combine, num_partitions,
     ).materialize()
 
-    # kind-discriminated union through a node-keyed exchange: edge rows key
-    # by ONE endpoint, degree rows by their node; the kernel maps deg onto
-    # that endpoint (inverted-index pattern — no driver-side node map)
-    def _attach(edge_rows, edge_cols, key_col, deg_out_col):
-        # union schema: edge_cols + [node, cnt]; deg rows fill edge cols
-        # with -1 and keep cnt >= 0 as their discriminator (real degrees
-        # are >= 1, edge rows carry cnt = -1); column ORDER matches across
-        # both union branches
-        all_cols = list(edge_cols) + ["node", "cnt"]
-
-        def to_union_edges(df: "pd.DataFrame") -> "pd.DataFrame":
-            out = df.copy()
-            out["node"] = out[key_col].astype("int64")
-            out["cnt"] = np.int64(-1)
-            return out[all_cols]
-
-        def to_union_deg(df: "pd.DataFrame") -> "pd.DataFrame":
-            import pandas as pd2
-
-            out = pd2.DataFrame(
-                {c: np.full(len(df), -1, dtype=np.int64)
-                 for c in edge_cols}
-            )
-            out["node"] = df["node"].to_numpy().astype(np.int64)
-            out["cnt"] = df["cnt"].to_numpy().astype(np.int64)
-            return out[all_cols]
-
-        def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-            dd = d[d["cnt"] >= 0]
-            ee = d[d["cnt"] < 0]
-            m = ee.merge(dd[["node", "cnt"]].rename(
-                columns={"cnt": deg_out_col}), on="node", how="inner")
-            return m.drop(columns=["node", "cnt"])
-
-        u = edge_rows.map_batches(
-            to_union_edges, batch_format="pandas"
-        ).union(deg.map_batches(to_union_deg, batch_format="pandas"))
-        return hash_partitioned_apply(u, ["node"], kernel, num_partitions)
-
     # -- 4. orient by (degree, id); wedges; closure -----------------------
-    def _orient_arrays(a, b, da, db):
-        fwd = (da < db) | ((da == db) & (a < b))
-        import pandas as pd2
+    def with_degrees(rows, then):
+        """``rows`` (a, b, ...) with deg(a) as da and deg(b) as db."""
+        def deg_as(col):
+            return deg.map_batches(lambda df: df.rename(columns={"cnt": col}),
+                                   batch_format="pandas")
 
-        return pd2.DataFrame(
+        return lookup_join(
+            lookup_join(rows, "a", deg_as("da"), "node", ["da"]),
+            "b", deg_as("db"), "node", ["db"], then=then)
+
+    def orient(t: pa.Table) -> "pd.DataFrame":
+        a, b = t["a"].to_numpy(), t["b"].to_numpy()
+        da, db = t["da"].to_numpy(), t["db"].to_numpy()
+        fwd = (da < db) | ((da == db) & (a < b))
+        return pd.DataFrame(
             {"src": np.where(fwd, a, b), "dst": np.where(fwd, b, a),
              "ddst": np.where(fwd, db, da).astype(np.int64)}
         )
 
-    # cost gate (the anti-join broadcast-vs-native precedent): the degree
-    # table is node-sized — when it fits the broadcast budget, ship it once
-    # via ray.put and orient in ONE map over the edges, skipping both
-    # attach exchanges; the exchange path remains the unbounded-node route
-    deg_bcast_ref = None
-    if deg.count() <= broadcast_deg_limit:
-        import pandas as pd_b
-        import ray
-
-        deg_pd = collect_arrow(
-            deg, pa.schema([("node", pa.int64()), ("cnt", pa.int64())])
-        ).to_pandas()
-        deg_ref = ray.put(
-            pd_b.Series(deg_pd["cnt"].values, index=deg_pd["node"].values)
-        )
-        deg_bcast_ref = deg_ref
-
-        def orient_bcast(df: "pd.DataFrame") -> "pd.DataFrame":
-            import ray as _ray
-
-            s = _ray.get(deg_ref)
-            a = df["a"].to_numpy()
-            b = df["b"].to_numpy()
-            da = s.reindex(a).to_numpy().astype(np.int64)
-            db = s.reindex(b).to_numpy().astype(np.int64)
-            return _orient_arrays(a, b, da, db)
-
-        oriented = edges.map_batches(
-            orient_bcast, batch_format="pandas"
-        ).materialize()
-    else:
-        e_da = _attach(edges, ["a", "b"], "a", "da")
-        e_db = _attach(e_da, ["a", "b", "da"], "b", "db")
-
-        def orient(df: "pd.DataFrame") -> "pd.DataFrame":
-            return _orient_arrays(
-                df["a"].to_numpy(), df["b"].to_numpy(),
-                df["da"].to_numpy(), df["db"].to_numpy(),
-            )
-
-        oriented = e_db.map_batches(orient, batch_format="pandas").materialize()
+    oriented = with_degrees(edges, orient).materialize()
 
     def wedge_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd2
@@ -266,9 +194,11 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
     )
 
     if clustering:
-        def close_nodes_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-            import pandas as pd2
+        def node_sums(df: "pd.DataFrame") -> "pd.DataFrame":
+            return df.groupby("node", sort=False, as_index=False).agg(
+                cnt=("cnt", "sum"), n_tri=("n_tri", "sum"))
 
+        def close_nodes_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
             w = d[d["kind"] == 0]
             e = d[d["kind"] == 1].drop_duplicates(subset=["u", "w"])
             m = w.merge(e[["u", "w"]], on=["u", "w"], how="inner")
@@ -276,82 +206,28 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
             # triangle; pre-count per partition (the combiner)
             nodes = np.concatenate([m["u"].to_numpy(), m["w"].to_numpy(),
                                     m["c"].to_numpy()])
-            out = pd2.DataFrame({"node": nodes.astype(np.int64)})
-            out["n_tri"] = np.int64(1)
-            return out.groupby("node", sort=False, as_index=False).agg(
-                n_tri=("n_tri", "sum"))
+            return node_sums(pd.DataFrame({"node": nodes.astype(np.int64),
+                                           "cnt": np.int64(0),
+                                           "n_tri": np.int64(1)}))
 
-        tri_nodes = hash_partitioned_apply(
+        # triangle credits (cnt 0) and every node's degree (n_tri 0) fold
+        # in one node-keyed combiner, so zero-triangle nodes keep their row
+        credits = hash_partitioned_apply(
             probe, ["u", "w"], close_nodes_kernel, num_partitions)
-        tri = hash_partitioned_agg(
-            tri_nodes, ["node"],
-            lambda df: df.groupby("node", sort=False, as_index=False).agg(
-                n_tri=("n_tri", "sum")),
-            num_partitions)
+        degrees = deg.map_batches(lambda df: df.assign(n_tri=np.int64(0)),
+                                  batch_format="pandas")
+        nodes = hash_partitioned_agg(credits.union(degrees), ["node"],
+                                     node_sums, num_partitions)
 
-        def _cc_cols(node, dg, t) -> "pd.DataFrame":
-            import pandas as pd2
+        def cc_cols(df: "pd.DataFrame") -> "pd.DataFrame":
+            df = df[df["cnt"] >= 2]
+            dg = df["cnt"].to_numpy().astype(np.int64)
+            t = df["n_tri"].to_numpy().astype(np.int64)
+            return pd.DataFrame(
+                {"node": df["node"].to_numpy().astype(np.int64), "deg": dg,
+                 "n_tri": t, "cc_pm": 10_000 * t // (dg * (dg - 1) // 2)})
 
-            keep = dg >= 2
-            node, dg, t = node[keep], dg[keep], t[keep]
-            return pd2.DataFrame(
-                {"node": node, "deg": dg, "n_tri": t,
-                 "cc_pm": 10_000 * t // (dg * (dg - 1) // 2)})
-
-        if deg_bcast_ref is not None:
-            import ray
-
-            # tri is node-scale; under the gate it fits the driver just
-            # like deg_pd (already collected above) — ship it once and
-            # drive from the FULL degree table so zero-triangle nodes
-            # appear with cc_pm = 0
-            tri_pd = tri.to_pandas()
-            tri_ref = ray.put(pd.Series(
-                tri_pd["n_tri"].values, index=tri_pd["node"].values))
-
-            def cc_bcast(df: "pd.DataFrame") -> "pd.DataFrame":
-                import ray as _ray
-
-                ts_ = _ray.get(tri_ref)
-                node = df["node"].to_numpy().astype(np.int64)
-                dg = df["cnt"].to_numpy().astype(np.int64)
-                t = ts_.reindex(node).fillna(0).to_numpy().astype(np.int64)
-                return _cc_cols(node, dg, t)
-
-            return deg.map_batches(cc_bcast, batch_format="pandas")
-
-        # unbounded route: deg rows (kind 0, carry cnt) and tri rows
-        # (kind 1, carry n_tri) meet in ONE node-keyed exchange
-        def deg_u(df: "pd.DataFrame") -> "pd.DataFrame":
-            import pandas as pd2
-
-            return pd2.DataFrame(
-                {"node": df["node"].to_numpy().astype(np.int64),
-                 "kind": np.zeros(len(df), dtype=np.int64),
-                 "val": df["cnt"].to_numpy().astype(np.int64)})
-
-        def tri_u(df: "pd.DataFrame") -> "pd.DataFrame":
-            import pandas as pd2
-
-            return pd2.DataFrame(
-                {"node": df["node"].to_numpy().astype(np.int64),
-                 "kind": np.ones(len(df), dtype=np.int64),
-                 "val": df["n_tri"].to_numpy().astype(np.int64)})
-
-        u = deg.map_batches(deg_u, batch_format="pandas").union(
-            tri.map_batches(tri_u, batch_format="pandas"))
-
-        def cc_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-            dd = d[d["kind"] == 0]
-            tt = d[d["kind"] == 1]
-            m = dd.merge(tt[["node", "val"]].rename(columns={"val": "t"}),
-                         on="node", how="left")
-            return _cc_cols(m["node"].to_numpy().astype(np.int64),
-                            m["val"].to_numpy().astype(np.int64),
-                            m["t"].fillna(0).to_numpy().astype(np.int64))
-
-        return hash_partitioned_apply(u, ["node"], cc_kernel,
-                                      num_partitions)
+        return nodes.map_batches(cc_cols, batch_format="pandas")
 
     if per_edge:
         def close_edges_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
@@ -394,38 +270,17 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         # integer permyriad score 10000 * |N(a) n N(b)| // |N(a) u N(b)|
         # (union = da + db - n_common; b in N(a) and a in N(b), so the
         # union counts both endpoints — the standard link-prediction
-        # convention).  Degree attach rides the SAME cost gate as the
-        # orientation: broadcast Series when node count fits, else the
-        # two kind-discriminated node-keyed attach exchanges.
-        def _jacc_cols(df: "pd.DataFrame", da, db) -> "pd.DataFrame":
-            import pandas as pd2
+        # convention).
+        def jacc_cols(t: pa.Table) -> "pd.DataFrame":
+            n = t["n_common"].to_numpy().astype(np.int64)
+            da = t["da"].to_numpy().astype(np.int64)
+            db = t["db"].to_numpy().astype(np.int64)
+            return pd.DataFrame(
+                {"a": t["a"].to_numpy().astype(np.int64),
+                 "b": t["b"].to_numpy().astype(np.int64),
+                 "n_common": n, "jacc_pm": 10_000 * n // (da + db - n)})
 
-            n = df["n_common"].to_numpy().astype(np.int64)
-            return pd2.DataFrame(
-                {"a": df["a"].to_numpy().astype(np.int64),
-                 "b": df["b"].to_numpy().astype(np.int64),
-                 "n_common": n,
-                 "jacc_pm": 10_000 * n // (da + db - n)})
-
-        if deg_bcast_ref is not None:
-            import ray
-
-            def jacc_bcast(df: "pd.DataFrame") -> "pd.DataFrame":
-                s = ray.get(deg_bcast_ref)
-                da = s.reindex(df["a"]).to_numpy().astype(np.int64)
-                db = s.reindex(df["b"]).to_numpy().astype(np.int64)
-                return _jacc_cols(df, da, db)
-
-            return cn.map_batches(jacc_bcast, batch_format="pandas")
-
-        j_da = _attach(cn, ["a", "b", "n_common"], "a", "da")
-        j_db = _attach(j_da, ["a", "b", "n_common", "da"], "b", "db")
-
-        def jacc_final(df: "pd.DataFrame") -> "pd.DataFrame":
-            return _jacc_cols(df, df["da"].to_numpy().astype(np.int64),
-                              df["db"].to_numpy().astype(np.int64))
-
-        return j_db.map_batches(jacc_final, batch_format="pandas")
+        return with_degrees(cn, jacc_cols)
 
     def close_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd2

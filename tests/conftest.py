@@ -30,16 +30,19 @@ def ray_session():
 
 @pytest.fixture
 def each_route(monkeypatch):
-    """``each_route(fn)`` calls ``fn()`` once per ``lookup_join`` route —
-    broadcast (a row threshold above every dimension), then exchange (a
-    threshold below every dimension, the empty one included) — and
-    returns the two results in that order."""
+    """``each_route(fn)`` calls ``fn()`` once per route of the two
+    driver-vs-exchange choices in ``kgx.stages.exchange`` —
+    ``hash_partitioned_apply``/``_agg`` and ``lookup_join`` share one row
+    threshold, ``DRIVER_ROWS`` — and returns the two results in order:
+    first the driver route (a threshold above every input: kernels run once
+    on the driver, dimensions broadcast), then the exchange route (a
+    threshold below every input, the empty one included)."""
     from kgx.stages import exchange
 
     def run(fn):
         out = []
         for rows in (1 << 62, -1):
-            monkeypatch.setattr(exchange, "BROADCAST_ROWS", rows)
+            monkeypatch.setattr(exchange, "DRIVER_ROWS", rows)
             out.append(fn())
         return out
 

@@ -4,6 +4,8 @@ The hash exchange — one key tagger behind ``hash_partitioned_apply`` and
 ``hash_partitioned_agg`` — must keep keys disjoint: every key value lands
 wholly in one partition, whatever format (Arrow / pandas) or dtype its
 blocks have, so a per-partition group-by returns each key exactly once.
+Its driver route (a small input: the kernel runs once over all rows) must
+return the same rows; the ``each_route`` fixture runs a test on both.
 
 The all-to-one finish — ``finish`` and ``top_k`` — must see every row
 once on the driver, whatever the block layout, zero rows included."""
@@ -49,7 +51,8 @@ def _run(ds, mode: str, keys: list[str], fmt: str, P: int) -> pd.DataFrame:
 @pytest.mark.parametrize("P", [16, 64])
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ["agg", "apply"])
-def test_int_key_not_split_by_null_in_another_block(ray_session, mode, fmt, P):
+def test_int_key_not_split_by_null_in_another_block(ray_session, each_route,
+                                                    mode, fmt, P):
     """Blocks k=[5,6] and k=[5,null]: pandas widens the second block's k to
     float64, which must not move key 5 to another partition."""
     import ray.data as rd
@@ -58,16 +61,17 @@ def test_int_key_not_split_by_null_in_another_block(ray_session, mode, fmt, P):
         pa.table({"k": pa.array([5, 6], pa.int64()), "v": [1, 10]}),
         pa.table({"k": pa.array([5, None], pa.int64()), "v": [2, 100]}),
     ]
-    got = _run(rd.from_arrow(blocks), mode, ["k"], fmt, P)
-    live = got[got["k"].notna()]
-    assert sorted(live["k"].astype(int)) == [5, 6]
-    assert dict(zip(live["k"].astype(int), live["v"])) == {5: 3, 6: 10}
-    assert got.loc[got["k"].isna(), "v"].tolist() == [100]
+    for got in each_route(
+            lambda: _run(rd.from_arrow(blocks), mode, ["k"], fmt, P)):
+        live = got[got["k"].notna()]
+        assert sorted(live["k"].astype(int)) == [5, 6]
+        assert dict(zip(live["k"].astype(int), live["v"])) == {5: 3, 6: 10}
+        assert got.loc[got["k"].isna(), "v"].tolist() == [100]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ["agg", "apply"])
-def test_two_keys_string_and_int(ray_session, mode, fmt):
+def test_two_keys_string_and_int(ray_session, each_route, mode, fmt):
     import ray.data as rd
 
     blocks = [
@@ -76,32 +80,39 @@ def test_two_keys_string_and_int(ray_session, mode, fmt):
         pa.table({"s": ["a", "b", "b"], "k": pa.array([1, 1, None], pa.int64()),
                   "v": [10, 20, 30]}),
     ]
-    got = _run(rd.from_arrow(blocks), mode, ["s", "k"], fmt, 32)
-    live = got[got["k"].notna()]
-    assert {(s, int(k)): v for s, k, v in zip(live["s"], live["k"], live["v"])} \
-        == {("a", 1): 11, ("a", 2): 2, ("b", 1): 23}
-    assert got.loc[got["k"].isna(), "v"].tolist() == [30]
+    for got in each_route(
+            lambda: _run(rd.from_arrow(blocks), mode, ["s", "k"], fmt, 32)):
+        live = got[got["k"].notna()]
+        assert {(s, int(k)): v
+                for s, k, v in zip(live["s"], live["k"], live["v"])} \
+            == {("a", 1): 11, ("a", 2): 2, ("b", 1): 23}
+        assert got.loc[got["k"].isna(), "v"].tolist() == [30]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ["agg", "apply"])
-def test_pandas_upstream_blocks(ray_session, mode, fmt):
+def test_pandas_upstream_blocks(ray_session, each_route, mode, fmt):
     """Pandas producers: the same key values arrive as int64, float64 with
     NaN (a null-holding batch) and object blocks in ONE exchange."""
     import ray.data as rd
 
-    ds = rd.from_pandas([
-        pd.DataFrame({"k": np.array([7, 8], np.int64), "v": [1, 2]}),
-        pd.DataFrame({"k": [7.0, np.nan], "v": [4, 8]}),
-        pd.DataFrame({"k": pd.Series([8, 7], dtype=object), "v": [16, 32]}),
-    ])
-    got = _run(ds, mode, ["k"], fmt, 64)
-    live = got[got["k"].notna()]
-    assert dict(zip(live["k"].astype(int), live["v"])) == {7: 37, 8: 18}
-    assert len(live) == 2
+    def run():
+        ds = rd.from_pandas([
+            pd.DataFrame({"k": np.array([7, 8], np.int64), "v": [1, 2]}),
+            pd.DataFrame({"k": [7.0, np.nan], "v": [4, 8]}),
+            pd.DataFrame({"k": pd.Series([8, 7], dtype=object),
+                          "v": [16, 32]}),
+        ])
+        return _run(ds, mode, ["k"], fmt, 64)
+
+    for got in each_route(run):
+        live = got[got["k"].notna()]
+        assert dict(zip(live["k"].astype(int), live["v"])) == {7: 37, 8: 18}
+        assert len(live) == 2
 
 
-def test_null_keys_share_one_partition_and_kernel_sees_values(ray_session):
+def test_null_keys_share_one_partition_and_kernel_sees_values(ray_session,
+                                                              each_route):
     import ray.data as rd
 
     blocks = [
@@ -120,25 +131,28 @@ def test_null_keys_share_one_partition_and_kernel_sees_values(ray_session):
                          "vals": [sorted(t["v"].to_pylist())]})
 
     for keys in (["k"], ["k", "s"]):
-        out = X.hash_partitioned_apply(
-            rd.from_arrow(blocks), keys, kernel, 16, kernel_format="pyarrow",
-        ).to_pandas()
-        with_null = out[out["n_null"] > 0]
-        if keys == ["k"]:
-            assert len(with_null) == 1
-            assert list(with_null["null_vals"].iloc[0]) == [1, 3, 4]
-        assert with_null["n_null"].sum() == 3
-        assert sorted(v for vs in out["vals"] for v in vs) == [1, 2, 3, 4, 5]
+        for out in each_route(lambda: X.hash_partitioned_apply(
+                rd.from_arrow(blocks), keys, kernel, 16,
+                kernel_format="pyarrow").to_pandas()):
+            with_null = out[out["n_null"] > 0]
+            if keys == ["k"]:
+                assert len(with_null) == 1
+                assert list(with_null["null_vals"].iloc[0]) == [1, 3, 4]
+            assert with_null["n_null"].sum() == 3
+            assert sorted(v for vs in out["vals"] for v in vs) \
+                == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ["agg", "apply"])
 @pytest.mark.parametrize("empty", ["some_blocks", "all_blocks"])
-def test_kernels_never_see_zero_rows(ray_session, mode, fmt, empty):
+def test_kernels_never_see_zero_rows(ray_session, each_route, mode, fmt,
+                                     empty):
     """A kernel or combine never runs on zero rows, so it needs no
     typed-empty guard: Ray passes empty blocks through ``map_batches``
-    without calling the function, and ``map_groups`` calls it only on
-    non-empty groups."""
+    without calling the function, ``map_groups`` calls it only on
+    non-empty groups, and the driver route runs only on at least one row
+    (a zero-row input takes the exchange route on any threshold)."""
     import pyarrow.compute as pc
     import ray.data as rd
 
@@ -160,43 +174,107 @@ def test_kernels_never_see_zero_rows(ray_session, mode, fmt, empty):
         return inner(b)
 
     fn = X.hash_partitioned_agg if mode == "agg" else X.hash_partitioned_apply
-    got = X.collect_arrow(fn(ds, ["k"], kernel, 8, fmt)).to_pandas()
-    if empty == "all_blocks":
-        assert len(got) == 0
-        return
     kept = [t for t in blocks if t["v"][0].as_py() % 2 == 0]
     want = pa.concat_tables(kept).to_pandas().groupby("k")["v"].sum()
-    assert dict(zip(got["k"], got["v"])) == want.to_dict()
+    for got in each_route(lambda: X.collect_arrow(
+            fn(ds, ["k"], kernel, 8, fmt)).to_pandas()):
+        if empty == "all_blocks":
+            assert len(got) == 0
+        else:
+            assert dict(zip(got["k"], got["v"])) == want.to_dict()
 
 
-def test_tag_depends_only_on_key_values():
-    """Same values, six representations: identical part_id for every
-    non-null row; the format of the batch is preserved."""
-    P = 97
-    vals = [3, 5, 2**30, 0, 12345]
-    reps = [
-        pa.table({"k": pa.array(vals, pa.int64())}),
-        pa.table({"k": pa.array(vals + [None], pa.int64())}),
-        pa.table({"k": pa.array(vals, pa.int32())}),
-        pd.DataFrame({"k": np.array(vals, np.float64)}),
-        pd.DataFrame({"k": pd.array(vals + [None], dtype="Int64")}),
-        pd.DataFrame({"k": pd.Series(vals + [None], dtype=object)}),
-    ]
-    parts = []
-    for r in reps:
-        tagged = X._tag(r, ["k"], P)
-        assert type(tagged) is type(r)
-        col = tagged["part_id"]
-        parts.append(list(col.to_pylist() if isinstance(col, pa.ChunkedArray)
-                          else col.tolist())[: len(vals)])
-    assert all(p == parts[0] for p in parts)
-    assert len(set(parts[0])) > 1  # the hash spreads distinct keys
+def _keyed_blocks(n_blocks: int = 6, rows: int = 30) -> list[pa.Table]:
+    """Int key ``k`` and string key ``s``, both with nulls, over blocks."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(n_blocks):
+        k = rng.integers(0, 8, rows).astype(object)
+        k[rng.random(rows) < 0.15] = None
+        s = rng.choice(np.array(["a", "b", "c"], dtype=object), rows)
+        s[rng.random(rows) < 0.15] = None
+        out.append(pa.table({"k": pa.array(list(k), pa.int64()),
+                             "s": pa.array(list(s), pa.string()),
+                             "v": rng.integers(0, 100, rows)}))
+    return out
 
-    strs = [pa.table({"s": ["a", "b", None]}),
-            pd.DataFrame({"s": ["a", "b", None]}),
-            pd.DataFrame({"s": pd.Series(["a", "b", None], dtype="string")})]
-    sp = [list(np.asarray(X._tag(r, ["s"], P)["part_id"])) for r in strs]
-    assert all(p == sp[0] for p in sp)
+
+def _canon(df: pd.DataFrame, keys: list[str]) -> list:
+    """Rows as sorted tuples, nulls as None and numbers as float."""
+    def cell(x):
+        if pd.isna(x):
+            return None
+        return float(x) if isinstance(x, (int, float, np.number)) else x
+
+    return sorted((tuple(cell(x) for x in r)
+                   for r in df[keys + ["v"]].itertuples(index=False)),
+                  key=repr)
+
+
+# int key first: pyarrow 16's Table.group_by splits a null-holding group
+# into several output rows when a string key precedes an int key
+@pytest.mark.parametrize("keys", [["k"], ["k", "s"]])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ["agg", "apply"])
+def test_both_routes_return_equal_rows(ray_session, each_route, mode, fmt,
+                                       keys):
+    """The driver route (one kernel call over all rows) and the exchange
+    route return the reference group-by rows, null keys included."""
+    import ray.data as rd
+
+    blocks = _keyed_blocks()
+    ref = pa.concat_tables(blocks).to_pandas().groupby(
+        keys, dropna=False, as_index=False).agg(v=("v", "sum"))
+    driver, exchange = each_route(
+        lambda: _run(rd.from_arrow(blocks), mode, keys, fmt, 16))
+    assert _canon(driver, keys) == _canon(exchange, keys) == _canon(ref, keys)
+
+
+@pytest.mark.parametrize("producer", FORMATS)
+def test_arrow_kernel_gets_one_chunk_per_column(ray_session, each_route,
+                                                producer):
+    """Many input blocks still reach an Arrow kernel as ONE chunk per
+    column: a per-key ``take`` on a many-chunk table re-concatenates every
+    chunk on each call."""
+    import ray.data as rd
+
+    blocks = _keyed_blocks(n_blocks=12, rows=10)
+
+    def kernel(t: pa.Table) -> pa.Table:  # reports what it was given
+        return pa.table({"rows": [t.num_rows], "chunks": [
+            max(t[c].num_chunks for c in t.column_names)]})
+
+    def run():
+        ds = rd.from_arrow(blocks) if producer == "pyarrow" else \
+            rd.from_pandas([t.to_pandas() for t in blocks])
+        return X.hash_partitioned_apply(ds, ["k"], kernel, 4,
+                                        "pyarrow").to_pandas()
+
+    driver, exchange = each_route(run)
+    assert driver["rows"].tolist() == [120]
+    assert exchange["rows"].sum() == 120
+    assert set(driver["chunks"]) == set(exchange["chunks"]) == {1}
+
+
+def test_pandas_kernel_gets_pandas_blocks_unchanged(ray_session, each_route):
+    """A pandas producer's object column that Arrow cannot hold (ints and
+    strings mixed) reaches a pandas kernel as the same Python objects."""
+    import ray.data as rd
+
+    def kernel(df: pd.DataFrame) -> pd.DataFrame:  # reports what it saw
+        return pd.DataFrame({"k": df["k"], "x": [
+            f"{type(x).__name__}:{x}" for x in df["x"]]})
+
+    def run():
+        ds = rd.from_pandas([
+            pd.DataFrame({"k": [1, 2], "x": pd.Series([1, "a"], dtype=object)}),
+            pd.DataFrame({"k": [1, 3], "x": pd.Series(["b", 2], dtype=object)}),
+        ])
+        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4).to_pandas()
+        return sorted(zip(out["k"].astype(int), out["x"]))
+
+    want = [(1, "int:1"), (1, "str:b"), (2, "str:a"), (3, "int:2")]
+    assert each_route(run) == [want, want]
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +570,15 @@ def test_lookup_join_duplicate_dim_key_raises(ray_session, each_route):
 
 def test_one_lookup_join():
     """Key lookups go through ``lookup_join``: no per-operator broadcast
-    threshold anywhere in the package, and no hand-written sorted-array
-    probe or kind-union helper left in the relational operators."""
+    threshold anywhere in the package (``DRIVER_ROWS`` is the one
+    driver-vs-exchange bound), and no hand-written sorted-array probe or
+    kind-union helper left in the relational operators."""
     root = Path(__file__).resolve().parent.parent / "kgx"
-    gated = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
-             if "broadcast_limit" in f.read_text()]
-    assert not gated, f"broadcast_limit in {gated}"
+    gate = re.compile(r"broadcast_limit|broadcast_deg_limit|BCAST_LIMIT")
+    gated = [f"{f.relative_to(root)}: {m.group()}"
+             for f in sorted(root.rglob("*.py"))
+             for m in gate.finditer(f.read_text())]
+    assert not gated, f"per-operator broadcast threshold in {gated}"
     rel = (root / "pipelines" / "relational.py").read_text()
     helpers = re.findall(r"def (_lookup|_sorted_map|_ku)\(", rel)
     assert not helpers, f"relational.py defines {helpers}"

@@ -739,7 +739,7 @@ def _serial_assort(edges_sym):
             sum(x * x for x in ds), sum(y * y for y in dd))
 
 
-def test_assortativity_matches_serial_both_paths(ray_session):
+def test_assortativity_matches_serial_both_paths(ray_session, each_route):
     import ray.data as rd
 
     from kgx.stages.graph import assortativity_moments
@@ -755,14 +755,13 @@ def test_assortativity_matches_serial_both_paths(ray_session):
          "dst": pa.array([b for _, b in dup], pa.int64())}
     )
     want = _serial_assort(sym)
-    for limit in (2_000_000, 0):  # broadcast path, then exchange path
-        out = _collect(assortativity_moments(
-            rd.from_arrow(tbl).repartition(5), broadcast_deg_limit=limit
-        ))
+    for route, out in zip(("driver", "exchange"), each_route(
+            lambda: _collect(assortativity_moments(
+                rd.from_arrow(tbl).repartition(5))))):
         got = tuple(int(out[c][0]) for c in
                     ["n_edges", "sum_ds", "sum_dd", "sum_dsdd",
                      "sum_ds2", "sum_dd2"])
-        assert got == want, ("bcast" if limit else "exchange")
+        assert got == want, route
     # symmetry invariants
     assert want[1] == want[2] and want[4] == want[5]
 

@@ -210,7 +210,7 @@ def test_clustering_planted_graph(ray_session):
     pd.testing.assert_frame_equal(got, ref.astype(got.dtypes.to_dict()))
 
 
-def test_clustering_both_paths_agree(ray_session):
+def test_clustering_both_paths_agree(ray_session, each_route):
     import ray.data as rd
 
     from kgx.stages.triangles import cosupplier_triangles
@@ -219,13 +219,9 @@ def test_clustering_both_paths_agree(ray_session):
     pairs = list({(int(o), int(s))
                   for o, s in zip(rng.integers(1, 40, 300),
                                   rng.integers(1, 25, 300))})
-    ds = rd.from_pandas(_li(pairs)).repartition(4)
-    fast = _collect(cosupplier_triangles(ds, clustering=True)) \
-        .sort_values("node").reset_index(drop=True)
-    slow = _collect(cosupplier_triangles(
-        rd.from_pandas(_li(pairs)).repartition(4), clustering=True,
-        broadcast_deg_limit=0)) \
-        .sort_values("node").reset_index(drop=True)
+    fast, slow = each_route(lambda: _collect(cosupplier_triangles(
+        rd.from_pandas(_li(pairs)).repartition(4), clustering=True))
+        .sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(fast, slow)
     assert len(fast) > 0 and (fast["cc_pm"] <= 10_000).all()
 

@@ -1,6 +1,7 @@
 """Skew handling: the salted two-phase canonicalization (SURVEY.md §4.2 /
 §7.4.3) must stay correct AND bounded when one entity key receives almost
-all mentions (the head-entity hot key of the north rule)."""
+all mentions (the head-entity hot key of the north rule), on the driver
+route and on the exchange route of the key-partitioned exchange."""
 
 from __future__ import annotations
 
@@ -55,30 +56,37 @@ def serial_entities(tbl: pa.Table) -> dict[str, dict]:
     return {k: merge_entity_group(v) for k, v in by_key.items()}
 
 
-def test_salted_canonicalization_correct_under_skew(ray_session, linked_ds, cfg):
-    got = {
-        r["entity_key"]: r
-        for r in wide.canonical_entities(linked_ds, cfg).to_pandas().to_dict("records")
-    }
+def test_salted_canonicalization_correct_under_skew(ray_session, each_route,
+                                                    linked_ds, cfg):
     want = serial_entities(skewed_linked())
-    assert set(got) == set(want)
-    hot = got["mega corp"]
-    assert hot["n_mentions"] == want["mega corp"]["n_mentions"] == 18_000
-    assert hot["entity_id"] == 0
-    assert sorted(hot["aliases"]) == want["mega corp"]["aliases"]
-    # spot-check a tail key end-to-end too
-    k = "tail corp 13"
-    assert got[k]["n_mentions"] == want[k]["n_mentions"]
+    for out in each_route(
+            lambda: wide.canonical_entities(linked_ds, cfg).to_pandas()):
+        got = {r["entity_key"]: r for r in out.to_dict("records")}
+        assert set(got) == set(want)
+        hot = got["mega corp"]
+        assert hot["n_mentions"] == want["mega corp"]["n_mentions"] == 18_000
+        assert hot["entity_id"] == 0
+        assert sorted(hot["aliases"]) == want["mega corp"]["aliases"]
+        # spot-check a tail key end-to-end too
+        k = "tail corp 13"
+        assert got[k]["n_mentions"] == want[k]["n_mentions"]
 
 
-def test_salting_bounds_hot_key_partials(ray_session, linked_ds, cfg):
+def test_salting_bounds_hot_key_partials(ray_session, each_route, linked_ds,
+                                         cfg):
     """After the phase-1 salted merge, the hot key contributes at most
     salt_buckets rows to the final (unsalted) exchange — the skew bound."""
     salt_buckets = cfg["processing"]["canonicalize"]["salt_buckets"]
-    phase1 = wide.canonical_phase1(linked_ds, cfg)
-    counts: dict[str, int] = {}
-    for batch in phase1.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for k in batch["entity_key"].to_pylist():
-            counts[k] = counts.get(k, 0) + 1
-    assert counts["mega corp"] <= salt_buckets
-    assert max(counts.values()) <= salt_buckets
+
+    def phase1_counts() -> dict[str, int]:
+        counts: dict[str, int] = {}
+        phase1 = wide.canonical_phase1(linked_ds, cfg)
+        for batch in phase1.iter_batches(batch_size=None,
+                                         batch_format="pyarrow"):
+            for k in batch["entity_key"].to_pylist():
+                counts[k] = counts.get(k, 0) + 1
+        return counts
+
+    for counts in each_route(phase1_counts):
+        assert 1 < counts["mega corp"] <= salt_buckets
+        assert max(counts.values()) <= salt_buckets
