@@ -184,6 +184,36 @@ def test_kernels_never_see_zero_rows(ray_session, each_route, mode, fmt,
             assert dict(zip(got["k"], got["v"])) == want.to_dict()
 
 
+def test_tag_depends_only_on_key_values():
+    """Same values, six representations: identical part_id for every
+    non-null row; the format of the batch is preserved."""
+    P = 97
+    vals = [3, 5, 2**30, 0, 12345]
+    reps = [
+        pa.table({"k": pa.array(vals, pa.int64())}),
+        pa.table({"k": pa.array(vals + [None], pa.int64())}),
+        pa.table({"k": pa.array(vals, pa.int32())}),
+        pd.DataFrame({"k": np.array(vals, np.float64)}),
+        pd.DataFrame({"k": pd.array(vals + [None], dtype="Int64")}),
+        pd.DataFrame({"k": pd.Series(vals + [None], dtype=object)}),
+    ]
+    parts = []
+    for r in reps:
+        tagged = X._tag(r, ["k"], P)
+        assert type(tagged) is type(r)
+        col = tagged["part_id"]
+        parts.append(list(col.to_pylist() if isinstance(col, pa.ChunkedArray)
+                          else col.tolist())[: len(vals)])
+    assert all(p == parts[0] for p in parts)
+    assert len(set(parts[0])) > 1  # the hash spreads distinct keys
+
+    strs = [pa.table({"s": ["a", "b", None]}),
+            pd.DataFrame({"s": ["a", "b", None]}),
+            pd.DataFrame({"s": pd.Series(["a", "b", None], dtype="string")})]
+    sp = [list(np.asarray(X._tag(r, ["s"], P)["part_id"])) for r in strs]
+    assert all(p == sp[0] for p in sp)
+
+
 def _keyed_blocks(n_blocks: int = 6, rows: int = 30) -> list[pa.Table]:
     """Int key ``k`` and string key ``s``, both with nulls, over blocks."""
     rng = np.random.default_rng(5)
