@@ -1187,19 +1187,22 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
     # reused by pass A and pass B — pin once (the diamond-reuse trap)
     keyed_ds = docs_ds.map_batches(keyed, batch_format="pyarrow").materialize()
 
+    # int key first: pyarrow 16's group_by splits a null-holding group into
+    # several rows when a string key precedes an int key (a NULL source is
+    # one stratum, as in the SQL mirror's PARTITION BY source)
     def bucket_counts(t: pa.Table) -> pa.Table:
-        return t.select(["source", "bucket"]).group_by(
-            ["source", "bucket"]
+        return t.select(["bucket", "source"]).group_by(
+            ["bucket", "source"]
         ).aggregate([([], "count_all")]).rename_columns(
-            ["source", "bucket", "n"]
+            ["bucket", "source", "n"]
         )
 
     cdf = collect_arrow(
         keyed_ds.map_batches(bucket_counts, batch_format="pyarrow"),
-        pa.schema([("source", pa.string()), ("bucket", pa.int64()),
+        pa.schema([("bucket", pa.int64()), ("source", pa.string()),
                    ("n", pa.int64())]),
-    ).group_by(["source", "bucket"]).aggregate([("n", "sum")]) \
-        .rename_columns(["source", "bucket", "n"]).to_pandas()
+    ).group_by(["bucket", "source"]).aggregate([("n", "sum")]) \
+        .rename_columns(["bucket", "source", "n"]).to_pandas()
     if not len(cdf):
         return keyed_ds.map_batches(
             lambda t: pa.table(
@@ -1210,8 +1213,11 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
             batch_format="pyarrow",
         )
     cdf = cdf.sort_values(["source", "bucket"])
-    cdf["offset"] = cdf.groupby("source")["n"].cumsum() - cdf["n"]
-    totals = cdf.groupby("source")["n"].sum().to_dict()
+    cdf["offset"] = cdf.groupby("source", dropna=False)["n"].cumsum() \
+        - cdf["n"]
+    tdf = _null_source(cdf.groupby("source", dropna=False, as_index=False)
+                       ["n"].sum())
+    totals = dict(zip(tdf["source"], tdf["n"]))
     offsets = {
         (s, int(b)): int(o)
         for s, b, o in zip(cdf["source"], cdf["bucket"], cdf["offset"])
@@ -1225,7 +1231,8 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.sort_values(["source", "bucket", "key", "doc_id"],
                           kind="stable")
-        local = d.groupby(["source", "bucket"], sort=False).cumcount()
+        local = d.groupby(["source", "bucket"], sort=False,
+                          dropna=False).cumcount()
         off = np.fromiter(
             (offsets[(s, int(b))] for s, b in zip(d["source"], d["bucket"])),
             dtype=np.int64, count=len(d),
@@ -1239,7 +1246,7 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
                          np.where(rank < va, "val", "test"))
         return pd.DataFrame(
             {"doc_id": d["doc_id"].astype("int64"),
-             "source": d["source"].astype(str),
+             "source": d["source"],
              "split": split}
         )
 

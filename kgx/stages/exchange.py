@@ -3,13 +3,13 @@ all-to-one finish of a driver-scale result.
 
 Key-partitioned: one shape, two entry points, two routes
 
-    pin the input, count its rows
-    0 < rows <= DRIVER_ROWS:                # driver route
+    tag part_id = hash(key values) % P      # ONE tagger, format-preserving
+    pin the tagged input, measure it
+    rows > 0 and bytes <= DRIVER_BYTES:     # driver route
         kernel(all rows)                    #   ONE call, on the driver
     otherwise:                              # exchange route
-        tag part_id = hash(key values) % P  #   ONE tagger, format-preserving
-        -> groupby(part_id).map_groups(     #   ONE exchange, P groups,
-               kernel)                      #     one vectorized call each
+        groupby(part_id).map_groups(kernel) #   ONE exchange, P groups,
+                                            #     one vectorized call each
 
 * :func:`hash_partitioned_apply` — partition-only: ``kernel`` runs exactly
   once per partition over every key the partition holds (holistic per-key
@@ -28,18 +28,35 @@ the single-pass one for any block arrangement.
 The route.  A kernel that is correct on every key-complete row set is
 correct on all rows at once, so a small input (the usual case after a
 combiner: 10^4 partials for 10^2 keys) skips the all-to-all, whose cost is
-its stages and their scheduling, not its bytes.  The input is pinned
-(``materialize``) and counted when the function is CALLED, so the choice
-and the driver-route kernel run eagerly; the exchange route stays lazy.
-One constant, :data:`DRIVER_ROWS`, bounds every driver-vs-exchange choice
-in this module (this route and :func:`lookup_join`'s).  On the driver
-route the kernel gets one batch in its producer's format where it can:
-pandas blocks for a pandas kernel are one ``pd.concat`` (no Arrow round
-trip, so object columns Arrow cannot hold pass unchanged); anything else
-is one Arrow table with a SINGLE chunk per column (``combine_chunks``: a
-per-key ``take`` on a many-chunk table re-concatenates every chunk, which
-made MinHash bucket verification about 14x slower).  The result is a
-one-block Dataset.
+its stages and their scheduling, not its bytes.  The route is chosen
+when the function is CALLED: the TAGGED input is pinned (``materialize``)
+and its block metadata gives its rows and bytes.  The driver route runs
+the kernel then and there; the exchange route stays lazy over the pinned
+tagged blocks.  Those are exactly the blocks the exchange's sort buffers
+in full before it partitions, so pinning them adds no copy while one
+exchange runs; what it adds is lifetime: they live as long as the result
+Dataset does, so a chain of exchanges whose earlier results are still
+referenced holds one tagged input per live result.  (Materializing the
+exchange output to release the input sooner costs more: the output then
+lives on in the caller.)
+
+One constant, :data:`DRIVER_BYTES`, bounds every driver-vs-exchange choice
+in this module (this route and :func:`lookup_join`'s).  It is a byte bound
+derived from driver memory, not a measured crossover: the driver route
+holds the collected blocks, one combined copy and the kernel's working
+set, so the bound is the 64 MiB that one payload-exchange partition is
+sized to hold on a worker (``dedup._parts_for_bytes``).  Rows do not bound
+memory (a MinHash band row carries a 512-byte signature).  Where the single
+driver call starts to lose against P parallel kernels on a many-CPU
+cluster has not been measured.
+
+On the driver route the kernel gets one batch in its producer's format
+where it can: pandas blocks for a pandas kernel are one ``pd.concat`` (no
+Arrow round trip, so object columns Arrow cannot hold pass unchanged);
+anything else is one Arrow table with a SINGLE chunk per column
+(``combine_chunks``: a per-key ``take`` on a many-chunk table
+re-concatenates every chunk, which made MinHash bucket verification about
+14x slower).  The result is a one-block Dataset.
 
 Tagging keeps each block in its producer's format (Arrow stays Arrow, pandas
 stays pandas), so list columns cross the shuffle without a pandas round
@@ -86,9 +103,9 @@ Lookup join: a fact stream probes a keyed dimension
 
 :func:`lookup_join` attaches dimension columns to fact rows (``inner``) or
 filters fact rows by key membership (``semi`` / ``anti``).  The route is
-chosen once, from the pinned dimension's row count:
+chosen once, from the pinned dimension's size in bytes:
 
-* at most :data:`DRIVER_ROWS` rows — broadcast: the dimension is
+* at most :data:`DRIVER_BYTES` — broadcast: the dimension is
   collected, sorted by key, put in the object store once, and every fact
   batch is probed with one vectorized ``searchsorted``;
 * more — exchange: fact and dimension rows are tagged by side and meet in
@@ -115,7 +132,7 @@ from collections.abc import Callable
 import numpy as np
 
 
-DRIVER_ROWS = 2_000_000
+DRIVER_BYTES = 64 << 20  # see "The route" in the module docstring
 _DIM = "__dim"  # side tag of a dimension row on the exchange route
 
 
@@ -174,19 +191,21 @@ def hash_partitioned_apply(
     (a ``kernel_format`` batch -> batch function) runs EXACTLY ONCE per
     partition over all its keys, so it may sort and scan freely.
 
-    The input is pinned and the route chosen now, from its row count (see
-    "Key-partitioned" in the module docstring): at most
-    :data:`DRIVER_ROWS` rows run ``kernel`` once on the driver over all of
-    them, as one single-chunk batch; more (or zero) rows take the exchange.
+    The route is chosen NOW (see "Key-partitioned" in the module
+    docstring): the tagged input is pinned and measured; at most
+    :data:`DRIVER_BYTES` of it (and at least one row) runs ``kernel`` once
+    on the driver over every row, as one single-chunk batch; anything else
+    takes the exchange, lazily, over the pinned tagged blocks.
 
     Default P is 8x the CPU count, NOT the CPU count: the exchange is a
     range-partitioned sort on part_id, and more distinct values give it
     cleaner quantile boundaries and smooth stragglers across
     heterogeneously-sized kernels (per-key disjointness is unaffected by P)."""
-    ds = ds.materialize()
-    if 0 < ds.count() <= DRIVER_ROWS:
-        return _on_driver(ds, kernel, kernel_format)
     P = num_partitions or _default_partitions() * 8
+    tagged = ds.map_batches(lambda b: _tag(b, keys, P),
+                            batch_format=None).materialize()
+    if tagged.count() and tagged.size_bytes() <= DRIVER_BYTES:
+        return _on_driver(tagged, kernel, kernel_format)
 
     if kernel_format == "pyarrow":
         def run(t):
@@ -195,29 +214,30 @@ def hash_partitioned_apply(
         def run(df):
             return kernel(df.drop(columns=["part_id"]))
 
-    tagged = ds.map_batches(lambda b: _tag(b, keys, P), batch_format=None)
-    return tagged.groupby("part_id").map_groups(run, batch_format=kernel_format)
+    return tagged.groupby("part_id").map_groups(run,
+                                                batch_format=kernel_format)
 
 
-def _on_driver(ds, kernel: Callable, kernel_format: str):
-    """``kernel`` once over every row of the pinned ``ds`` as a one-block
-    Dataset.  Pandas blocks reach a pandas kernel through one ``pd.concat``;
-    otherwise the blocks become one single-chunk Arrow table (a per-key
-    ``take`` on a chunked table re-concatenates every chunk)."""
+def _on_driver(tagged, kernel: Callable, kernel_format: str):
+    """``kernel`` once over every row of the pinned, tagged Dataset, as a
+    one-block Dataset.  Pandas blocks reach a pandas kernel through one
+    ``pd.concat``; otherwise the blocks become one single-chunk Arrow table
+    (a per-key ``take`` on a chunked table re-concatenates every chunk)."""
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
     from ray.data.block import BlockAccessor
 
-    blocks = [b for b in _blocks(ds) if len(b)]
+    blocks = [b for b in _blocks(tagged) if len(b)]
     if kernel_format == "pandas" and all(
             isinstance(b, pd.DataFrame) for b in blocks):
-        batch = pd.concat(blocks, ignore_index=True)
+        batch = pd.concat(blocks, ignore_index=True).drop(columns="part_id")
     else:
         t = pa.concat_tables(
             [BlockAccessor.for_block(b).to_arrow() for b in blocks],
-            promote_options="permissive").combine_chunks()
-        batch = BlockAccessor.for_block(t).to_batch_format(kernel_format)
+            promote_options="permissive").drop_columns("part_id")
+        batch = BlockAccessor.for_block(t.combine_chunks()) \
+            .to_batch_format(kernel_format)
     return rd.from_blocks([BlockAccessor.batch_to_block(kernel(batch))])
 
 
@@ -233,7 +253,7 @@ def hash_partitioned_agg(
     ``kernel_format`` batches.  It runs once per input batch (the combiner)
     and once per partition (the re-merge); output columns must be stable
     across both applications.  The route is chosen from the combiner
-    output's row count: at most :data:`DRIVER_ROWS` partials are re-merged
+    output's size: at most :data:`DRIVER_BYTES` of partials are re-merged
     by one driver call.  Default P is the CPU count: after the combiner a
     partition holds partials, not rows."""
     return hash_partitioned_apply(
@@ -398,7 +418,7 @@ def lookup_join(fact, key: str, dim, dim_key: str, cols=(),
             raise ValueError(f"lookup_join: fact already has {sorted(clash)}")
         return t
 
-    if dim.count() <= DRIVER_ROWS:
+    if dim.size_bytes() <= DRIVER_BYTES:
         ref = ray.put(_sorted_dim(collect_arrow(dim), dim_key, cols, how))
 
         def probe(b):

@@ -32,17 +32,17 @@ def ray_session():
 def each_route(monkeypatch):
     """``each_route(fn)`` calls ``fn()`` once per route of the two
     driver-vs-exchange choices in ``kgx.stages.exchange`` —
-    ``hash_partitioned_apply``/``_agg`` and ``lookup_join`` share one row
-    threshold, ``DRIVER_ROWS`` — and returns the two results in order:
-    first the driver route (a threshold above every input: kernels run once
-    on the driver, dimensions broadcast), then the exchange route (a
-    threshold below every input, the empty one included)."""
+    ``hash_partitioned_apply``/``_agg`` and ``lookup_join`` share one byte
+    bound, ``DRIVER_BYTES`` — and returns the two results in order: first
+    the driver route (a bound above every input: kernels run once on the
+    driver, dimensions broadcast), then the exchange route (a bound below
+    every input, the empty one included)."""
     from kgx.stages import exchange
 
     def run(fn):
         out = []
-        for rows in (1 << 62, -1):
-            monkeypatch.setattr(exchange, "DRIVER_ROWS", rows)
+        for bound in (1 << 62, -1):
+            monkeypatch.setattr(exchange, "DRIVER_BYTES", bound)
             out.append(fn())
         return out
 

@@ -11,18 +11,34 @@ import pytest
 
 @pytest.fixture(scope="module")
 def ray_outputs(ray_session, pages_small, cfg, kb):
+    """The pipeline's outputs on each exchange route, driver route first
+    (see ``each_route``: the small corpus fits the driver route, so the
+    exchange route, the only one at scale, is forced too)."""
     import ray.data as rd
 
     from kgx import pipeline
+    from kgx.stages import exchange
 
     refs = pipeline.broadcast_kb(kb)
-    pages_ds = rd.from_arrow(pages_small)
-    outs = pipeline.kg_tables_in_memory(pages_ds, cfg, refs)
-    return {k: v.to_pandas() for k, v in outs.items()}
+    routes = []
+    for bound in (1 << 62, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exchange, "DRIVER_BYTES", bound)
+            outs = pipeline.kg_tables_in_memory(rd.from_arrow(pages_small),
+                                                cfg, refs)
+            routes.append({k: v.to_pandas() for k, v in outs.items()})
+    return routes
 
 
 def _norm(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
     return df.sort_values(keys).reset_index(drop=True)
+
+
+def _exactly_equal(ray_outputs, oracle_small, name: str, keys: list[str]):
+    want = _norm(oracle_small[name].to_pandas(), keys)
+    for outs in ray_outputs:
+        pd.testing.assert_frame_equal(_norm(outs[name], keys), want,
+                                      check_dtype=False)
 
 
 class TestByteIdentity:
@@ -47,29 +63,25 @@ class TestByteIdentity:
 
 class TestTripleConformance:
     def test_precision_recall(self, ray_outputs, oracle_small):
-        got = {tuple(r) for r in ray_outputs["triples"][["subj", "pred", "obj"]].itertuples(index=False)}
         want = {tuple(r) for r in oracle_small["triples"].to_pandas()[["subj", "pred", "obj"]].itertuples(index=False)}
         assert want, "oracle produced no triples — fixture broken"
-        tp = len(got & want)
-        precision = tp / max(len(got), 1)
-        recall = tp / len(want)
-        assert precision >= 0.95, f"precision {precision}"
-        assert recall >= 0.95, f"recall {recall}"
+        for outs in ray_outputs:
+            got = {tuple(r) for r in outs["triples"][["subj", "pred", "obj"]].itertuples(index=False)}
+            tp = len(got & want)
+            precision = tp / max(len(got), 1)
+            recall = tp / len(want)
+            assert precision >= 0.95, f"precision {precision}"
+            assert recall >= 0.95, f"recall {recall}"
 
     def test_triples_exactly_equal(self, ray_outputs, oracle_small):
-        got = _norm(ray_outputs["triples"], ["subj", "pred", "obj"])
-        want = _norm(oracle_small["triples"].to_pandas(), ["subj", "pred", "obj"])
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        _exactly_equal(ray_outputs, oracle_small, "triples",
+                       ["subj", "pred", "obj"])
 
     def test_entities_exactly_equal(self, ray_outputs, oracle_small):
-        got = _norm(ray_outputs["entities"], ["entity_key"])
-        want = _norm(oracle_small["entities"].to_pandas(), ["entity_key"])
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        _exactly_equal(ray_outputs, oracle_small, "entities", ["entity_key"])
 
     def test_adjacency_exactly_equal(self, ray_outputs, oracle_small):
-        got = _norm(ray_outputs["adjacency"], ["subj"])
-        want = _norm(oracle_small["adjacency"].to_pandas(), ["subj"])
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        _exactly_equal(ray_outputs, oracle_small, "adjacency", ["subj"])
 
 
 class TestEdgeRowBehavior:

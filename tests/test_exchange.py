@@ -307,6 +307,34 @@ def test_pandas_kernel_gets_pandas_blocks_unchanged(ray_session, each_route):
     assert each_route(run) == [want, want]
 
 
+def test_route_is_chosen_by_bytes_not_rows(ray_session, monkeypatch):
+    """Two inputs with the same rows and keys: the narrow one fits under
+    the byte bound and runs one driver call; the wide one (a 64 x int64
+    list per row, like a MinHash signature) does not and takes the
+    exchange, whatever its row count."""
+    import ray.data as rd
+
+    n, W = 400, 64
+    k = np.arange(n, dtype=np.int64) % 40
+    narrow = pa.table({"k": k, "v": np.ones(n, np.int64)})
+    wide = narrow.append_column("pay", pa.ListArray.from_arrays(
+        pa.array(np.arange(0, n * W + 1, W, dtype=np.int32)),
+        pa.array(np.zeros(n * W, np.int64))))
+    assert narrow.nbytes < 64 << 10 < wide.nbytes
+
+    def kernel(t: pa.Table) -> pa.Table:  # one row per call
+        return pa.table({"rows": [t.num_rows]})
+
+    monkeypatch.setattr(X, "DRIVER_BYTES", 64 << 10)
+    calls = {}
+    for name, t in [("narrow", narrow), ("wide", wide)]:
+        out = X.hash_partitioned_apply(rd.from_arrow(t).repartition(4),
+                                       ["k"], kernel, 4, "pyarrow")
+        calls[name] = sorted(out.to_pandas()["rows"])
+    assert calls["narrow"] == [n]
+    assert len(calls["wide"]) > 1 and sum(calls["wide"]) == n
+
+
 # ---------------------------------------------------------------------------
 # all-to-one finish
 # ---------------------------------------------------------------------------
@@ -600,7 +628,7 @@ def test_lookup_join_duplicate_dim_key_raises(ray_session, each_route):
 
 def test_one_lookup_join():
     """Key lookups go through ``lookup_join``: no per-operator broadcast
-    threshold anywhere in the package (``DRIVER_ROWS`` is the one
+    threshold anywhere in the package (``DRIVER_BYTES`` is the one
     driver-vs-exchange bound), and no hand-written sorted-array probe or
     kind-union helper left in the relational operators."""
     root = Path(__file__).resolve().parent.parent / "kgx"

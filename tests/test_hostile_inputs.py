@@ -74,7 +74,7 @@ class TestNullSourceMatchesMirror:
     drop it, not rename it to the string 'None')."""
 
     @pytest.mark.parametrize("name", ["sketch_f2", "doc_quality_by_source",
-                                      "doc_dup_by_source"])
+                                      "doc_dup_by_source", "doc_split"])
     def test_null_source_group(self, ray_session, tmp_path, name):
         import sys
         from pathlib import Path

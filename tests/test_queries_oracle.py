@@ -47,21 +47,25 @@ def _sql_backed_names():
 
 
 @pytest.mark.parametrize("name", _sql_backed_names())
-def test_query_matches_duckdb_oracle(ray_session, con, name):
+def test_query_matches_duckdb_oracle(ray_session, con, each_route, name):
+    """On both exchange routes: at sf0.001 every input fits the driver
+    route, so the exchange route (the only one at scale) is forced too."""
     from kgx import queries as Q
 
-    ours = canon(to_pandas(Q.registry()[name](SF_DIR)))
     theirs = canon(con.execute(Q.oracle_sql()[name]).fetchdf())
-    assert list(ours.columns) == list(theirs.columns)
-    assert len(ours) == len(theirs)
-    for c in ours.columns:
-        a, b = ours[c], theirs[c]
-        if a.dtype.kind == "f" or b.dtype.kind == "f":
-            pd.testing.assert_series_equal(
-                a.astype(float), b.astype(float), check_names=False
-            )
-        else:
-            assert (a.astype(str) == b.astype(str)).all(), f"column {c} differs"
+    for ours in each_route(
+            lambda: canon(to_pandas(Q.registry()[name](SF_DIR)))):
+        assert list(ours.columns) == list(theirs.columns)
+        assert len(ours) == len(theirs)
+        for c in ours.columns:
+            a, b = ours[c], theirs[c]
+            if a.dtype.kind == "f" or b.dtype.kind == "f":
+                pd.testing.assert_series_equal(
+                    a.astype(float), b.astype(float), check_names=False
+                )
+            else:
+                assert (a.astype(str) == b.astype(str)).all(), \
+                    f"column {c} differs"
 
 
 def test_every_registry_query_is_sql_checked():

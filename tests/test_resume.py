@@ -73,23 +73,28 @@ def test_interrupted_run_resumes_identically(ray_session, small_pages, cfg, kb, 
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_checkpointed_matches_oracle(ray_session, small_pages, cfg, kb, tmp_path_factory):
+def test_checkpointed_matches_oracle(ray_session, small_pages, cfg, kb, tmp_path_factory,
+                                    each_route):
+    """On both exchange routes (the small job fits the driver route)."""
     from kgx import oracle, pipeline
 
-    out_dir = tmp_path_factory.mktemp("kg_oracle_cmp")
-    pipeline.run_kg(
-        pipeline.shard_pages_table_factory(small_pages), out_dir,
-        num_shards=3, cfg=cfg, kb=kb,
-    )
+    def run():
+        out_dir = tmp_path_factory.mktemp("kg_oracle_cmp")
+        pipeline.run_kg(
+            pipeline.shard_pages_table_factory(small_pages), out_dir,
+            num_shards=3, cfg=cfg, kb=kb,
+        )
+        return _read_sorted(out_dir / "triples", ["subj", "pred", "obj"])
+
     ora = oracle.run(small_pages, cfg, kb)
-    got = _read_sorted(out_dir / "triples", ["subj", "pred", "obj"])
     want = ora["triples"].to_pandas()
     want = (
         want[sorted(want.columns)]
         .sort_values(["subj", "pred", "obj"])
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    for got in each_route(run):
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_manifest_counters_and_checksums(ray_session, small_pages, cfg, kb, tmp_path_factory):
