@@ -405,20 +405,26 @@ _HE_CACHE: dict[tuple[str, int], tuple[int, float]] = {}
 _HE_CACHE_MAX = 1_000_000
 
 
+def hash_bucket(token: str, dim: int) -> tuple[int, float]:
+    """The (bucket, +-1.0) that ``token`` adds to a ``hash_embed`` vector."""
+    key = (token, dim)
+    bs = _HE_CACHE.get(key)
+    if bs is None:
+        if len(_HE_CACHE) >= _HE_CACHE_MAX:
+            _HE_CACHE.clear()
+        h = stable_hash64(token, seed=13)
+        bs = _HE_CACHE[key] = (h % dim, 1.0 if (h >> 63) & 1 else -1.0)
+    return bs
+
+
 def hash_embed(tokens: list[str], dim: int = 32) -> list[float]:
     """Deterministic hash-based text featurizer: each token adds ±1 to a
     hashed bucket; L2-normalized.  Shared by pipeline and oracle so linker
     cosine scores are bit-reproducible (FIXTURES.md §3)."""
     v = [0.0] * dim
     for t in tokens:
-        key = (t, dim)
-        bs = _HE_CACHE.get(key)
-        if bs is None:
-            if len(_HE_CACHE) >= _HE_CACHE_MAX:
-                _HE_CACHE.clear()
-            h = stable_hash64(t, seed=13)
-            bs = _HE_CACHE[key] = (h % dim, 1.0 if (h >> 63) & 1 else -1.0)
-        v[bs[0]] += bs[1]
+        b, sign = hash_bucket(t, dim)
+        v[b] += sign
     norm = sum(x * x for x in v) ** 0.5
     if norm == 0.0:
         return v

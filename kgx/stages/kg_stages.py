@@ -4,27 +4,32 @@ Stage graph (SURVEY.md §3.1 KG equivalent):
 
     pages --extract_text_batch--> page_text (html dropped immediately)
           --segment_batch-------> segments   (junk/novelty/cap are page-local)
-          --TripleLinker--------> linked triples [task UDF: alias automaton,
-                                                  predicate rules and the
-                                                  ray.put embedding matrix
-                                                  built once per process]
+          --TripleLinker--------> linked triples [task UDF: a batch kernel
+                                                  (alias automaton, predicate
+                                                  rules, candidate and
+                                                  embedding arrays) built
+                                                  once per process]
 
 The wide steps (canonicalize / dedup / adjacency) live in
 ``kgx.stages.wide``.  Every row-level computation delegates to
 ``kgx.functions`` so the serial oracle and this distributed pipeline cannot
 drift (the P/R and byte-identity gates then measure distribution only).
+TripleLinker is the one stage that runs a batch kernel instead of the
+per-row functions: ``extract_kg.BatchLinker`` scans a whole batch at once
+and links column-wise, and must equal the oracle's per-row
+``raw_triples_for_segment`` + ``link_raw_triple`` row for row, in order.
 """
 
 from __future__ import annotations
 
+import json
+
 import pyarrow as pa
 
 from .. import schema as S
-from ..functions.extract_kg import AliasMatcher, PredicateMatcher
+from ..functions.extract_kg import AliasMatcher, BatchLinker
 from ..functions.pipeline_core import (
-    link_raw_triple,
     mentions_for_segment,
-    raw_triples_for_segment,
     segments_for_page_adaptive,
 )
 from ..functions.text import page_text
@@ -115,18 +120,22 @@ LINKED_FULL = pa.schema(
 
 
 class TripleLinker:
-    """Fused stage: segments -> LINKED triples in one pass
-    (``raw_triples_for_segment`` then ``link_raw_triple`` row-for-row, the
-    same kgx.functions the serial oracle runs).
+    """Fused stage: segments -> LINKED triples in one pass, a batch at a
+    time (``kgx.functions.extract_kg.BatchLinker``: one sentence buffer per
+    batch, one predicate and one alias scan over it, subject/object choice
+    and candidate scoring as arrays).  Its rows equal the serial oracle's
+    ``raw_triples_for_segment`` then ``link_raw_triple``, in order.
 
     Deployed as a TASK UDF with a per-worker-process state cache rather
     than an actor pool: the broadcast state here (alias automaton +
-    embedding dict) builds in milliseconds, and a pool of actors would
+    candidate arrays) builds in milliseconds, and a pool of actors would
     RESERVE CPUs that the streaming executor then cannot give to the
     upstream extract/segment tasks — on a fixed-size cluster that split
     halves phase-A throughput.  ``state_for`` keeps the actor-pattern
     property that matters (state built once per process, broadcast refs
-    resolved from the local object store); swap back to
+    resolved from the local object store), keyed by the refs AND the config
+    values the kernel reads, so two linkers with different rules or weights
+    in one process never share a kernel.  Swap back to
     ``map_batches(TripleLinker, concurrency=...)`` only when the stage
     state is heavy enough (a real NER/embedding model) to dwarf a CPU slot.
     """
@@ -137,26 +146,31 @@ class TripleLinker:
         self.alias_ref = alias_ref
         self.emb_ref = emb_ref
         self.cfg = cfg
+        self.settings = json.dumps(BatchLinker.settings(cfg), sort_keys=True, default=repr)
 
-    def state_for(self):
+    def state_for(self) -> BatchLinker:
         import ray
 
-        key = (self.alias_ref.hex(), self.emb_ref.hex())
+        key = (self.alias_ref.hex(), self.emb_ref.hex(), self.settings)
         state = TripleLinker._CACHE.get(key)
         if state is None:
-            matcher = AliasMatcher(ray.get(self.alias_ref))
-            predicates = PredicateMatcher(self.cfg["rules"]["predicates"])
-            embeddings = ray.get(self.emb_ref)
-            state = TripleLinker._CACHE[key] = (matcher, predicates, embeddings)
+            state = TripleLinker._CACHE[key] = BatchLinker(
+                ray.get(self.alias_ref), ray.get(self.emb_ref), self.cfg)
         return state
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        matcher, predicates, embeddings = self.state_for()
-        rows: list[dict] = []
-        for seg in batch.to_pylist():
-            for raw in raw_triples_for_segment(seg, matcher, predicates, self.cfg):
-                rows.append(link_raw_triple(raw, matcher, embeddings, self.cfg))
-        return _rows_to_table(rows, LINKED_FULL)
+        return linked_table(self.state_for(), batch)
+
+
+def linked_table(kernel: BatchLinker, segments: pa.Table) -> pa.Table:
+    """``kernel`` over a SEGMENTS table, as a LINKED_FULL table."""
+    seg, cols = kernel(segments["text"].to_pylist())
+    if not len(seg):
+        return LINKED_FULL.empty_table()
+    seg = pa.array(seg)
+    cols["url"] = segments["url"].take(seg)
+    cols["seg_id"] = segments["seg_id"].take(seg)
+    return pa.table({f.name: cols[f.name] for f in LINKED_FULL}, schema=LINKED_FULL)
 
 
 def entity_cooccurrence(mentions, num_partitions: int | None = None):

@@ -1,14 +1,26 @@
-"""Unit tests for mention matching, triple extraction and linking (no Ray)."""
+"""Unit tests for mention matching, triple extraction and linking, and
+for the batch kernel against the per-row functions (no Ray, except the
+stage-cache test)."""
 
 from __future__ import annotations
 
+import copy
+import re
+
+import pyarrow as pa
+import pytest
+
+from kgx import config_loader, schema, synth
 from kgx.functions.extract_kg import (
     AliasMatcher,
+    BatchLinker,
     PredicateMatcher,
     extract_raw_triples,
     link_surface,
 )
+from kgx.functions.pipeline_core import link_raw_triple, raw_triples_for_segment
 from kgx.functions.text import hash_embed, tokenize
+from kgx.stages import kg_stages
 
 ALIASES = [
     {"alias": "Acme Corp", "entity_id": 0, "canonical_name": "Acme Corp", "ner_type": "ORG", "prior": 1.0},
@@ -108,3 +120,195 @@ class TestLinking:
         assert eid == -1
         assert name == "Unknown Startup"
         assert key == "unknown startup"
+
+
+class TestCaseFolding:
+    """``AliasMatcher.find`` scans ASCII the fast way (lowered text, lowered
+    pattern) and must equal the plain ``IGNORECASE`` scan everywhere."""
+
+    TEXTS = [
+        "ACME CORP bought acme systems; Acme.",
+        "Acmeish ACME\0acme corp\0",
+        "\u212aelvin Labs met kelvin labs and KELVIN LABS",  # Kelvin sign K
+        "\u0130stanbul Bank, istanbul bank and \u0130STANBUL BANK",  # dotted capital I
+        "Z\u00fcrich Re and Z\u00dcRICH RE\0Acme Corp\0stra\u00dfe haus",
+        "Ha\u017ft AG and HAST AG and hast ag",  # long s
+        "HAST AG and hast ag",  # ASCII that a folding alias matches
+        "",
+    ]
+
+    @pytest.mark.parametrize("extra", [[], ["ha\u017ft ag"]], ids=["ascii_fast", "folding_alias"])
+    def test_find_equals_ignorecase_scan(self, extra):
+        names = ["Acme Corp", "Acme", "Acme Systems", "Kelvin Labs", "Istanbul Bank",
+                 "\u0130stanbul Bank", "Z\u00fcrich Re", "Stra\u00dfe Haus", *extra]
+        m = AliasMatcher([{"alias": a, "entity_id": i, "canonical_name": a,
+                           "ner_type": "ORG", "prior": 1.0} for i, a in enumerate(names)])
+        assert m.lexicon._fast == (not extra)  # a folding alias turns the fast scan off
+        keys = sorted(m.index, key=len, reverse=True)
+        plain = re.compile(r"\b(?:" + "|".join(map(re.escape, keys)) + r")\b", re.IGNORECASE)
+        for text in self.TEXTS:
+            want = [(x.start(), x.end(), x.group(0)) for x in plain.finditer(text)]
+            assert m.find(text) == want, text
+
+
+def _serial_table(segs: list[dict], alias_rows, embeddings, cfg) -> pa.Table:
+    """The serial oracle's per-row extraction and linking."""
+    am = AliasMatcher(alias_rows)
+    pm = PredicateMatcher(cfg["rules"]["predicates"])
+    rows = [link_raw_triple(raw, am, embeddings, cfg)
+            for seg in segs for raw in raw_triples_for_segment(seg, am, pm, cfg)]
+    return kg_stages._rows_to_table(rows, kg_stages.LINKED_FULL)
+
+
+def _assert_batch_equals_serial(segs: list[dict], alias_rows, embeddings, cfg) -> pa.Table:
+    want = _serial_table(segs, alias_rows, embeddings, cfg)
+    table = pa.Table.from_pylist(segs, schema=schema.SEGMENTS)
+    got = kg_stages.linked_table(BatchLinker(alias_rows, embeddings, cfg), table)
+    assert got.schema == want.schema
+    assert got.to_pylist() == want.to_pylist()  # rows and their order
+    assert got.equals(want)
+    return got
+
+
+def _segments(texts: list[str]) -> list[dict]:
+    return [{"url": f"u{i % 3}", "seg_id": i, "begin": 0, "end": len(t), "text": t,
+             "lang": "en"} for i, t in enumerate(texts)]
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return config_loader.resolve_settings()
+
+
+@pytest.fixture(scope="module")
+def kb():
+    return synth.build_knowledge_base()
+
+
+class TestBatchLinkerEqualsPerRow:
+    def test_generated_pages(self, cfg, kb):
+        pages = synth.gen_pages(2000, seed=3, kb=kb)
+        segs = kg_stages.SegmentPages(cfg)(kg_stages.extract_text_batch(pages)).to_pylist()
+        alias_rows = kb["alias_table"].to_pylist()
+        emb = {r["entity_id"]: r["embedding"] for r in kb["embedding_table"].to_pylist()}
+        got = _assert_batch_equals_serial(segs, alias_rows, emb, cfg)
+        assert got.num_rows > 1000
+
+    def test_hostile_segments(self, cfg):
+        cfg = copy.deepcopy(cfg)
+        cfg["processing"]["triples"].update(min_conf=0.1, max_obj_chars=12)
+        cfg["processing"]["linker"].update(w_alias=0.5, w_embed=0.3, w_ctx=0.5)
+        cfg["filters"]["min_valuable_text_length"] = 3
+        cfg["rules"]["predicates"] = [
+            {"phrase": "acquired", "pred": "acquired", "conf": 0.9},
+            {"phrase": "met with", "pred": "met", "conf": 0.8},
+            {"phrase": "mentioned", "pred": "mentioned", "conf": 0.05},  # below min_conf
+        ]
+        names = {
+            1: "Ada Doe", 2: "Globex Corp", 3: "Kelvin Labs", 4: "Istanbul Bank",
+            5: "Zurich Re Holdings", 6: "AB", 7: "Twin Alpha", 8: "Acme Systems International",
+            9: "Gemini One",
+        }
+        alias_rows = [{"alias": a, "entity_id": e, "canonical_name": names[e],
+                       "ner_type": "ORG", "prior": p} for a, e, p in [
+            ("Dr. Ada Doe", 1, 1.0), ("Ada Doe", 1, 0.9), ("Globex", 2, 1.0),
+            ("Kelvin Labs", 3, 1.0), ("Istanbul Bank", 4, 1.0),
+            ("Z\u00fcrich Re", 5, 1.0), ("AB", 6, 1.0),
+            # a score tie, prior against name overlap: 0.5 * 1.0 + 0.5 * 0
+            # == 0.5 * 0 + 0.5 * 1.0; entity 7, second in candidate order,
+            # must win on its lower entity_id
+            ("Twin", 9, 1.0), ("Twin", 7, 0.0),
+            ("Acme Systems International", 8, 1.0),
+        ]]
+        emb = {1: hash_embed(["ada", "doe"], 32),
+               2: [],  # empty: scores as cos 0.0
+               3: hash_embed(["kelvin"], 8),  # shorter than the context vector
+               4: hash_embed(["istanbul", "bank"], 48),  # longer
+               }  # 5..9: no embedding at all
+        texts = [
+            "Dr. Ada Doe acquired Globex. Ada Doe met with Globex today.",  # alias across a break
+            "\u212aelvin Labs acquired Globex and Kelvin Labs met with Ada Doe.",  # Kelvin sign
+            "\u0130stanbul Bank acquired Globex. Istanbul Bank acquired AB.",  # dotted I; short surface
+            "Z\u00fcrich Re acquired Globex \u2014 caf\u00e9 news.",
+            "Globex acquired nothing at all.",  # one mention
+            "Ada Doe mentioned Globex.",  # conf below min_conf
+            "Globex acquired Acme Systems International.",  # object truncated to 12 chars
+            "Ada Doe acquired Twin alpha.",  # score tie
+            "Ada Doe acquired Globex\0and Ada Doe met with Globex.",  # a NUL inside a segment
+            "",
+            "Globex acquired Ada Doe. Ada Doe acquired Globex acquired Kelvin Labs!",
+        ]
+        got = _assert_batch_equals_serial(_segments(texts), alias_rows, emb, cfg)
+        rows = got.to_pylist()
+        assert {"acquired", "met"} == {r["pred"] for r in rows}
+        assert any(r["obj_surface"] == "Acme Systems" for r in rows)
+        tie = [r for r in rows if r["obj_surface"] == "Twin"]
+        assert tie and tie[0]["obj_id"] == 7
+        assert any(r["subj_surface"] == "\u212aelvin Labs" for r in rows)
+
+    def test_scores_at_min_score(self, cfg):
+        """A score exactly at ``min_score`` links and one ulp under it does
+        not, so any change in how the kernel sums or orders the score
+        (``.sum(axis=1)``, ``@``, regrouped terms) flips some row."""
+        import numpy as np
+
+        from kgx.functions.pipeline_core import _ctx_features
+        from kgx.functions.text import overlap_asym
+
+        rng = np.random.default_rng(7)
+        n = 24
+        cfg = copy.deepcopy(cfg)
+        cfg["processing"]["linker"].update(w_alias=0.37, w_embed=0.29, w_ctx=0.23)
+        alias_rows = [{"alias": f"Ent{i}", "entity_id": i, "canonical_name": f"Ent{i} Holdings",
+                       "ner_type": "ORG", "prior": float(rng.random())} for i in range(n)]
+        emb = {i: rng.standard_normal(32).tolist() for i in range(n)}
+        texts = [f"Ent{i} acquired Ent{(i + 1) % n} {i}." for i in range(n)]
+        lk = cfg["processing"]["linker"]
+        for i, r in enumerate(alias_rows):  # Ent{i} is the subject of row i
+            ctx_toks, ctx_vec = _ctx_features(texts[i], lk["embed_dim"])
+            cos = 0.0
+            for x, y in zip(ctx_vec, emb[i]):
+                cos += x * y
+            ctx = overlap_asym(set(tokenize(r["canonical_name"])), set(ctx_toks))
+            score = lk["w_alias"] * r["prior"] + lk["w_embed"] * cos + lk["w_ctx"] * ctx
+            for min_score in (score, np.nextafter(score, np.inf)):
+                c = copy.deepcopy(cfg)
+                c["processing"]["linker"]["min_score"] = float(min_score)
+                got = _assert_batch_equals_serial(_segments(texts), alias_rows, emb, c)
+                assert (got["subj_id"][i].as_py() == i) == (min_score == score)
+
+    def test_nul_in_a_phrase_is_rejected(self, cfg):
+        """A NUL separates the sentences of the batch buffer, so a phrase
+        holding one could match across two sentences."""
+        bad = dict(ALIASES[0], alias="Acme\0Corp")
+        with pytest.raises(ValueError, match="NUL"):
+            BatchLinker([bad], {}, cfg)
+
+    def test_empty_batch(self, cfg, kb):
+        got = _assert_batch_equals_serial([], kb["alias_table"].to_pylist(), {}, cfg)
+        assert got.num_rows == 0
+
+    def test_empty_alias_and_predicate_tables(self, cfg):
+        cfg = copy.deepcopy(cfg)
+        texts = ["Acme Corp acquired Globex.", "", "Nothing here."]
+        got = _assert_batch_equals_serial(_segments(texts), [], {}, cfg)
+        assert got.num_rows == 0
+        cfg["rules"]["predicates"] = []
+        got = _assert_batch_equals_serial(_segments(texts), ALIASES, {}, cfg)
+        assert got.num_rows == 0
+
+
+def test_linker_state_is_keyed_by_config(ray_session, cfg, kb):
+    """Two TripleLinkers with the same broadcast refs and different
+    predicate rules, in one process, must not share a kernel."""
+    from kgx import pipeline
+
+    refs = pipeline.broadcast_kb(kb)
+    pages = synth.gen_pages(50, seed=5, kb=kb)
+    segs = kg_stages.SegmentPages(cfg)(kg_stages.extract_text_batch(pages))
+    only_first = copy.deepcopy(cfg)
+    only_first["rules"]["predicates"] = cfg["rules"]["predicates"][:1]
+    full = kg_stages.TripleLinker(refs["alias_ref"], refs["emb_ref"], cfg)(segs)
+    narrow = kg_stages.TripleLinker(refs["alias_ref"], refs["emb_ref"], only_first)(segs)
+    assert set(narrow["pred"].to_pylist()) == {cfg["rules"]["predicates"][0]["pred"]}
+    assert set(full["pred"].to_pylist()) > set(narrow["pred"].to_pylist())
