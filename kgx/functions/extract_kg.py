@@ -98,6 +98,20 @@ class _Lexicon:
         )
         ascii_alts = [k for k in alts if k.isascii()]
         self._ascii = _alternation(ascii_alts, 0) if ascii_alts else None
+        self._alts = alts
+
+    def key(self, surface: str) -> str:
+        """The phrase a span of ``spans`` matched: its ``lower()``, or when
+        that is no phrase (``IGNORECASE`` matches 'İ' to 'i', but
+        'İ'.lower() is two code points) the first phrase, longest first,
+        that matches the whole span — the alternation's own choice, since
+        any phrase matching the whole span would have matched at its
+        start."""
+        low = surface.lower()
+        if low in self._alts:
+            return low
+        return next(k for k in self._alts
+                    if re.fullmatch(re.escape(k), surface, re.IGNORECASE))
 
     def spans(self, text: str) -> list[tuple[int, int]]:
         """Non-overlapping (begin, end) matches, left to right."""
@@ -182,8 +196,12 @@ class PredicateMatcher:
 
     def find(self, text: str) -> list[tuple[int, int, str, float]]:
         """(begin, end, canonical_pred, conf) occurrences."""
-        return [(b, e, *self.by_phrase[text[b:e].lower()])
-                for b, e in self.lexicon.spans(text)]
+        spans = self.lexicon.spans(text)
+        try:
+            return [(b, e, *self.by_phrase[text[b:e].lower()]) for b, e in spans]
+        except KeyError:
+            return [(b, e, *self.by_phrase[self.lexicon.key(text[b:e])])
+                    for b, e in spans]
 
 
 def sentence_bounds(text: str) -> list[tuple[int, int]]:
@@ -377,8 +395,12 @@ class BatchLinker:
             return none, _columns([], [], ([], [], none), [], np.zeros(0, np.float32))
         pb, pe = np.array(pspan, dtype=np.int64).reshape(-1, 2).T
         ab, ae = np.array(aspan, dtype=np.int64).reshape(-1, 2).T
-        pid = np.fromiter((self.pred_of[buf[b:e].lower()] for b, e in pspan),
-                          np.int64, len(pspan))
+        try:
+            pid = np.fromiter((self.pred_of[buf[b:e].lower()] for b, e in pspan),
+                              np.int64, len(pspan))
+        except KeyError:
+            pid = np.fromiter((self.pred_of[self.predicates.lexicon.key(buf[b:e])]
+                               for b, e in pspan), np.int64, len(pspan))
         conf = self.pred_conf[pid]
 
         # subject: the last mention ending at or before the predicate;

@@ -377,6 +377,18 @@ def minhash_from_codes(codes, num_perm: int = 64, seed: int = 7):
     derive from stable_hash64, no RNG state."""
     import numpy as np
 
+    a, b = _minhash_v2_params(num_perm, seed)
+    if len(codes) == 0:
+        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        hashed = a[:, None] * codes[None, :] + b[:, None]  # uint64 wrap
+    return hashed.min(axis=1)
+
+
+def _minhash_v2_params(num_perm: int, seed: int):
+    """The (a, b) uint64 vectors of ``minhash_from_codes``'s hash family."""
+    import numpy as np
+
     key = ("v2", num_perm, seed)
     params = _MINHASH_CACHE.get(key)
     if params is None:
@@ -389,12 +401,58 @@ def minhash_from_codes(codes, num_perm: int = 64, seed: int = 7):
             dtype=np.uint64,
         )
         params = _MINHASH_CACHE[key] = (a, b)
-    a, b = params
-    if len(codes) == 0:
-        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        hashed = a[:, None] * codes[None, :] + b[:, None]  # uint64 wrap
-    return hashed.min(axis=1)
+    return params
+
+
+_MINHASH_CHUNK = 1 << 19  # (perm, code) cells hashed per step: 4 MiB of uint64
+
+
+def minhash_matrix(texts, num_perm: int = 64, k: int = 5, seed: int = 7):
+    """``minhash_from_codes(shingle_codes(t, k))`` for a whole batch of
+    texts at once: ``(rows, sig)``, the indices of the texts whose
+    normalized form is non-empty (the others have no shingle) and their
+    signatures as a ``(len(rows), num_perm)`` uint64 matrix, equal bit for
+    bit to the per-text calls.
+
+    The normalized texts go into one byte buffer, each followed by ``k-1``
+    NULs, so the window at a text's start is ``shingle_codes``'s
+    NUL-padded code when the text is shorter than ``k``, and no other
+    window crosses into the next text.  Codes are hashed in chunks of
+    about ``_MINHASH_CHUNK`` cells and reduced per text with
+    ``np.minimum.reduceat``; a duplicate code changes no minimum, so the
+    per-text ``np.unique`` is not needed."""
+    import numpy as np
+
+    if k > 8:
+        raise ValueError("shingle_codes packs bytes into uint64: k <= 8")
+    enc = [normalize_ws((t or "").lower()).encode("utf-8") for t in texts]
+    lens = np.fromiter(map(len, enc), dtype=np.int64, count=len(enc))
+    rows = np.flatnonzero(lens)
+    sig = np.full((len(rows), num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
+    if len(rows) == 0:
+        return rows, sig
+    lens = lens[rows]
+    pad = b"\0" * (k - 1)
+    buf = np.frombuffer(pad.join(e for e in enc if e) + pad, dtype=np.uint8)
+    n_win = np.maximum(lens - k + 1, 1)
+    first = np.cumsum(n_win) - n_win  # each text's first window
+    doc_start = np.cumsum(lens + (k - 1)) - (lens + (k - 1))
+    pos = np.arange(int(n_win.sum())) + np.repeat(doc_start - first, n_win)
+    codes = np.zeros(len(pos), dtype=np.uint64)
+    for j in range(k):
+        codes |= buf[pos + j].astype(np.uint64) << np.uint64(8 * j)
+
+    a, b = _minhash_v2_params(num_perm, seed)
+    step = max(1, _MINHASH_CHUNK // num_perm)
+    for lo in range(0, len(codes), step):
+        hi = min(lo + step, len(codes))
+        d0 = int(np.searchsorted(first, lo, "right")) - 1
+        d1 = int(np.searchsorted(first, hi, "left"))
+        seg = np.maximum(first[d0:d1], lo) - lo
+        hashed = a[:, None] * codes[None, lo:hi]  # uint64 wrap
+        hashed += b[:, None]
+        sig[d0:d1] = np.minimum(sig[d0:d1], np.minimum.reduceat(hashed, seg, axis=1).T)
+    return rows, sig
 
 
 # Per-token (bucket, sign) memo for hash_embed: the md5 in stable_hash64 is

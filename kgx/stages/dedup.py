@@ -15,7 +15,11 @@ merge, seen-set exact distinct):
                          no all-pairs, no false negatives.
 * minhash_lsh_pairs    — MinHash signatures (char-shingles) banded into
                          buckets; candidate pairs verified with the
-                         signature's Jaccard estimate (Broder '97).
+                         signature's Jaccard estimate (Broder '97).  Batch
+                         at a time: one signature matrix per batch, each
+                         bucket verified as one numpy equality count, and
+                         each pair of exact buckets verified and emitted
+                         once (its first shared band).
 * simhash_pairs        — 64-bit SimHash + pigeonhole banding: with 4 16-bit
                          bands, any pair within Hamming distance <= 3 shares
                          at least one exact band, so the band groupby is an
@@ -31,6 +35,7 @@ columns.  Every operator streams: per-doc state is computed inside
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,8 +44,7 @@ import pyarrow as pa
 from ..functions.text import (
     hamming64,
     md5_fingerprint,
-    minhash_from_codes,
-    shingle_codes,
+    minhash_matrix,
     simhash64,
     stable_hash64,
     tokenize,
@@ -182,6 +186,87 @@ def _multi_buckets(t: pa.Table, keys: list[str]):
     return t, [order[s:e] for s, e in zip(starts, ends) if e - s > 1]
 
 
+# Pairs a vectorized bucket kernel handles per step: its gathered rows are
+# O(_PAIR_CHUNK x row width) whatever the bucket sizes
+_PAIR_CHUNK = 1 << 15
+
+
+@functools.lru_cache(maxsize=None)
+def _triu_cached(g: int):
+    return np.triu_indices(g, 1)
+
+
+def _triu(g: int):
+    """(i, j) index arrays of every pair i < j < g; cached for the small
+    sizes nearly every bucket has, so the cache stays a few MiB."""
+    return _triu_cached(g) if g <= 64 else np.triu_indices(g, 1)
+
+
+def _buckets(keys: list[np.ndarray], doc_ids: np.ndarray, cap: int,
+             order_by: np.ndarray):
+    """The vectorized form of ``_multi_buckets`` plus the kernels' per-bucket
+    doc_id de-dup: ``(rows, starts, sizes)``, where ``rows[s:s+g]`` are the
+    row indices of one bucket (equal ``keys``), one row per doc_id — the
+    last in table order, as a dict keyed by doc_id keeps.
+
+    Exact buckets (g <= ``cap``) are ordered by doc_id.  An over-cap bucket
+    is ordered by (``order_by`` row, doc_id) — an (n, w) int64 matrix
+    compared lexicographically, as tuples are — so identical signatures sit
+    adjacent and the window pairs stay connectivity-preserving."""
+    n = len(doc_ids)  # >= 1: kernels never see zero rows
+    order = np.lexsort((np.arange(n), doc_ids, *reversed(keys)))
+    last = np.ones(n, dtype=bool)  # last row of its (keys, doc_id) run
+    last[:-1] = doc_ids[order[1:]] != doc_ids[order[:-1]]
+    for k in keys:
+        last[:-1] |= k[order[1:]] != k[order[:-1]]
+    rows = order[last]
+    change = np.zeros(len(rows), dtype=bool)
+    change[0] = True
+    for k in keys:
+        change[1:] |= k[rows[1:]] != k[rows[:-1]]
+    starts = np.flatnonzero(change)
+    sizes = np.diff(np.append(starts, len(rows)))
+    for s, g in zip(starts[sizes > cap], sizes[sizes > cap]):
+        r = rows[s : s + g]
+        rows[s : s + g] = r[np.lexsort((doc_ids[r], *order_by[r].T[::-1]))]
+    return rows, starts, sizes
+
+
+def _bucket_pairs(starts: np.ndarray, sizes: np.ndarray, cap: int, window: int):
+    """The vectorized ``_bounded_index_pairs`` over every bucket of
+    ``_buckets``: yields ``(i, j, exact)`` position arrays into its ``rows``,
+    at most about ``_PAIR_CHUNK`` pairs at a time, never mixing exact and
+    over-cap buckets.  Exact buckets give all their pairs (one cached
+    ``triu_indices`` per bucket size, offset by each bucket's start);
+    over-cap buckets give each member's ``window`` next neighbours."""
+    exact = (sizes >= 2) & (sizes <= cap)
+    for g in np.unique(sizes[exact]):
+        ti, tj = _triu(int(g))
+        st = starts[exact & (sizes == g)][:, None]
+        per = max(1, _PAIR_CHUNK // len(ti))
+        for lo in range(0, len(st), per):
+            for q in range(0, len(ti), _PAIR_CHUNK):
+                blk = st[lo : lo + per]
+                yield ((blk + ti[q : q + _PAIR_CHUNK]).ravel(),
+                       (blk + tj[q : q + _PAIR_CHUNK]).ravel(), True)
+    off = np.arange(1, window + 1)
+    step = max(1, _PAIR_CHUNK // max(window, 1))
+    for s, g in zip(starts[sizes > cap], sizes[sizes > cap]):
+        for lo in range(0, g, step):
+            i = np.arange(lo, min(lo + step, g))[:, None]
+            j = i + off
+            inside = j < g
+            yield s + np.broadcast_to(i, j.shape)[inside], s + j[inside], False
+
+
+def _pair_table(a: list[np.ndarray], b: list[np.ndarray]) -> pa.Table:
+    """(id_a < id_b) rows from the doc ids of each side of some pairs."""
+    a = np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
+    b = np.concatenate(b) if b else np.zeros(0, dtype=np.int64)
+    return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)},
+                    schema=_PAIR_SCHEMA)
+
+
 def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
     """Partition kernel: all qualifying pairs (true Jaccard) across every
     prefix-hash bucket in this partition."""
@@ -227,18 +312,15 @@ def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
 def _candidate_pair_kernel(t: pa.Table, keys: list[str]) -> pa.Table:
     """Bucket kernel for the slim layout: emit UNVERIFIED (id_a < id_b)
     candidate pairs, docs sorted by (sig_hash, doc_id) for the capped path."""
-    t, buckets = _multi_buckets(t, keys)
+    doc = t["doc_id"].to_numpy()
+    rows, starts, sizes = _buckets(
+        [t[k].to_numpy() for k in keys], doc, VERIFY_GROUP_CAP,
+        t["sig_hash"].to_numpy()[:, None])
     a_out, b_out = [], []
-    for idx in buckets:
-        g = t.take(pa.array(idx))
-        uniq = {d: sh for d, sh in
-                zip(g["doc_id"].to_pylist(), g["sig_hash"].to_pylist())}
-        docs = sorted(uniq.items(), key=lambda kv: (kv[1], kv[0]))
-        for i, j in _bounded_index_pairs(len(docs)):
-            a, b = docs[i][0], docs[j][0]
-            a_out.append(min(a, b))
-            b_out.append(max(a, b))
-    return pa.table({"id_a": a_out, "id_b": b_out}, schema=_PAIR_SCHEMA)
+    for i, j, _ in _bucket_pairs(starts, sizes, VERIFY_GROUP_CAP, _CAP_WINDOW):
+        a_out.append(doc[rows[i]])
+        b_out.append(doc[rows[j]])
+    return _pair_table(a_out, b_out)
 
 
 _PAY_TYPE = pa.list_(pa.int64())
@@ -451,106 +533,187 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.8):
 
 # ---------------------------------------------------------------------------
 # MinHash + LSH banding
+#
+# All three MinHash operators (minhash_lsh_pairs, edit_prefix_pairs and
+# minhash_band_balance) build their rows a batch at a time: one signature
+# matrix per batch (``minhash_matrix``), band hashes as one vectorized mix
+# per band of it (``_band_hashes``), and list columns written from the
+# matrix directly.
 # ---------------------------------------------------------------------------
+
+_SIG_MASK = np.uint64((1 << 62) - 1)
+_BAND_ROWS = pa.schema(
+    [("band", pa.int32()), ("band_hash", pa.int64()),
+     ("doc_id", pa.int64()), ("sig", pa.list_(pa.int64()))]
+)
+_SLIM_BAND_ROWS = pa.schema(
+    [("band", pa.int32()), ("band_hash", pa.int64()),
+     ("doc_id", pa.int64()), ("sig_hash", pa.int64())]
+)
+
+
+def _signatures(batch: pa.Table, num_perm: int, shingle_k: int):
+    """(doc_ids, signatures): one int64 row per doc with a shingle (docs
+    whose normalized text is empty have none and are skipped), each
+    ``minhash_from_codes(shingle_codes(text))`` masked to 62 bits."""
+    rows, sig = minhash_matrix(batch["text"].to_pylist(), num_perm, shingle_k)
+    return (batch["doc_id"].to_numpy()[rows],
+            (sig & _SIG_MASK).astype(np.int64))
+
+
+def _fmix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, a bijection of uint64 (wrapping arithmetic)."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _band_hashes(sig: np.ndarray, bands: int, rows_per_band: int) -> np.ndarray:
+    """(n, bands) int64 hashes in [0, 2^62) of each band's
+    ``rows_per_band`` signature values, chained through ``_fmix64`` one
+    value column at a time.  With ``bands=1, rows_per_band=num_perm`` it
+    is the hash of the whole signature."""
+    cells = sig[:, : bands * rows_per_band].reshape(len(sig), bands, rows_per_band)
+    h = np.zeros((len(sig), bands), dtype=np.uint64)
+    for c in range(rows_per_band):
+        h = _fmix64(h ^ cells[:, :, c].astype(np.uint64))
+    return (h & _SIG_MASK).astype(np.int64)
+
+
+def _list_column(mat: np.ndarray) -> pa.Array:
+    """list<int64> column with one list per row of an (n, w) int64 matrix."""
+    n, w = mat.shape
+    offsets = pa.array(np.arange(n + 1, dtype=np.int32) * w, type=pa.int32())
+    return pa.ListArray.from_arrays(offsets, pa.array(mat.reshape(-1), type=pa.int64()))
+
+
+def _list_matrix(col) -> np.ndarray:
+    """(n, w) int64 matrix of a list<int64> column whose lists all hold w
+    values; raises ValueError on ragged lists."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
+    n = len(arr)
+    w = len(flat) // n if n else 0
+    if n and (len(flat) != n * w or arr.value_lengths().to_numpy().min() != w):
+        raise ValueError("signature lists differ in length")
+    return flat.astype(np.int64, copy=False).reshape(n, w)
 
 
 def _minhash_band_rows(
     batch: pa.Table, num_perm: int, bands: int, shingle_k: int
 ) -> pa.Table:
-    """doc -> one row per band: (band, band_hash, doc_id, sig:list<int64>).
+    """doc -> one row per band: (band, band_hash, doc_id, sig:list<int64>),
+    doc-major.
 
     The signature (num_perm x 8 bytes) rides along so candidate verification
     uses the signature Jaccard ESTIMATE in-group — no second join against the
     shingle sets (which would move the corpus again)."""
-    rows_per_band = num_perm // bands
-    out = {"band": [], "band_hash": [], "doc_id": [], "sig": []}
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        codes = shingle_codes(text or "", k=shingle_k)
-        if len(codes) == 0:
-            continue
-        sig = (
-            (minhash_from_codes(codes, num_perm=num_perm) & np.uint64((1 << 62) - 1))
-            .astype(np.int64)
-            .tolist()
-        )
-        for b in range(bands):
-            chunk = sig[b * rows_per_band : (b + 1) * rows_per_band]
-            bh = stable_hash64("|".join(map(str, chunk))) % (1 << 62)
-            out["band"].append(b)
-            out["band_hash"].append(bh)
-            out["doc_id"].append(doc_id)
-            out["sig"].append(sig)
+    ids, sig = _signatures(batch, num_perm, shingle_k)
     return pa.table(
-        out,
-        schema=pa.schema(
-            [("band", pa.int32()), ("band_hash", pa.int64()),
-             ("doc_id", pa.int64()), ("sig", pa.list_(pa.int64()))]
-        ),
+        {
+            "band": np.tile(np.arange(bands, dtype=np.int32), len(ids)),
+            "band_hash": _band_hashes(sig, bands, num_perm // bands).reshape(-1),
+            "doc_id": np.repeat(ids, bands),
+            "sig": _list_column(np.repeat(sig, bands, axis=0)),
+        },
+        schema=_BAND_ROWS,
     )
 
 
-def _verify_minhash_kernel(t: pa.Table, threshold: float) -> pa.Table:
-    t, buckets = _multi_buckets(t, ["band", "band_hash"])
+def _min_eq(num_perm: int, threshold: float) -> int:
+    """Fewest equal signature values c with ``c / num_perm >= threshold``
+    (the estimate's float comparison, decided once per count)."""
+    return next((c for c in range(num_perm + 1) if c / num_perm >= threshold),
+                num_perm + 1)
+
+
+def _earlier_exact_band(band, band_hash, doc, rows, sizes, cap):
+    """The first-band rule of ``_verify_minhash_kernel``: a function of two
+    row-index arrays (pairs from one exact bucket each) that is True where
+    the pair also shares a bucket of an EARLIER band that is exact and in
+    this table — that bucket verifies and emits the pair, so a later one
+    need not.  A bucket lives whole in one kernel call, so "in this table"
+    is known here; a pair whose earlier shared bucket is over cap or in
+    another call is kept, and ``distinct_pairs`` folds the repeats.
+
+    None when a doc_id repeats within a band: buckets may then keep
+    different rows of one doc_id, and the rule would not hold."""
+    bands, bi = np.unique(band, return_inverse=True)
+    docs, di = np.unique(doc, return_inverse=True)
+    cell = di * len(bands) + bi
+    if len(np.unique(cell)) < len(cell):
+        return None
+    shape = (len(docs), len(bands))
+    h = np.zeros(shape, dtype=np.int64)
+    h[di, bi] = band_hash
+    exact = np.zeros(shape, dtype=bool)
+    exact[di[rows], bi[rows]] = np.repeat((sizes >= 2) & (sizes <= cap), sizes)
+    earlier = np.arange(len(bands))
+
+    def shared(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        dx, dy = di[x], di[y]
+        same = (h[dx] == h[dy]) & exact[dx] & exact[dy]
+        return (same & (earlier < bi[x][:, None])).any(axis=1)
+
+    return shared
+
+
+def _verify_minhash_kernel(t: pa.Table, threshold: float,
+                           cap: int | None = None,
+                           window: int | None = None) -> pa.Table:
+    """Bucket kernel of ``minhash_lsh_pairs`` over band rows: every pair
+    whose signature estimate is >= ``threshold``, from each
+    (band, band_hash) bucket, one row per doc_id (the last).
+
+    Exact buckets (at most ``cap`` docs, default ``VERIFY_GROUP_CAP``) give
+    all their pairs, an over-cap bucket each member's ``window`` (default
+    ``_CAP_WINDOW``) next neighbours under a (signature, doc_id) sort.  An
+    exact bucket skips a pair that shares an earlier exact band bucket of
+    this table (``_earlier_exact_band``), so with no over-cap bucket each
+    pair is verified and emitted once.  The estimate is an equality count
+    over the signature matrix, ``_PAIR_CHUNK`` pairs at a time, compared
+    with ``_min_eq``."""
+    cap = VERIFY_GROUP_CAP if cap is None else cap
+    window = _CAP_WINDOW if window is None else window
+    band, band_hash = t["band"].to_numpy(), t["band_hash"].to_numpy()
+    doc, sig = t["doc_id"].to_numpy(), _list_matrix(t["sig"])
+    rows, starts, sizes = _buckets([band, band_hash], doc, cap, sig)
+    shared = _earlier_exact_band(band, band_hash, doc, rows, sizes, cap)
+    min_eq = _min_eq(sig.shape[1], threshold)
     a_out, b_out = [], []
-    for idx in buckets:
-        g = t.take(pa.array(idx))
-        # sort by (signature, doc_id): identical signatures adjacent, so the
-        # capped window path stays connectivity-preserving on degenerate buckets
-        docs = sorted(
-            {d: tuple(s) for d, s in
-             zip(g["doc_id"].to_pylist(), g["sig"].to_pylist())}.items(),
-            key=lambda kv: (kv[1], kv[0]),
-        )
-        for i, j in _bounded_index_pairs(len(docs)):
-            sa, sb = docs[i][1], docs[j][1]
-            est = sum(x == y for x, y in zip(sa, sb)) / len(sa)
-            if est >= threshold:
-                a, b = docs[i][0], docs[j][0]
-                a_out.append(min(a, b))
-                b_out.append(max(a, b))
-    return pa.table({"id_a": a_out, "id_b": b_out}, schema=_PAIR_SCHEMA)
+    for i, j, exact in _bucket_pairs(starts, sizes, cap, window):
+        x, y = rows[i], rows[j]
+        if exact and shared is not None:
+            keep = ~shared(x, y)
+            x, y = x[keep], y[keep]
+        ok = (sig[x] == sig[y]).sum(axis=1) >= min_eq
+        a_out.append(doc[x[ok]])
+        b_out.append(doc[y[ok]])
+    return _pair_table(a_out, b_out)
 
 
 def _minhash_sig_rows(batch: pa.Table, num_perm: int, shingle_k: int) -> pa.Table:
     """doc -> ONE payload row (doc_id, signature, signature hash)."""
-    ids, pays, hashes = [], [], []
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        codes = shingle_codes(text or "", k=shingle_k)
-        if len(codes) == 0:
-            continue
-        sig = (
-            (minhash_from_codes(codes, num_perm=num_perm) & np.uint64((1 << 62) - 1))
-            .astype(np.int64)
-            .tolist()
-        )
-        ids.append(doc_id)
-        pays.append(sig)
-        hashes.append(stable_hash64("|".join(map(str, sig))) % (1 << 62))
+    ids, sig = _signatures(batch, num_perm, shingle_k)
     return pa.table(
-        {"doc_id": ids, "pay": pays, "sig_hash": hashes}, schema=_PAYLOAD_TABLE
+        {"doc_id": ids, "pay": _list_column(sig),
+         "sig_hash": _band_hashes(sig, 1, num_perm)[:, 0]},
+        schema=_PAYLOAD_TABLE,
     )
 
 
 def _band_rows_slim(batch: pa.Table, bands: int, rows_per_band: int) -> pa.Table:
-    """payload table -> slim band rows (band, band_hash, doc_id, sig_hash)."""
-    out = {"band": [], "band_hash": [], "doc_id": [], "sig_hash": []}
-    for doc_id, sig, sh in zip(
-        batch["doc_id"].to_pylist(), batch["pay"].to_pylist(),
-        batch["sig_hash"].to_pylist(),
-    ):
-        for b in range(bands):
-            chunk = sig[b * rows_per_band : (b + 1) * rows_per_band]
-            bh = stable_hash64("|".join(map(str, chunk))) % (1 << 62)
-            out["band"].append(b)
-            out["band_hash"].append(bh)
-            out["doc_id"].append(doc_id)
-            out["sig_hash"].append(sh)
+    """payload table -> slim band rows (band, band_hash, doc_id, sig_hash),
+    with the band hashes of ``_minhash_band_rows``."""
+    ids, sig = batch["doc_id"].to_numpy(), _list_matrix(batch["pay"])
     return pa.table(
-        out,
-        schema=pa.schema(
-            [("band", pa.int32()), ("band_hash", pa.int64()),
-             ("doc_id", pa.int64()), ("sig_hash", pa.int64())]
-        ),
+        {
+            "band": np.tile(np.arange(bands, dtype=np.int32), len(ids)),
+            "band_hash": _band_hashes(sig, bands, rows_per_band).reshape(-1),
+            "doc_id": np.repeat(ids, bands),
+            "sig_hash": np.repeat(batch["sig_hash"].to_numpy(), bands),
+        },
+        schema=_SLIM_BAND_ROWS,
     )
 
 
@@ -568,17 +731,23 @@ def minhash_lsh_pairs(
     probability is ~1e-9, so on corpora with well-separated dup clusters the
     output matches the exact join (tests assert this vs the serial oracle).
     Each band row carries the full signature, so verification happens inside
-    the band bucket (one exchange).
+    the band bucket (one exchange).  ``distinct_pairs`` stays: an over-cap
+    bucket, or an earlier shared bucket in another kernel call, can still
+    emit a pair that another band's bucket emits too.  The bucket cap and
+    window are read when the plan is built, so the kernel sees the same
+    values on every route.
     """
     from .exchange import hash_partitioned_apply
 
+    cap, window = VERIFY_GROUP_CAP, _CAP_WINDOW
     band_rows = docs_ds.map_batches(
         lambda b: _minhash_band_rows(b, num_perm, bands, shingle_k),
         batch_format="pyarrow",
     )
     cands = hash_partitioned_apply(
         band_rows, ["band", "band_hash"],
-        lambda t: _verify_minhash_kernel(t, threshold), kernel_format="pyarrow",
+        lambda t: _verify_minhash_kernel(t, threshold, cap, window),
+        kernel_format="pyarrow",
     )
     return distinct_pairs(cands)
 

@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from kgx.functions.text import (
@@ -123,12 +124,164 @@ class TestNgramJaccard:
         assert D._prefix_len(1, 0.8) == 1
 
 
+def minhash_kernel_reference(t: pa.Table, threshold: float, cap: int,
+                             window: int) -> set[tuple[int, int]]:
+    """The per-pair bucket loop the vectorized ``_verify_minhash_kernel``
+    replaced: per (band, band_hash) bucket, one row per doc_id (the last),
+    sorted by (signature, doc_id); all pairs of an exact bucket, the window
+    pairs of an over-cap one; estimate >= threshold."""
+    t, buckets = D._multi_buckets(t, ["band", "band_hash"])
+    out = set()
+    for idx in buckets:
+        g = t.take(pa.array(idx))
+        docs = sorted(
+            {d: tuple(s) for d, s in
+             zip(g["doc_id"].to_pylist(), g["sig"].to_pylist())}.items(),
+            key=lambda kv: (kv[1], kv[0]),
+        )
+        for i, j in D._bounded_index_pairs(len(docs), cap, window):
+            sa, sb = docs[i][1], docs[j][1]
+            if sum(x == y for x, y in zip(sa, sb)) / len(sa) >= threshold:
+                a, b = docs[i][0], docs[j][0]
+                out.add((min(a, b), max(a, b)))
+    return out
+
+
+def band_rows_of(ids, sig: np.ndarray, bands: int) -> pa.Table:
+    """``_minhash_band_rows``'s layout over given signatures."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return pa.table(
+        {"band": np.tile(np.arange(bands, dtype=np.int32), len(ids)),
+         "band_hash": D._band_hashes(sig, bands, sig.shape[1] // bands).reshape(-1),
+         "doc_id": np.repeat(ids, bands),
+         "sig": D._list_column(np.repeat(sig, bands, axis=0))},
+        schema=D._BAND_ROWS,
+    )
+
+
+def kernel_rows(t: pa.Table) -> list[tuple[int, int]]:
+    return list(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist()))
+
+
+HOSTILE_TEXTS = [None, "", " \t\n ", "abc", "x", "Stra\u00dfe \u0130stanbul caf\u00e9",
+                 "\u65e5\u672c\u8a9e\u306e\u30c6\u30ad\u30b9\u30c8",
+                 "the quick brown fox", "THE  quick\u00a0brown fox", "a" * 3000]
+
+
+class TestMinhashBatchBuilders:
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default_chunk", "tiny_chunk"])
+    @pytest.mark.parametrize("texts", [HOSTILE_TEXTS, ["one doc only"], []],
+                             ids=["hostile", "one_doc", "empty_batch"])
+    def test_signatures_equal_per_doc(self, monkeypatch, texts, chunk):
+        from kgx.functions import text as T
+
+        if chunk is not None:
+            monkeypatch.setattr(T, "_MINHASH_CHUNK", chunk)
+        batch = pa.table({"doc_id": pa.array(range(10, 10 + len(texts)), pa.int64()),
+                          "text": pa.array(texts, pa.string())})
+        want = {}
+        for d, x in zip(batch["doc_id"].to_pylist(), texts):
+            codes = shingle_codes(x or "", k=5)
+            if len(codes):
+                sig = minhash_from_codes(codes, num_perm=64) & np.uint64((1 << 62) - 1)
+                want[d] = sig.astype(np.int64).tolist()
+        pays = D._minhash_sig_rows(batch, 64, 5)
+        assert dict(zip(pays["doc_id"].to_pylist(), pays["pay"].to_pylist())) == want
+        assert pays["doc_id"].to_pylist() == list(want)
+        rows = D._minhash_band_rows(batch, 64, 16, 5)
+        assert rows.num_rows == 16 * len(want)
+        assert rows["doc_id"].to_pylist() == [d for d in want for _ in range(16)]
+        assert rows["sig"].to_pylist() == [want[d] for d in want for _ in range(16)]
+        slim = D._band_rows_slim(pays, 16, 4)
+        assert slim["band_hash"].equals(rows["band_hash"])
+        assert slim["band"].equals(rows["band"])
+
+    def test_band_hashes_bucket_like_the_chunks(self):
+        """Two docs share a band hash exactly when their band's four
+        signature values are equal."""
+        rng = np.random.default_rng(5)
+        sig = rng.integers(0, 3, size=(300, 64)).astype(np.int64)
+        h = D._band_hashes(sig, 16, 4)
+        chunks = sig.reshape(300, 16, 4)
+        for b in range(16):
+            same_hash = h[:, b][:, None] == h[:, b][None, :]
+            same_chunk = (chunks[:, b][:, None] == chunks[:, b][None, :]).all(axis=2)
+            assert np.array_equal(same_hash, same_chunk)
+        assert h.min() >= 0 and h.max() < (1 << 62)
+
+
+class TestMinhashKernel:
+    def test_no_overcap_bucket_emits_each_pair_once(self):
+        tab = dup_cluster_table()
+        rows = D._minhash_band_rows(tab, 64, 16, 5)
+        got = kernel_rows(D._verify_minhash_kernel(rows, 0.7))
+        assert len(got) == len(set(got))
+        assert set(got) == minhash_kernel_reference(rows, 0.7, D.VERIFY_GROUP_CAP,
+                                                    D._CAP_WINDOW)
+        assert len(got) > 120  # the 12 five-doc cliques at least
+
+    def test_score_at_min_eq(self):
+        """threshold 0.7 over 64 values: 45 equal values (0.703) match,
+        44 (0.6875) do not."""
+        assert D._min_eq(64, 0.7) == 45
+        base = np.arange(64, dtype=np.int64)
+        at, below = base.copy(), base.copy()
+        at[45:] += 1000
+        below[44:] += 2000
+        rows = band_rows_of([1, 2, 3], np.stack([base, at, below]), 16)
+        assert set(kernel_rows(D._verify_minhash_kernel(rows, 0.7))) == {(1, 2)}
+
+    @pytest.mark.parametrize("cap,window", [(3, 1), (4, 2), (6, 3), (2048, 64)])
+    def test_equals_reference_over_cap(self, cap, window):
+        """Small-alphabet signatures: many buckets, some over the cap, and
+        pairs whose earlier shared bucket is over the cap and a later one
+        exact.  Also with doc_ids repeated across and within buckets."""
+        rng = np.random.default_rng(cap)
+        sig = rng.integers(0, 2, size=(60, 16)).astype(np.int64)
+        sig[30:40] = sig[0]  # identical docs: one bucket per band, over cap
+        rows = band_rows_of(range(60), sig, 4)
+        want = minhash_kernel_reference(rows, 0.5, cap, window)
+        assert set(kernel_rows(D._verify_minhash_kernel(rows, 0.5, cap, window))) == want
+        dup = pa.concat_tables([rows, band_rows_of([3, 5, 7], sig[[10, 11, 12]], 4)])
+        assert (set(kernel_rows(D._verify_minhash_kernel(dup, 0.5, cap, window)))
+                == minhash_kernel_reference(dup, 0.5, cap, window))
+
+    def test_repeated_doc_id(self):
+        """Doc 1 twice: its later row replaces the earlier in their shared
+        band-0 bucket (estimate 0.5 with doc 2), while the earlier row pairs
+        with doc 2 in band 1 (estimate 1.0), so band 1 must still emit."""
+        v1 = np.arange(8, dtype=np.int64)
+        v2 = np.r_[v1[:4], v1[4:] + 100]
+        rows = band_rows_of([1, 2, 1], np.stack([v1, v1, v2]), 2)
+        assert minhash_kernel_reference(rows, 0.75, 2048, 64) == {(1, 2)}
+        assert kernel_rows(D._verify_minhash_kernel(rows, 0.75)) == [(1, 2)]
+
+
 class TestMinhashLSH:
     def test_matches_serial_reference(self, docs_ds):
         got = pairs_set(
             D.minhash_lsh_pairs(docs_ds, num_perm=64, bands=16, threshold=0.5)
         )
         assert got == minhash_brute(docs_table(), 64, 16, 0.5, 5)
+
+    def test_both_routes(self, ray_session, each_route, monkeypatch):
+        """Both exchange routes equal the brute-force reference, and with a
+        small bucket cap the per-pair reference kernel over all band rows."""
+        import ray.data as rd
+
+        small = docs_table()
+        small = small.set_column(0, "doc_id", pc.add(small["doc_id"], 1000))
+        tab = pa.concat_tables([dup_cluster_table(), small.cast(dup_cluster_table().schema)])
+        ds = rd.from_arrow(tab).repartition(3)
+        want = minhash_brute(tab, 64, 16, 0.7, 5)
+        for got in each_route(lambda: pairs_set(D.minhash_lsh_pairs(ds))):
+            assert got == want
+        monkeypatch.setattr(D, "VERIFY_GROUP_CAP", 3)
+        monkeypatch.setattr(D, "_CAP_WINDOW", 1)
+        want = minhash_kernel_reference(D._minhash_band_rows(tab, 64, 16, 5), 0.7, 3, 1)
+        assert want != minhash_brute(tab, 64, 16, 0.7, 5)
+        for got in each_route(lambda: pairs_set(D.minhash_lsh_pairs(ds))):
+            assert got == want
 
     def test_planted_near_dups_found(self, docs_ds):
         got = pairs_set(

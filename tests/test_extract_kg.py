@@ -151,6 +151,14 @@ class TestCaseFolding:
             assert m.find(text) == want, text
 
 
+    def test_predicate_matched_through_dotted_capital_i(self):
+        """IGNORECASE matches 'İ' to 'i', but 'İ'.lower() is two code
+        points, so the lowered surface is no phrase."""
+        m = PredicateMatcher([{"phrase": "acquired", "pred": "acquired", "conf": 0.9}])
+        assert m.find("Acme ACQU\u0130RED Globex") == [(5, 13, "acquired", 0.9)]
+        assert m.find("Acme acquired Globex") == [(5, 13, "acquired", 0.9)]
+
+
 def _serial_table(segs: list[dict], alias_rows, embeddings, cfg) -> pa.Table:
     """The serial oracle's per-row extraction and linking."""
     am = AliasMatcher(alias_rows)
@@ -237,9 +245,11 @@ class TestBatchLinkerEqualsPerRow:
             "Ada Doe acquired Globex\0and Ada Doe met with Globex.",  # a NUL inside a segment
             "",
             "Globex acquired Ada Doe. Ada Doe acquired Globex acquired Kelvin Labs!",
+            "Globex ACQU\u0130RED Kelvin Labs.",  # a phrase matched through 'İ'
         ]
         got = _assert_batch_equals_serial(_segments(texts), alias_rows, emb, cfg)
         rows = got.to_pylist()
+        assert [r["pred"] for r in rows if r["seg_id"] == len(texts) - 1] == ["acquired"]
         assert {"acquired", "met"} == {r["pred"] for r in rows}
         assert any(r["obj_surface"] == "Acme Systems" for r in rows)
         tie = [r for r in rows if r["obj_surface"] == "Twin"]
