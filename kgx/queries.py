@@ -550,6 +550,9 @@ def rel_sliding_window(sf_dir: str):
 
 
 def rel_native_join(sf_dir: str):
+    """Order count per customer nation: one ``lookup_join`` (the keyed
+    exchange route once the customer dimension is too big to broadcast;
+    the name predates it, when this ran Ray's native ``Dataset.join``)."""
     from .pipelines.relational import orders_per_nation_native_join
 
     return orders_per_nation_native_join(sf_dir)
@@ -742,7 +745,7 @@ def text_lm_score(sf_dir: str):
 
 def rel_semi_join_bloom(sf_dir: str):
     """Bloom-prefiltered semi-join: the 8 KB bitset broadcasts, the probe
-    side shrinks BEFORE the join exchange, the native join drops the false
+    side shrinks BEFORE the join, one semi ``lookup_join`` drops the false
     positives exactly — same rows as rel_semi_join, sketch-driven plan."""
     from .pipelines.relational import customers_with_orders_bloom
 
@@ -1460,8 +1463,8 @@ def text_langid_eval(sf_dir: str):
 def kg_entity_freshness(sf_dir: str):
     """Per-entity crawl-freshness span (entity_key, first_day, last_day,
     n_mentions) — the per-entity dual of kg_mention_timeline and the
-    prune signal for incremental KG refresh; lineage-attach exchange +
-    entity-keyed min/max/sum combiner."""
+    prune signal for incremental KG refresh; lineage attach (one url
+    ``lookup_join``) + entity-keyed min/max/sum combiner."""
     from .pipeline import broadcast_kb, linked_triples_ds
     from .stages.kg_stages import entity_freshness
 
@@ -1648,8 +1651,8 @@ def _pages_ts_ds(sf_dir: str):
 def kg_mention_timeline(sf_dir: str):
     """Crawl-freshness mention timeline (ner_type, day, n_mentions): the
     page's warc_ts re-attaches to the derived mention stream by LINEAGE —
-    a url-keyed kind-union exchange joins the cheap (url, ts) projection
-    against per-batch mention folds; pair-keyed combiner finishes."""
+    per-batch mention folds probe the cheap (url, day) projection in one
+    ``lookup_join``; pair-keyed combiner finishes."""
     from .pipeline import broadcast_kb
     from .stages.kg_stages import mention_timeline
 
@@ -4124,16 +4127,15 @@ def corpus_curate(sf_dir: str):
     Shape: ONE stats scan computes quality + langid + repetition together
     (three vectorized kernels over the same batch, filter pushed into the
     scan so only passing rows leave it); the near-dup representative set
-    comes from the existing jaccard-pair + cluster machinery; both sides
-    are doc-cardinality and meet in ONE kind-discriminated doc_id-keyed
-    semi-join exchange (the inverted-index pattern — no broadcast of either
-    side, no driver materialization)."""
-    import numpy as np
+    comes from the existing jaccard-pair + cluster machinery; the
+    survivors keep the representatives' doc_ids in one semi
+    ``lookup_join`` (broadcast while the representative set is small, a
+    doc_id-keyed exchange once it is not)."""
     import pandas as pd
 
     from .stages.cluster import dedup_representatives as _keep
     from .stages.dedup import ngram_jaccard_pairs
-    from .stages.exchange import hash_partitioned_apply
+    from .stages.exchange import lookup_join
     from .stages.text_analysis import (
         langid_batch,
         quality_batch,
@@ -4151,34 +4153,13 @@ def corpus_curate(sf_dir: str):
         ).to_numpy()
         return pd.DataFrame(
             {"doc_id": q["doc_id"].astype("int64"),
-             "n_tokens": q["n_tokens"].astype("int64"),
-             "kind": np.zeros(len(q), dtype=np.int64)}
+             "n_tokens": q["n_tokens"].astype("int64")}
         )[ok]
-
-    stats_ds = _docs_ds(sf_dir).map_batches(stats, batch_format="pandas")
 
     docs = _docs_ds(sf_dir)
     reps = _keep(docs, ngram_jaccard_pairs(docs, n=NGRAM_N, threshold=NGRAM_T))
-
-    def rep_rows(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "n_tokens": np.full(len(df), -1, dtype=np.int64),
-             "kind": np.ones(len(df), dtype=np.int64)}
-        )
-
-    u = stats_ds.union(reps.map_batches(rep_rows, batch_format="pandas"))
-
-    def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        s = d[d["kind"] == 0]
-        r = d[d["kind"] == 1]
-        out = s[s["doc_id"].isin(r["doc_id"])]
-        return pd.DataFrame(
-            {"doc_id": out["doc_id"].astype("int64"),
-             "n_tokens": out["n_tokens"].astype("int64")}
-        )
-
-    return hash_partitioned_apply(u, ["doc_id"], kernel)
+    return lookup_join(docs.map_batches(stats, batch_format="pandas"),
+                       "doc_id", reps, "doc_id", how="semi")
 
 
 def _sql_emb_pq() -> str:

@@ -2396,12 +2396,20 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
         drop=True)
     off_ref = ray.put(offsets)
 
-    def attach_and_prune(df: "pd.DataFrame") -> "pd.DataFrame":
+    pruned_schema = pa.schema(
+        [("doc_id", pa.int64()), ("source", pa.string()),
+         ("n_tokens", pa.int64()), ("score", pa.int64()),
+         ("bucket", pa.int64()), ("off", pa.int64())])
+
+    def attach_and_prune(df: "pd.DataFrame") -> pa.Table:
         off = ray.get(off_ref)
         g = df.copy()
         g["bucket"] = ((g["doc_id"].to_numpy() - lo) // bucket_w).astype(
             "int64")
-        return g.merge(off, on=["source", "score", "bucket"], how="inner")
+        # typed: an empty pandas block with an object column has no size
+        return pa.Table.from_pandas(
+            g.merge(off, on=["source", "score", "bucket"], how="inner"),
+            schema=pruned_schema, preserve_index=False)
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.sort_values(["source", "score", "bucket", "doc_id"],

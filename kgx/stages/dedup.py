@@ -158,8 +158,13 @@ VERIFY_GROUP_CAP = 2048
 _CAP_WINDOW = 64
 
 
-def _bounded_index_pairs(n: int, cap: int = VERIFY_GROUP_CAP, window: int = _CAP_WINDOW):
-    """Index pairs (i < j) to verify for a sorted group of size n."""
+def _bounded_index_pairs(n: int, cap: int | None = None,
+                         window: int | None = None):
+    """Index pairs (i < j) to verify for a sorted group of size n;
+    ``cap``/``window`` default to ``VERIFY_GROUP_CAP``/``_CAP_WINDOW`` as
+    they are when it is called."""
+    cap = VERIFY_GROUP_CAP if cap is None else cap
+    window = _CAP_WINDOW if window is None else window
     if n <= cap:
         return ((i, j) for i in range(n) for j in range(i + 1, n))
     return ((i, j) for i in range(n) for j in range(i + 1, min(i + 1 + window, n)))
@@ -267,9 +272,12 @@ def _pair_table(a: list[np.ndarray], b: list[np.ndarray]) -> pa.Table:
                     schema=_PAIR_SCHEMA)
 
 
-def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
+def _verify_jaccard_kernel(t: pa.Table, threshold: float,
+                           cap: int | None = None,
+                           window: int | None = None) -> pa.Table:
     """Partition kernel: all qualifying pairs (true Jaccard) across every
-    prefix-hash bucket in this partition."""
+    prefix-hash bucket in this partition; ``cap``/``window`` as in
+    ``_bounded_index_pairs``."""
     t, buckets = _multi_buckets(t, ["pfx_hash"])
     a_out, b_out = [], []
     for idx in buckets:
@@ -284,7 +292,7 @@ def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
             key=lambda kv: (kv[1], kv[0]),
         )
         sets = [frozenset(gr) for _, gr in docs]
-        for i, j in _bounded_index_pairs(len(docs)):
+        for i, j in _bounded_index_pairs(len(docs), cap, window):
             sa, sb = sets[i], sets[j]
             inter = len(sa & sb)
             if inter and inter / (len(sa) + len(sb) - inter) >= threshold:
@@ -299,8 +307,8 @@ def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
 #
 # Band rows carry only (band, band_hash, doc_id, sig_hash) — 32 B/row — the
 # bucket groupby emits UNVERIFIED candidate pairs, and the payloads needed to
-# verify them are resolved with two partition-only exchanges against a
-# per-doc payload table (built once).  sig_hash rides along purely as the
+# verify them attach with two ``lookup_join`` hops (one per pair endpoint)
+# against a per-doc payload table (built once).  sig_hash rides along purely as the
 # bucket sort key so identical docs stay adjacent under the over-cap window
 # (the connectivity-preservation invariant).  ``edit_prefix_pairs`` needs it
 # because its payload (a text prefix) is not what the bands hash.  The
@@ -309,15 +317,16 @@ def _verify_jaccard_kernel(t: pa.Table, threshold: float) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_pair_kernel(t: pa.Table, keys: list[str]) -> pa.Table:
+def _candidate_pair_kernel(t: pa.Table, keys: list[str], cap: int,
+                           window: int) -> pa.Table:
     """Bucket kernel for the slim layout: emit UNVERIFIED (id_a < id_b)
     candidate pairs, docs sorted by (sig_hash, doc_id) for the capped path."""
     doc = t["doc_id"].to_numpy()
     rows, starts, sizes = _buckets(
-        [t[k].to_numpy() for k in keys], doc, VERIFY_GROUP_CAP,
+        [t[k].to_numpy() for k in keys], doc, cap,
         t["sig_hash"].to_numpy()[:, None])
     a_out, b_out = [], []
-    for i, j, _ in _bucket_pairs(starts, sizes, VERIFY_GROUP_CAP, _CAP_WINDOW):
+    for i, j, _ in _bucket_pairs(starts, sizes, cap, window):
         a_out.append(doc[rows[i]])
         b_out.append(doc[rows[j]])
     return _pair_table(a_out, b_out)
@@ -326,160 +335,33 @@ def _candidate_pair_kernel(t: pa.Table, keys: list[str]) -> pa.Table:
 _PAY_TYPE = pa.list_(pa.int64())
 
 
-def _parts_for_bytes(*datasets, target_bytes: int = 64 * 1024 * 1024) -> int:
-    """Partition count for a payload-carrying exchange, sized from input
-    bytes (hundreds of near-empty sort partitions are pure fixed cost at
-    small scale; at 100 TB the same rule yields thousands)."""
-    from .exchange import _default_partitions
-
-    total = 0
-    for ds in datasets:
-        try:
-            total += ds.size_bytes() or 0
-        except Exception:
-            total += target_bytes
-    cpus = _default_partitions()
-    return max(2, min(total // target_bytes + 1, cpus * 8))
-
-
-def pairs_with_payloads(pairs_ds, payload_ds):
-    """(id_a, id_b) x (doc_id, pay) -> DISTINCT (id_a, id_b, pay_a, pay_b).
-
-    Two partition-only exchanges (union + part_id co-partition + one
-    vectorized pandas merge per partition) instead of two native hash joins
-    — same volume, none of the fixed aggregator-actor startup that dominates
-    native joins on small inputs.  Payload rows are marked by id_b = -1
-    (doc ids are non-negative by contract).  Pair dedup is FREE here: both
-    copies of a duplicate (id_a, id_b) share id_a, so they co-locate in
-    pass 1 and one drop_duplicates inside the kernel is global — no separate
-    distinct exchange."""
-    from .exchange import hash_partitioned_apply
-
-    n_parts = _parts_for_bytes(pairs_ds, payload_ds)
-
-    s1 = pa.schema([("key", pa.int64()), ("id_b", pa.int64()), ("pay", _PAY_TYPE)])
-
-    def pair_rows1(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {"key": b["id_a"], "id_b": b["id_b"], "pay": pa.nulls(b.num_rows, _PAY_TYPE)},
-            schema=s1,
-        )
-
-    def pay_rows1(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": b["doc_id"],
-                "id_b": pa.array(np.full(b.num_rows, -1, dtype=np.int64)),
-                "pay": b["pay"],
-            },
-            schema=s1,
-        )
-
-    s1_out = pa.schema(
-        [("id_a", pa.int64()), ("key", pa.int64()), ("pay_a", _PAY_TYPE), ("pay", _PAY_TYPE)]
-    )
-
-    def resolve_a(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        pays = df[df["id_b"] < 0][["key", "pay"]]
-        prs = df[df["id_b"] >= 0][["key", "id_b"]].drop_duplicates()
-        m = prs.merge(pays, on="key", how="inner")
-        return pa.table(
-            {
-                "id_a": pa.array(m["key"], type=pa.int64()),
-                "key": pa.array(m["id_b"], type=pa.int64()),
-                "pay_a": pa.array(m["pay"].tolist(), type=_PAY_TYPE),
-                "pay": pa.nulls(len(m), _PAY_TYPE),
-            },
-            schema=s1_out,
-        )
-
-    def pay_rows2(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table(
-            {
-                "id_a": pa.array(np.full(n, -1, dtype=np.int64)),
-                "key": b["doc_id"],
-                "pay_a": pa.nulls(n, _PAY_TYPE),
-                "pay": b["pay"],
-            },
-            schema=s1_out,
-        )
-
-    s2_out = pa.schema(
-        [("id_a", pa.int64()), ("id_b", pa.int64()),
-         ("pay_a", _PAY_TYPE), ("pay_b", _PAY_TYPE)]
-    )
-
-    def resolve_b(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        pays = df[df["id_a"] < 0][["key", "pay"]]
-        prs = df[df["id_a"] >= 0][["id_a", "key", "pay_a"]]
-        m = prs.merge(pays, on="key", how="inner")
-        return pa.table(
-            {
-                "id_a": pa.array(m["id_a"], type=pa.int64()),
-                "id_b": pa.array(m["key"], type=pa.int64()),
-                "pay_a": pa.array(m["pay_a"].tolist(), type=_PAY_TYPE),
-                "pay_b": pa.array(m["pay"].tolist(), type=_PAY_TYPE),
-            },
-            schema=s2_out,
-        )
-
-    u1 = pairs_ds.map_batches(pair_rows1, batch_format="pyarrow").union(
-        payload_ds.map_batches(pay_rows1, batch_format="pyarrow")
-    )
-    attached_a = hash_partitioned_apply(
-        u1, ["key"], resolve_a, kernel_format="pyarrow",
-        num_partitions=n_parts,
-    )
-    u2 = attached_a.union(payload_ds.map_batches(pay_rows2, batch_format="pyarrow"))
-    return hash_partitioned_apply(
-        u2, ["key"], resolve_b, kernel_format="pyarrow",
-        num_partitions=n_parts,
-    )
-
-
 def _verified_pairs_slim(band_rows, bucket_keys, payload_ds, verify_mask_fn):
-    """Slim-layout tail: bucket candidates -> local pre-dedup -> payload
-    resolve (which dedups pairs globally for free, see pairs_with_payloads)
-    -> vectorized verification (``verify_mask_fn(pay_a, pay_b) -> bool
-    mask`` over the pairs' payload lists)."""
-    from .exchange import hash_partitioned_apply
+    """Slim-layout tail: bucket candidates -> ``distinct_pairs`` -> two
+    endpoint ``lookup_join`` hops that attach each side's payload (doc_id
+    is unique in ``payload_ds``), the second folded by the vectorized
+    verification (``verify_mask_fn(pay_a, pay_b) -> bool mask`` over the
+    pairs' payload lists)."""
+    from .exchange import hash_partitioned_apply, lookup_join
 
-    cands = hash_partitioned_apply(
+    cap, window = VERIFY_GROUP_CAP, _CAP_WINDOW
+    cands = distinct_pairs(hash_partitioned_apply(
         band_rows, bucket_keys,
-        lambda t: _candidate_pair_kernel(t, bucket_keys),
+        lambda t: _candidate_pair_kernel(t, bucket_keys, cap, window),
         kernel_format="pyarrow",
-    )
-    # cheap LOCAL dedup (no exchange) so repeat candidates from many bands
-    # don't inflate the resolve exchange; the global dedup happens inside
-    # resolve pass 1
-    cands = cands.map_batches(
-        lambda t: pa.table(
-            {
-                c: pa.array(v, type=pa.int64())
-                for c, v in t.to_pandas().drop_duplicates().items()
-            },
-            schema=_PAIR_SCHEMA,
-        ),
-        batch_format="pyarrow",
-    )
+    ))
 
     def verify(batch: pa.Table) -> pa.Table:
-        pay_a = batch["pay_a"].to_pylist()
-        pay_b = batch["pay_b"].to_pylist()
-        mask = np.asarray(verify_mask_fn(pay_a, pay_b), dtype=bool)
-        return pa.table(
-            {
-                "id_a": pa.array(batch["id_a"].to_numpy()[mask]),
-                "id_b": pa.array(batch["id_b"].to_numpy()[mask]),
-            },
-            schema=_PAIR_SCHEMA,
-        )
+        mask = np.asarray(verify_mask_fn(batch["pay_a"].to_pylist(),
+                                         batch["pay"].to_pylist()), dtype=bool)
+        return batch.select(["id_a", "id_b"]).filter(pa.array(mask))
 
-    resolved = pairs_with_payloads(cands, payload_ds)
-    return resolved.map_batches(verify, batch_format="pyarrow")
+    payload_ds = payload_ds.materialize()  # one scan serves both hops
+    half = lookup_join(cands, "id_a", payload_ds, "doc_id", ["pay"],
+                       then=lambda t: pa.table({"id_a": t["id_a"],
+                                                "id_b": t["id_b"],
+                                                "pay_a": t["pay"]}))
+    return lookup_join(half, "id_b", payload_ds, "doc_id", ["pay"],
+                       then=verify)
 
 
 def distinct_pairs(pairs_ds):
@@ -521,11 +403,13 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.8):
     """
     from .exchange import hash_partitioned_apply
 
+    cap, window = VERIFY_GROUP_CAP, _CAP_WINDOW
     prefix = docs_ds.map_batches(
         lambda b: _ngram_prefix_rows(b, n, threshold), batch_format="pyarrow"
     )
     cands = hash_partitioned_apply(
-        prefix, ["pfx_hash"], lambda t: _verify_jaccard_kernel(t, threshold),
+        prefix, ["pfx_hash"],
+        lambda t: _verify_jaccard_kernel(t, threshold, cap, window),
         kernel_format="pyarrow",
     )
     return distinct_pairs(cands)
@@ -797,6 +681,8 @@ def simhash_pairs(docs_ds, max_hamming: int = 3, bands: int = 4):
 
     from .exchange import hash_partitioned_apply
 
+    cap, window = VERIFY_GROUP_CAP, _CAP_WINDOW
+
     def verify_kernel(t: pa.Table) -> pa.Table:
         m64 = (1 << 64) - 1
         t, buckets = _multi_buckets(t, ["band", "band_val"])
@@ -809,7 +695,7 @@ def simhash_pairs(docs_ds, max_hamming: int = 3, bands: int = 4):
                  zip(g["doc_id"].to_pylist(), g["sim"].to_pylist())}.items(),
                 key=lambda kv: (kv[1], kv[0]),
             )
-            for i, j in _bounded_index_pairs(len(docs)):
+            for i, j in _bounded_index_pairs(len(docs), cap, window):
                 if hamming64(docs[i][1], docs[j][1]) <= max_hamming:
                     a, b = docs[i][0], docs[j][0]
                     a_out.append(min(a, b))

@@ -44,11 +44,13 @@ One constant, :data:`DRIVER_BYTES`, bounds every driver-vs-exchange choice
 in this module (this route and :func:`lookup_join`'s).  It is a byte bound
 derived from driver memory, not a measured crossover: the driver route
 holds the collected blocks, one combined copy and the kernel's working
-set, so the bound is the 64 MiB that one payload-exchange partition is
-sized to hold on a worker (``dedup._parts_for_bytes``).  Rows do not bound
-memory (a MinHash band row carries a 512-byte signature).  Where the single
-driver call starts to lose against P parallel kernels on a many-CPU
-cluster has not been measured.
+set, so the bound is 64 MiB: input and copy then take about the 128 MiB
+that one Ray Data task targets for a block by default
+(``DataContext.target_max_block_size``), so the driver holds about what
+one worker task holds.  Rows do not bound memory (a MinHash band row
+carries a 512-byte signature).  Where the single driver call starts to
+lose against P parallel kernels on a many-CPU cluster has not been
+measured.
 
 On the driver route the kernel gets one batch in its producer's format
 where it can: pandas blocks for a pandas kernel are one ``pd.concat`` (no

@@ -537,6 +537,22 @@ def predicate_stats(triples_ds):
 DAY_US = 86_400_000_000
 
 
+def _page_days(ts_ds):
+    """(url, day): the crawl day (warc_ts floored to epoch days) of every
+    page of a (url, warc_ts) projection with a timestamp — the dimension
+    the lineage attaches probe (url is unique per page)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    def days(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch["warc_ts"]))
+        ts = batch["warc_ts"].cast(pa.int64()).to_numpy()
+        return pa.table({"url": batch["url"],
+                         "day": pa.array((ts // DAY_US).astype(np.int64))})
+
+    return ts_ds.map_batches(days, batch_format="pyarrow")
+
+
 def mention_timeline(pages_ds, cfg: dict, refs: dict, ts_ds=None):
     """pages + mention stream -> (ner_type, day, n_mentions): the
     crawl-freshness timeline (how entity-type mention volume moves with
@@ -544,11 +560,10 @@ def mention_timeline(pages_ds, cfg: dict, refs: dict, ts_ds=None):
     re-crawled KG build watches).
 
     The page's warc_ts never rides through the extraction chain; it
-    re-attaches by LINEAGE: a url-keyed kind-union partition exchange
-    joins the cheap (url, warc_ts) projection against per-batch
-    (url, ner_type, cnt) mention folds — the generic
-    attach-source-metadata-to-derived-rows shape.  The kernel floors ts
-    to epoch days and folds to <= |types| x |days| rows per partition; a
+    re-attaches by LINEAGE: per-batch (url, ner_type, cnt) mention folds
+    probe the cheap (url, day) projection in one ``lookup_join`` — the
+    generic attach-source-metadata-to-derived-rows shape — whose fold
+    sums to <= |types| x |days| rows per batch or partition; a
     pair-keyed combiner finishes.
 
     ``ts_ds`` optionally supplies the (url, warc_ts) projection from a
@@ -556,64 +571,28 @@ def mention_timeline(pages_ds, cfg: dict, refs: dict, ts_ds=None):
     is a two-column pruned parquet read; the synth query path derives it
     vectorized from documents.parquet — the generator's per-row Python
     would otherwise run twice)."""
-    import numpy as np
     import pandas as pd
 
     from ..pipeline import mentions_ds
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
-
-    ments = mentions_ds(pages_ds, cfg, refs)
-
-    def ts_rows(batch: pa.Table) -> "pd.DataFrame":
-        import pyarrow.compute as pc
-
-        batch = batch.filter(pc.and_(pc.is_valid(batch["url"]),
-                                     pc.is_valid(batch["warc_ts"])))
-        return pd.DataFrame(
-            {"url": batch["url"].to_pandas().to_numpy(),
-             "kind": np.zeros(batch.num_rows, dtype=np.int64),
-             "ner_type": "",
-             "cnt": np.zeros(batch.num_rows, dtype=np.int64),
-             "ts": batch["warc_ts"].cast(pa.int64()).to_numpy()})
+    from .exchange import hash_partitioned_agg, lookup_join
 
     def mention_rows(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby(["url", "ner_type"], sort=False, as_index=False).agg(
             cnt=("ner_type", "size"))
-        g["kind"] = np.int64(1)
-        g["ts"] = np.int64(0)
         g["cnt"] = g["cnt"].astype("int64")
-        return g[["url", "kind", "ner_type", "cnt", "ts"]]
+        return g
+
+    def day_counts(t: pa.Table) -> "pd.DataFrame":
+        return t.to_pandas().groupby(["ner_type", "day"], sort=False,
+                                     as_index=False).agg(
+            n_mentions=("cnt", "sum"))
 
     ts_src = ts_ds if ts_ds is not None \
         else pages_ds.select_columns(["url", "warc_ts"])
-    union = ts_src.map_batches(ts_rows, batch_format="pyarrow").union(
-        ments.map_batches(mention_rows, batch_format="pandas"))
-
-    _EMPTY = pd.DataFrame(
-        {"ner_type": pd.Series([], dtype=object),
-         "day": pd.Series([], dtype="int64"),
-         "n_mentions": pd.Series([], dtype="int64")})
-
-    def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        pages = df[df["kind"] == 0].drop_duplicates(subset=["url"])
-        m = df[df["kind"] == 1]
-        if not (len(pages) and len(m)):
-            return _EMPTY
-        j = m.merge(pages[["url", "ts"]].rename(columns={"ts": "pts"}),
-                    on="url", how="inner")
-        j["day"] = (j["pts"].to_numpy(np.int64) // DAY_US).astype(np.int64)
-        g = j.groupby(["ner_type", "day"], sort=False, as_index=False).agg(
-            n_mentions=("cnt", "sum"))
-        g["n_mentions"] = g["n_mentions"].astype("int64")
-        return g[["ner_type", "day", "n_mentions"]]
-
-    # one partition per CPU: the per-url kernel is uniform, so the 8x
-    # straggler default only buys barrier latency (the kg_entity_pmi
-    # P-sweep lesson; measured 4.1 -> 2.2 s here)
-    from .exchange import _default_partitions
-
-    partials = hash_partitioned_apply(union, ["url"], kernel,
-                                      _default_partitions())
+    partials = lookup_join(
+        mentions_ds(pages_ds, cfg, refs).map_batches(mention_rows,
+                                                     batch_format="pandas"),
+        "url", _page_days(ts_src), "url", ["day"], then=day_counts)
     return hash_partitioned_agg(
         partials, ["ner_type", "day"],
         lambda df: df.groupby(["ner_type", "day"], sort=False,
@@ -661,28 +640,12 @@ def entity_freshness(linked_ds, ts_ds):
     mention_timeline and a prune signal for incremental KG refresh.
 
     Same lineage-attach shape: per-batch (url, entity_key) count partials
-    from BOTH mention sides meet the timestamp projection in a url-keyed
-    kind-union partition exchange (one partition per CPU — uniform
-    kernel); the kernel floors ts to epoch days and pre-folds each
-    entity to (first, last, n); an entity-keyed min/max/sum combiner
-    finishes."""
-    import numpy as np
+    from BOTH mention sides probe the (url, day) projection in one
+    ``lookup_join`` whose fold pre-folds each entity to (first, last, n);
+    an entity-keyed min/max/sum combiner finishes."""
     import pandas as pd
 
-    from .exchange import (_default_partitions, hash_partitioned_agg,
-                           hash_partitioned_apply)
-
-    def ts_rows(batch: pa.Table) -> "pd.DataFrame":
-        import pyarrow.compute as pc
-
-        batch = batch.filter(pc.and_(pc.is_valid(batch["url"]),
-                                     pc.is_valid(batch["warc_ts"])))
-        return pd.DataFrame(
-            {"url": batch["url"].to_pandas().to_numpy(),
-             "kind": np.zeros(batch.num_rows, dtype=np.int64),
-             "entity_key": "",
-             "cnt": np.zeros(batch.num_rows, dtype=np.int64),
-             "ts": batch["warc_ts"].cast(pa.int64()).to_numpy()})
+    from .exchange import hash_partitioned_agg, lookup_join
 
     def mention_rows(df: "pd.DataFrame") -> "pd.DataFrame":
         sm = pd.concat([
@@ -690,36 +653,18 @@ def entity_freshness(linked_ds, ts_ds):
             pd.DataFrame({"url": df["url"], "entity_key": df["obj_key"]})])
         g = sm.groupby(["url", "entity_key"], sort=False,
                        as_index=False).agg(cnt=("entity_key", "size"))
-        g["kind"] = np.int64(1)
-        g["ts"] = np.int64(0)
         g["cnt"] = g["cnt"].astype("int64")
-        return g[["url", "kind", "entity_key", "cnt", "ts"]]
+        return g
 
-    union = ts_ds.map_batches(ts_rows, batch_format="pyarrow").union(
-        linked_ds.map_batches(mention_rows, batch_format="pandas"))
-
-    _EMPTY = pd.DataFrame(
-        {"entity_key": pd.Series([], dtype=object),
-         "first_day": pd.Series([], dtype="int64"),
-         "last_day": pd.Series([], dtype="int64"),
-         "n_mentions": pd.Series([], dtype="int64")})
-
-    def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        pages = df[df["kind"] == 0].drop_duplicates(subset=["url"])
-        m = df[df["kind"] == 1]
-        if not (len(pages) and len(m)):
-            return _EMPTY
-        j = m.merge(pages[["url", "ts"]].rename(columns={"ts": "pts"}),
-                    on="url", how="inner")
-        j["day"] = (j["pts"].to_numpy(np.int64) // DAY_US).astype(np.int64)
-        g = j.groupby("entity_key", sort=False, as_index=False).agg(
+    def spans(t: pa.Table) -> "pd.DataFrame":
+        return t.to_pandas().groupby("entity_key", sort=False,
+                                     as_index=False).agg(
             first_day=("day", "min"), last_day=("day", "max"),
             n_mentions=("cnt", "sum"))
-        g["n_mentions"] = g["n_mentions"].astype("int64")
-        return g[["entity_key", "first_day", "last_day", "n_mentions"]]
 
-    partials = hash_partitioned_apply(union, ["url"], kernel,
-                                      _default_partitions())
+    partials = lookup_join(
+        linked_ds.map_batches(mention_rows, batch_format="pandas"), "url",
+        _page_days(ts_ds), "url", ["day"], then=spans)
     return hash_partitioned_agg(
         partials, ["entity_key"],
         lambda df: df.groupby("entity_key", sort=False, as_index=False).agg(
@@ -1447,13 +1392,12 @@ def inverse_pred_support(triples_ds):
              "d": (~fwd).astype("int64"),
              "pred": df["pred"].astype(str).to_numpy()}).drop_duplicates()
 
-    def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"pred_a": pd.Series([], dtype=object),
-             "pred_b": pd.Series([], dtype=object),
-             "n_ab": pd.Series([], dtype="int64")})
-        if not len(df):
-            return empty
+    pair_schema = pa.schema([("pred_a", pa.string()), ("pred_b", pa.string()),
+                             ("n_ab", pa.int64())])
+
+    def kernel(df: "pd.DataFrame") -> pa.Table:
+        # typed Arrow: an empty pandas block with object columns has no
+        # size Ray can compute
         d = df.drop_duplicates()
         loops = d[d["u"] == d["v"]]
         outs = []
@@ -1474,13 +1418,13 @@ def inverse_pred_support(triples_ds):
             outs.append(m1[["pred_a", "pred_b"]])
             outs.append(m2[["pred_a", "pred_b"]])
         if not outs:
-            return empty
+            return pair_schema.empty_table()
         g = pd.concat(outs, ignore_index=True)
         out = g.groupby(["pred_a", "pred_b"], sort=False,
                         as_index=False).size() \
             .rename(columns={"size": "n_ab"})
-        out["n_ab"] = out["n_ab"].astype("int64")
-        return out
+        return pa.Table.from_pandas(out, schema=pair_schema,
+                                    preserve_index=False)
 
     tagged = triples_ds.select_columns(["subj", "pred", "obj"]).map_batches(
         partial, batch_format="pandas").materialize()

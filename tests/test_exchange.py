@@ -629,14 +629,21 @@ def test_lookup_join_duplicate_dim_key_raises(ray_session, each_route):
 def test_one_lookup_join():
     """Key lookups go through ``lookup_join``: no per-operator broadcast
     threshold anywhere in the package (``DRIVER_BYTES`` is the one
-    driver-vs-exchange bound), and no hand-written sorted-array probe or
+    driver-vs-exchange bound), no native ``Dataset.join`` and no raw
+    ``map_groups`` outside the exchange module, no partition-sizing or
+    payload-resolve helper, and no hand-written sorted-array probe or
     kind-union helper left in the relational operators."""
     root = Path(__file__).resolve().parent.parent / "kgx"
-    gate = re.compile(r"broadcast_limit|broadcast_deg_limit|BCAST_LIMIT")
+    gate = re.compile(r"broadcast_limit|broadcast_deg_limit|BCAST_LIMIT"
+                      r"|join_type=|def (_join_partitions|_parts_for_bytes"
+                      r"|pairs_with_payloads)\(")
     gated = [f"{f.relative_to(root)}: {m.group()}"
              for f in sorted(root.rglob("*.py"))
              for m in gate.finditer(f.read_text())]
-    assert not gated, f"per-operator broadcast threshold in {gated}"
+    assert not gated, f"per-operator join plan in {gated}"
+    grouped = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
+               if f.name != "exchange.py" and "map_groups(" in f.read_text()]
+    assert not grouped, f"map_groups outside exchange.py in {grouped}"
     rel = (root / "pipelines" / "relational.py").read_text()
     helpers = re.findall(r"def (_lookup|_sorted_map|_ku)\(", rel)
     assert not helpers, f"relational.py defines {helpers}"

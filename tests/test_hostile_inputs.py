@@ -115,3 +115,54 @@ class TestNullSourceMatchesMirror:
         assert want["source"].isna().any()
         assert got["source"].isna().any(), "NULL source group lost"
         assert mismatch(got, want) is None
+
+
+class TestNullDimensionMatchesMirror:
+    """A customer with a NULL c_mktsegment or c_nationkey forms a NULL group
+    in the DuckDB mirrors; the operators that attach those columns to the
+    orders must keep that group too (not drop its rows), on both routes."""
+
+    @pytest.mark.parametrize("name,col", [
+        ("rel_broadcast_join", "c_mktsegment"),
+        ("rel_topk_per_group", "c_mktsegment"),
+        ("rel_native_join", "c_nationkey"),
+        ("rel_grouped_median", "c_nationkey"),
+        ("rel_grouped_quantiles", "c_nationkey"),
+    ])
+    def test_null_attached_group(self, ray_session, each_route, tmp_path,
+                                 name, col):
+        import shutil
+        import sys
+        from pathlib import Path
+
+        import duckdb
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from kgx import queries
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                               / "scripts"))
+        from check_queries import mismatch, to_pandas
+
+        sf = Path("/root/testdata/sf0.001")
+        shutil.copy(sf / "orders.parquet", tmp_path / "orders.parquet")
+        cust = pq.read_table(sf / "customer.parquet")
+        key = cust["c_custkey"].to_numpy()
+        for c, r in (("c_mktsegment", 0), ("c_nationkey", 3)):
+            i = cust.schema.get_field_index(c)
+            cust = cust.set_column(i, c, pc.if_else(
+                pa.array(key % 7 == r), pa.nulls(len(key), cust[c].type),
+                cust[c]))
+        pq.write_table(cust, tmp_path / "customer.parquet")
+
+        con = duckdb.connect()
+        for t in ("orders", "customer"):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet("
+                        f"'{tmp_path / f'{t}.parquet'}')")
+        want = con.execute(queries.oracle_sql()[name]).df()
+        assert want[col].isna().any()
+        for got in each_route(
+                lambda: to_pandas(queries.registry()[name](str(tmp_path)))):
+            assert got[col].isna().any(), "NULL group lost"
+            assert mismatch(got, want) is None

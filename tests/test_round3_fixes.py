@@ -22,6 +22,15 @@ def test_jaccard_capped_bucket_connects_identical_docs(monkeypatch):
 
     monkeypatch.setattr(D, "VERIFY_GROUP_CAP", 8)
     monkeypatch.setattr(D, "_CAP_WINDOW", 2)
+    checked = []  # pairs verified per bucket
+    bounded = D._bounded_index_pairs
+
+    def counted(*args):
+        pairs = list(bounded(*args))
+        checked.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(D, "_bounded_index_pairs", counted)
 
     # 12 docs in one bucket: two identical gram sets at doc_id 0 and 11
     # (maximally separated), ten unrelated-but-bucket-sharing fillers.
@@ -42,6 +51,8 @@ def test_jaccard_capped_bucket_connects_identical_docs(monkeypatch):
     out = D._verify_jaccard_kernel(t, threshold=0.9)
     pairs = set(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
     assert (0, 11) in pairs
+    # the over-cap window path ran: 10 x 2 + 1 pairs, not all 66
+    assert checked == [21]
 
 
 # ---------------------------------------------------------------------------
