@@ -26,9 +26,17 @@ import pyarrow.compute as pc
 
 
 def _read(sf_dir: str, table: str, columns: list[str]):
+    """``columns`` of ``{sf_dir}/{table}.parquet``, read without the file's
+    pandas metadata: a block schema that carries it (a dict) cannot be
+    hashed, so Ray logs a warning and runs its full schema unify on every
+    block concat."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    return rd.read_parquet(str(Path(sf_dir) / f"{table}.parquet"), columns=columns)
+    path = str(Path(sf_dir) / f"{table}.parquet")
+    schema = pq.read_schema(path)
+    return rd.read_parquet(path, columns=columns, schema=pa.schema(
+        [schema.field(c) for c in columns]))
 
 
 def _nonnull(ds, cols: list[str]):
@@ -396,8 +404,6 @@ def events_trailing_hour(sf_dir: str):
         df = df.sort_values(["user_id", "ts", "event_id"])
         us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         users = df["user_id"].to_numpy()
-        if len(df) == 0:
-            return pd.DataFrame({"event_id": df["event_id"], "n_last_hour": us})
         # per-user blocks (sorted by ts within each): tight cumulative base
         # offsets make one GLOBAL monotone key where windows cannot bleed
         # across users — a single searchsorted for the whole partition
@@ -642,13 +648,7 @@ def event_funnel(sf_dir: str, a: str = "click", b: str = "purchase",
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[df["event_type"].isin([a, b])]
         if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_a": pd.Series([], dtype="int64"),
-                    "n_converted": pd.Series([], dtype="int64"),
-                }
-            )
+            return pd.DataFrame()
         df = df.sort_values(["user_id", "ts", "event_id"])
         us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         users = df["user_id"].to_numpy()
@@ -873,10 +873,16 @@ def lineitem_rollup(sf_dir: str):
     exchange, no second aggregation pass over the data."""
     import numpy as np
     import pandas as pd
+    import ray.data as rd
 
     from ..stages.exchange import hash_partitioned_agg
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"])
+    # the grand total exists over no rows too (SQL's aggregate without
+    # GROUP BY): one zero partial seeds it
+    total0 = rd.from_pandas(pd.DataFrame(
+        {"l_returnflag": ["ALL"], "l_linestatus": ["ALL"], "n_rows": [0],
+         "sum_qty": [0]}))
 
     def levels(df: "pd.DataFrame") -> "pd.DataFrame":
         qty = np.floor(df["l_quantity"].to_numpy() + 0.5).astype("int64")
@@ -911,7 +917,7 @@ def lineitem_rollup(sf_dir: str):
         ).agg(n_rows=("n_rows", "sum"), sum_qty=("sum_qty", "sum"))
 
     return hash_partitioned_agg(
-        ds.map_batches(levels, batch_format="pandas"),
+        ds.map_batches(levels, batch_format="pandas").union(total0),
         ["l_returnflag", "l_linestatus"], combine,
     )
 
@@ -1259,24 +1265,17 @@ def event_gap_stats(sf_dir: str):
     from ..stages.exchange import hash_partitioned_apply
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {c: pd.Series([], dtype="int64")
-             for c in ["user_id", "n_gaps", "min_gap_us", "max_gap_us",
-                       "p50_gap_us"]}
-        )
         df = df.dropna(subset=["ts", "user_id"])  # NaT would poison diffs
-        if not len(df):
-            return empty
+        if len(df) < 2:
+            return pd.DataFrame()
         df = df.sort_values(["user_id", "ts", "event_id"])
         us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         users = df["user_id"].to_numpy().astype(np.int64)
-        if len(df) < 2:
-            return empty
         same = users[1:] == users[:-1]
         gu = users[1:][same]
         gv = (us[1:] - us[:-1])[same]
         if not len(gu):
-            return empty
+            return pd.DataFrame()
         order = np.lexsort((gv, gu))       # sort by (user, gap)
         gu, gv = gu[order], gv[order]
         starts = np.flatnonzero(np.r_[True, gu[1:] != gu[:-1]])
@@ -2432,6 +2431,8 @@ def cohort_matrix(sf_dir: str):
     def pairs(batch: "pa.Table") -> "pa.Table":
         batch = batch.filter(pc.and_(pc.is_valid(batch["user_id"]),
                                      pc.is_valid(batch["ts"])))
+        if not batch.num_rows:
+            return pa.table({})
         u = batch["user_id"].to_numpy().astype(np.int64)
         wk = (batch["ts"].cast(pa.int64()).to_numpy()
               // 86_400_000_000) // 7
@@ -2447,10 +2448,6 @@ def cohort_matrix(sf_dir: str):
         u, wk = u[order], wk[order]
         keep = np.r_[True, (u[1:] != u[:-1]) | (wk[1:] != wk[:-1])]
         u, wk = u[keep], wk[keep]
-        if not len(u):
-            return pa.table({"cohort_week": pa.array([], pa.int64()),
-                             "weeks_since": pa.array([], pa.int64()),
-                             "n_users": pa.array([], pa.int64())})
         starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
         sizes = np.diff(np.append(starts, len(u)))
         cohort = np.repeat(wk[starts], sizes)  # sorted: first wk = min
@@ -2712,9 +2709,7 @@ def blame_supplier_counts(sf_dir: str, k: int = 20):
         g = df.groupby(["k", "s"], sort=False, as_index=False).agg(
             smax=("smax", "max"))
         if not len(g):
-            return pd.DataFrame(
-                {"s_suppkey": pd.Series([], dtype="int64"),
-                 "numwait": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         byk = g.groupby("k")["smax"]
         omax = byk.transform("max")
         n_supp = g.groupby("k")["s"].transform("size")  # rows are distinct
@@ -2987,13 +2982,12 @@ def top_supplier_revenue(sf_dir: str):
         ["s_suppkey"], combine)
 
     def local_max(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return df
         return df[df["revenue_cents"] == df["revenue_cents"].max()] \
             .reset_index(drop=True)
 
     return finish(rev.map_batches(local_max, batch_format="pandas"),
-                  local_max)
+                  local_max, schema=pa.schema([("s_suppkey", pa.int64()),
+                                               ("revenue_cents", pa.int64())]))
 
 
 def sql_top_supplier_revenue() -> str:
@@ -3106,11 +3100,6 @@ def event_type_cooccurrence(sf_dir: str):
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df.drop_duplicates().sort_values(["user_id", "event_type"])
-        if not len(d):
-            return pd.DataFrame(
-                {"type_a": pd.Series([], dtype=object),
-                 "type_b": pd.Series([], dtype=object),
-                 "n_users": pd.Series([], dtype="int64")})
         u = d["user_id"].to_numpy()
         t = d["event_type"].to_numpy()
         starts, sizes = _group_bounds(u)
@@ -3641,11 +3630,6 @@ def part_concentration(sf_dir: str):
     line = _read(sf_dir, "lineitem",
                  ["l_partkey", "l_suppkey", "l_quantity"])
 
-    _PAIR_EMPTY = pd.DataFrame(
-        {"pk": pd.Series([], dtype="int64"),
-         "sk": pd.Series([], dtype="int64"),
-         "q": pd.Series([], dtype="int64")})
-
     def pair_partial(batch: "pa.Table") -> "pd.DataFrame":
         cols = ["l_partkey", "l_suppkey", "l_quantity"]
         ok = pc.is_valid(batch[cols[0]])
@@ -3653,7 +3637,7 @@ def part_concentration(sf_dir: str):
             ok = pc.and_(ok, pc.is_valid(batch[c]))
         batch = batch.filter(ok)
         if not batch.num_rows:
-            return _PAIR_EMPTY
+            return pd.DataFrame()
         g = pd.DataFrame(
             {"pk": batch["l_partkey"].to_numpy().astype(np.int64),
              "sk": batch["l_suppkey"].to_numpy().astype(np.int64),
@@ -3727,19 +3711,15 @@ def event_transitions(sf_dir: str):
             pc.is_valid(batch["event_type"]))
         return batch.filter(mask)
 
-    _EMPTY = pd.DataFrame({"prev_type": pd.Series([], dtype="object"),
-                           "next_type": pd.Series([], dtype="object"),
-                           "n_pairs": pd.Series([], dtype="int64")})
-
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         if len(df) < 2:
-            return _EMPTY
+            return pd.DataFrame()
         df = df.sort_values(["user_id", "ts", "event_id"])
         users = df["user_id"].to_numpy()
         types = df["event_type"].to_numpy()
         same = users[1:] == users[:-1]
         if not same.any():
-            return _EMPTY
+            return pd.DataFrame()
         g = pd.DataFrame({"prev_type": types[:-1][same],
                           "next_type": types[1:][same]})
         out = g.groupby(["prev_type", "next_type"], sort=False,
@@ -4041,12 +4021,12 @@ def rfm_segments(sf_dir: str):
         cleaned.map_batches(cust_partial, batch_format="pandas"),
         ["c"], cust_combine)
 
-    gd = int(pa.Table.to_pandas(collect_arrow(
+    # None only when there are no rows, and then bucketize never runs
+    gd = pc.max(collect_arrow(
         cleaned.map_batches(
-            lambda df: pd.DataFrame({"gd": [np.int64(df["day"].max())]})
-            if len(df) else pd.DataFrame({"gd": pd.Series([], dtype="int64")}),
+            lambda df: pd.DataFrame({"gd": [np.int64(df["day"].max())]}),
             batch_format="pandas"),
-        pa.table({"gd": pa.array([], pa.int64())})))["gd"].max())
+        pa.table({"gd": pa.array([], pa.int64())}))["gd"]).as_py()
 
     def bucketize(df: "pd.DataFrame") -> "pd.DataFrame":
         r = _bucket3(gd - df["md"].to_numpy(), RFM_R_DAYS)
@@ -4157,8 +4137,7 @@ def conversion_lag(sf_dir: str, from_type: str = LAG_FROM,
         to = d[d["kind"] == 1].merge(fr, on="u", how="inner")
         to = to[to["ts"] >= to["f"]]
         if not len(to):
-            return pd.DataFrame({"lag_hours": pd.Series([], dtype="int64"),
-                                 "n_users": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         g = to.groupby("u", as_index=False).agg(ts=("ts", "min"),
                                                 f=("f", "min"))
         lag = ((g["ts"] - g["f"]) // bucket_us).astype("int64")
@@ -4217,7 +4196,8 @@ def decile_report(sf_dir: str):
     import numpy as np
     import pandas as pd
 
-    from ..stages.exchange import hash_partitioned_agg, hash_partitioned_apply
+    from ..stages.exchange import (collect_arrow, hash_partitioned_agg,
+                                   hash_partitioned_apply)
 
     CELLS = 4096
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -4239,15 +4219,12 @@ def decile_report(sf_dir: str):
             cents=("cents", "sum"))).materialize()
 
     # driver-scale scalar folds: [min, max] span + total customer count
-    stats = cust.map_batches(
+    stats = collect_arrow(cust.map_batches(
         lambda df: pd.DataFrame(
             {"lo": [df["cents"].min()], "hi": [df["cents"].max()],
-             "n": [len(df)]}) if len(df) else pd.DataFrame(
-            {"lo": pd.Series([], dtype="int64"),
-             "hi": pd.Series([], dtype="int64"),
-             "n": pd.Series([], dtype="int64")}),
-        batch_format="pandas").to_pandas()
-    if not len(stats):
+             "n": [len(df)]}),
+        batch_format="pandas")).to_pandas()
+    if not len(stats):  # no customers
         return pd.DataFrame(
             {"decile": pd.Series([], dtype="int64"),
              "n_customers": pd.Series([], dtype="int64"),
@@ -4270,7 +4247,8 @@ def decile_report(sf_dir: str):
             batch_format="pandas"),
         ["cell"],
         lambda df: df.groupby("cell", sort=False, as_index=False).agg(
-            n=("n", "sum"))).to_pandas().sort_values("cell")
+            n=("n", "sum")))
+    hist = collect_arrow(hist).to_pandas()  # not empty: stats had rows
     offsets = np.zeros(CELLS, dtype=np.int64)
     np.add.at(offsets, hist["cell"].to_numpy(dtype=np.int64),
               hist["n"].to_numpy(dtype=np.int64))

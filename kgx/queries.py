@@ -20,6 +20,7 @@ from pathlib import Path
 from . import config_loader, synth
 from .functions import textstats as ts
 from .functions.pipeline_core import segments_for_page
+from .pipelines.relational import _read
 
 DOC_URL_SQL = "'https://synth.example/' || source || '/' || doc_id"
 _TEXT = "coalesce(text, '')"
@@ -51,19 +52,11 @@ SEGCOUNT_MAX_CHARS = 400
 
 
 def _docs_ds(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), columns=["doc_id", "text"]
-    )
+    return _read(sf_dir, "documents", ["doc_id", "text"])
 
 
 def _emb_ds(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(
-        str(Path(sf_dir) / "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
+    return _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
 from functools import lru_cache as _lru_cache
@@ -712,11 +705,7 @@ def doc_sample_stratified(sf_dir: str):
 
 
 def _docs_ds_with_source(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), columns=["doc_id", "source"]
-    )
+    return _read(sf_dir, "documents", ["doc_id", "source"])
 
 
 def sketch_bloom(sf_dir: str):
@@ -724,13 +713,9 @@ def sketch_bloom(sf_dir: str):
     distinct (bit,) rows — the mergeable sketch a shuffle-avoiding
     semi-join broadcasts when the exact key set is too big
     (kgx.stages.sketch.bloom_membership_mask is the probe side)."""
-    import ray.data as rd
-
     from .stages.sketch import bloom_build
 
-    orders = rd.read_parquet(
-        str(Path(sf_dir) / "orders.parquet"), columns=["o_custkey"]
-    )
+    orders = _read(sf_dir, "orders", ["o_custkey"])
     return bloom_build(orders, "o_custkey")
 
 
@@ -844,14 +829,9 @@ def doc_mixture(sf_dir: str):
     measured token totals (uniform-mixture rebalance at a half-corpus
     budget) — one pinned stats scan, a |sources|-row totals exchange, a
     driver-scale integer plan, one vectorized filter."""
-    import ray.data as rd
-
     from .stages.corpus import mixture_sample
 
-    docs = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return mixture_sample(docs)
 
 
@@ -971,13 +951,9 @@ def emb_cluster_purity(sf_dir: str):
     deterministic Lloyd fit — the external clustering-evaluation input;
     one extra streaming pass (packed-key np.unique per batch), pair-keyed
     combiner exchange."""
-    import ray.data as rd
-
     from .stages.kmeans import kmeans_purity
 
-    ds = rd.read_parquet(
-        str(Path(sf_dir) / "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     return kmeans_purity(ds)
 
 
@@ -1103,11 +1079,6 @@ def kg_pred_cooccurrence(sf_dir: str):
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df.drop_duplicates().sort_values(["ns", "pred"])
-        if not len(d):
-            return pd.DataFrame(
-                {"pred_a": pd.Series([], dtype=object),
-                 "pred_b": pd.Series([], dtype=object),
-                 "n_subjects": pd.Series([], dtype="int64")})
         s = d["ns"].to_numpy()
         p = d["pred"].to_numpy()
         starts, sizes = _group_bounds(s)
@@ -1187,9 +1158,6 @@ def kg_boilerplate(sf_dir: str):
     cfg2 = _kg_sql_cfg()
     tok_re = re.compile(r"[a-z0-9_]+")
 
-    _EMPTY = pd.DataFrame({"seg_key": pd.Series([], dtype="int64"),
-                           "n_urls": pd.Series([], dtype="int64")})
-
     def partial(batch: "pa.Table") -> "pd.DataFrame":
         keys: list[int] = []
         for r in batch.to_pylist():
@@ -1205,7 +1173,7 @@ def kg_boilerplate(sf_dir: str):
                     page_keys.add(stable_hash64(k) % (1 << 62))
             keys.extend(page_keys)
         if not keys:
-            return _EMPTY
+            return pd.DataFrame()
         u, cnt = np.unique(np.asarray(keys, dtype=np.int64),
                            return_counts=True)
         return pd.DataFrame({"seg_key": u, "n_urls": cnt.astype(np.int64)})
@@ -1265,8 +1233,6 @@ def kg_pagerank_share(sf_dir: str, k: int = 15):
 
     def partial(t: "pa.Table") -> "pd.DataFrame":
         v = t["pr"].to_numpy()
-        if not len(v):
-            return _EMPTY
         top = np.sort(v)[-k:]
         return pd.DataFrame(
             {"kind": np.concatenate([[0], np.ones(len(top), np.int64)]),
@@ -1342,12 +1308,10 @@ def text_char_classes(sf_dir: str):
     (the rel_q6 shape over text)."""
     import pandas as pd
     import pyarrow as pa
-    import ray.data as rd
 
     from .stages.exchange import collect_arrow
 
-    ds = rd.read_parquet(str(Path(sf_dir) / "documents.parquet"),
-                         columns=["text"])
+    ds = _read(sf_dir, "documents", ["text"])
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         t = df["text"].fillna("")
@@ -1403,13 +1367,9 @@ def doc_source_stats(sf_dir: str):
     """Per-source corpus inventory (n_docs, total_chars, max_chars,
     n_langs): one (source, lang)-keyed combiner exchange, driver-scale
     pair rollup where count(pairs) IS the distinct-language count."""
-    import ray.data as rd
-
     from .stages.corpus import source_stats
 
-    return source_stats(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["text", "lang", "source"]))
+    return source_stats(_read(sf_dir, "documents", ["text", "lang", "source"]))
 
 
 def rel_event_cooccurrence(sf_dir: str):
@@ -1451,13 +1411,9 @@ def text_langid_eval(sf_dir: str):
     ground-truth lang column — reuses the vectorized marker scan
     verbatim, per-batch C-level pair folds, pair-keyed combiner;
     O(batches x langs^2) exchange rows."""
-    import ray.data as rd
-
     from .stages.text_analysis import langid_confusion
 
-    return langid_confusion(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "text", "lang"]))
+    return langid_confusion(_read(sf_dir, "documents", ["doc_id", "text", "lang"]))
 
 
 def kg_entity_freshness(sf_dir: str):
@@ -1501,8 +1457,6 @@ def kg_growth_curve(sf_dir: str):
 
     def day_partial(t: "pa.Table") -> "pd.DataFrame":
         d = t["first_day"].to_numpy()
-        if not len(d):
-            return _EMPTY
         u, cnt = np.unique(d, return_counts=True)
         return pd.DataFrame({"day": u.astype(np.int64),
                              "n_new": cnt.astype(np.int64)})
@@ -1547,8 +1501,6 @@ def kg_new_entities(sf_dir: str, window_days: int = 2):
 
     def day_max(batch: "pa.Table") -> "pa.Table":
         ts = batch["warc_ts"].cast(pa.int64()).to_numpy()
-        if not len(ts):
-            return pa.table({"day": pa.array([], pa.int64())})
         return pa.table({"day": pa.array(
             [int((ts // 86_400_000_000).max())], pa.int64())})
 
@@ -1566,8 +1518,6 @@ def kg_new_entities(sf_dir: str, window_days: int = 2):
                          ("n_mentions", pa.int64())])
 
     def new_only(df: "pd.DataFrame") -> "pa.Table":
-        if not len(df) or "first_day" not in df.columns:
-            return _SCHEMA.empty_table()
         fd = df["first_day"].to_numpy().astype(np.int64)
         keep = df[fd > max_day - window_days]
         return pa.table(
@@ -1627,7 +1577,6 @@ def _pages_ts_ds(sf_dir: str):
     read a real pages table would give for free (avoids re-running the
     per-row page generator just for lineage timestamps)."""
     import numpy as np
-    import ray.data as rd
 
     from .synth import EPOCH_US
 
@@ -1642,9 +1591,7 @@ def _pages_ts_ds(sf_dir: str):
         return pa.table({"url": pa.array(url, pa.string()),
                          "warc_ts": pa.array(ids * 37_000_000 + EPOCH_US)})
 
-    return rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "source"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
         ts_map, batch_format="pyarrow")
 
 
@@ -1765,12 +1712,9 @@ def text_word_len_hist(sf_dir: str):
     over-splitting); token lengths need NO vocabulary exchange: each
     batch folds straight to <= |distinct lengths| rows, tiny wlen-keyed
     combiner — strictly cheaper than every token-keyed corpus op."""
-    import ray.data as rd
-
     from .stages.corpus import word_length_histogram
 
-    return word_length_histogram(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), columns=["text"]))
+    return word_length_histogram(_read(sf_dir, "documents", ["text"]))
 
 
 def text_novelty_curve(sf_dir: str):
@@ -1781,14 +1725,11 @@ def text_novelty_curve(sf_dir: str):
     day and folds to <= |days| rows, a day combiner + bounded ratio
     block finish; crawl day derives from doc_id via the synth warc_ts
     formula."""
-    import ray.data as rd
-
     from .stages.corpus import token_novelty_curve
     from .synth import EPOCH_US
 
     return token_novelty_curve(
-        rd.read_parquet(str(Path(sf_dir) / "documents.parquet"),
-                        columns=["doc_id", "text"]),
+        _read(sf_dir, "documents", ["doc_id", "text"]),
         epoch_us=EPOCH_US)
 
 
@@ -1801,21 +1742,16 @@ def rel_order_size_hist(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from .stages.exchange import hash_partitioned_agg
 
-    line = rd.read_parquet(str(Path(sf_dir) / "lineitem.parquet"),
-                           columns=["l_orderkey"])
-
-    _EMPTY = pd.DataFrame({"okey": pd.Series([], dtype="int64"),
-                           "n": pd.Series([], dtype="int64")})
+    line = _read(sf_dir, "lineitem", ["l_orderkey"])
 
     def partial(batch: "pa.Table") -> "pd.DataFrame":
         arr = batch.filter(pc.is_valid(batch["l_orderkey"]))["l_orderkey"]
         k = arr.to_numpy().astype(np.int64)
         if not len(k):
-            return _EMPTY
+            return pd.DataFrame()
         u, cnt = np.unique(k, return_counts=True)
         return pd.DataFrame({"okey": u, "n": cnt.astype(np.int64)})
 
@@ -2028,12 +1964,9 @@ def doc_dup_ngrams(sf_dir: str):
     8-gram count and how many of those grams occur in >= 2 documents
     corpus-wide — batch-local gram dedup (a doc lives in one batch), one
     fp-keyed partition exchange, one doc-keyed combiner exchange."""
-    import ray.data as rd
-
     from .stages.corpus import dup_ngram_stats
 
-    docs = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return dup_ngram_stats(docs)
 
 
@@ -2252,14 +2185,11 @@ def kg_lang_yield(sf_dir: str):
     <= |langs| rows per partition; a tiny lang-keyed combiner finishes.
     Null-lang documents drop at ingest (mirrored in the oracle)."""
     import pandas as pd
-    import ray.data as rd
 
     from .pipeline import broadcast_kb, linked_triples_ds
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
 
-    docs = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "source", "lang"])
+    docs = _read(sf_dir, "documents", ["doc_id", "source", "lang"])
     linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
                                broadcast_kb())
 
@@ -2560,13 +2490,6 @@ def kg_publish(sf_dir: str, min_conf_pct: int = KG_PUBLISH_MIN_CONF):
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         cols = ["subj", "pred", "obj", "conf_pct", "category"]
-        if not len(df):
-            return pd.DataFrame(
-                {"subj": pd.Series([], dtype=object),
-                 "pred": pd.Series([], dtype=object),
-                 "obj": pd.Series([], dtype=object),
-                 "conf_pct": pd.Series([], dtype="int64"),
-                 "category": pd.Series([], dtype=object)})
         # deduped triples: one row per (ns, pred, no) -> group size IS the
         # distinct-object count
         n_objs = df.groupby(["ns", "pred"], sort=False)["no"] \
@@ -2591,13 +2514,9 @@ def sketch_theta(sf_dir: str):
     bottom-k prune (<= types x k rows leave any task; bottom-k of a union
     of deduped bottom-ks IS the global bottom-k), ONE type-keyed exchange
     with an in-kernel global dedup + rank."""
-    import ray.data as rd
-
     from .stages.sketch import theta_sketches
 
-    return theta_sketches(rd.read_parquet(
-        str(Path(sf_dir) / "events.parquet"),
-        columns=["event_type", "user_id"]))
+    return theta_sketches(_read(sf_dir, "events", ["event_type", "user_id"]))
 
 
 def emb_ivf_balance(sf_dir: str):
@@ -2645,13 +2564,9 @@ def sketch_theta_sources(sf_dir: str):
     md5_fingerprint == md5-of-normalized-text identity chains into the
     stable_hash64 == md5_number_upper identity, <= sources x k rows per
     task, ONE source-keyed exchange."""
-    import ray.data as rd
-
     from .stages.sketch import theta_source_sketches
 
-    return theta_source_sketches(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["source", "text"]))
+    return theta_source_sketches(_read(sf_dir, "documents", ["source", "text"]))
 
 
 def rel_region_revenue(sf_dir: str):
@@ -2866,12 +2781,9 @@ def text_vocab_overlap(sf_dir: str):
     artifact, the exact complement of the sketch_theta_sources estimate.
     One token-keyed exchange (the vocabulary crosses once); pair volume
     bounded by |sources|^2."""
-    import ray.data as rd
-
     from .stages.corpus import vocab_overlap
 
-    docs = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), columns=["source", "text"])
+    docs = _read(sf_dir, "documents", ["source", "text"])
     return vocab_overlap(docs)
 
 
@@ -2900,13 +2812,9 @@ def doc_token_budget(sf_dir: str):
     score, n_tokens, cum_tokens) — exact global ordered budget fill
     WITHOUT a global sort: bounded (source, score, bucket) offsets prune
     everything past the budget before one partition exchange."""
-    import ray.data as rd
-
     from .stages.corpus import token_budget
 
-    docs = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "source", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "source", "text"])
     return token_budget(docs)
 
 
@@ -2933,13 +2841,9 @@ def emb_centroid_drift(sf_dir: str):
     """Exact integer A/B centroid-drift profile (label, n_a, n_b, dot_q,
     na2_q, nb2_q) between the vec_id-parity halves — the embedding-health
     monitor; one (label, dim)-keyed exchange, bounded label combiner."""
-    import ray.data as rd
-
     from .stages.kmeans import centroid_drift
 
-    ds = rd.read_parquet(
-        str(Path(sf_dir) / "embeddings.parquet"),
-        columns=["vec_id", "label", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
     return centroid_drift(ds)
 
 
@@ -3046,13 +2950,9 @@ def doc_dup_by_source(sf_dir: str):
     n_distinct_fps) — the dedup-savings report a curation pass reads per
     source; the source rides the fingerprint row through ONE fp-keyed
     exchange (the doc_quality_dup shape), bounded source combiner."""
-    import ray.data as rd
-
     from .stages.corpus import dup_by_source
 
-    return dup_by_source(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "text", "source"]))
+    return dup_by_source(_read(sf_dir, "documents", ["doc_id", "text", "source"]))
 
 
 def doc_quality_by_source(sf_dir: str):
@@ -3060,13 +2960,9 @@ def doc_quality_by_source(sf_dir: str):
     n_tokens) — which sources produce high-quality token mass, the
     direct input to training-mixture weights; pure bounded combiner,
     doc rows never shuffle."""
-    import ray.data as rd
-
     from .stages.corpus import quality_by_source
 
-    return quality_by_source(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "text", "source"]))
+    return quality_by_source(_read(sf_dir, "documents", ["doc_id", "text", "source"]))
 
 
 def kg_temporal_conflicts(sf_dir: str):
@@ -3113,13 +3009,6 @@ def kg_temporal_conflicts(sf_dir: str):
                                              obj=("obj", "min"))
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
-        cols = {"subj": pd.Series([], dtype="str"),
-                "pred": pd.Series([], dtype="str"),
-                "day": pd.Series([], dtype="int64"),
-                "n_objs": pd.Series([], dtype="int64"),
-                "objs": pd.Series([], dtype="str")}
-        if not len(d):
-            return pd.DataFrame(cols)
         om = d.groupby(["ns", "pred", "day", "no"], sort=False,
                        as_index=False).agg(subj=("subj", "min"),
                                            obj=("obj", "min"))
@@ -3228,13 +3117,9 @@ def sketch_f2(sf_dir: str):
     the AMS moment family as ground truth for the sketch suite and the
     skew statistic (f2 / f1^2) a shuffle planner reads; vocabulary
     crosses the wire once (the text_zipf cost class)."""
-    import ray.data as rd
-
     from .stages.corpus import frequency_moments
 
-    return frequency_moments(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["source", "text"]))
+    return frequency_moments(_read(sf_dir, "documents", ["source", "text"]))
 
 
 def kg_neighborhood_function(sf_dir: str):
@@ -3282,13 +3167,9 @@ def doc_mix_order(sf_dir: str):
     training stream via the closed-form arithmetic-sequence rank — NO
     global sort, NO pairwise merge; the token_budget two-pass assigns
     per-source ranks and one vectorized map finishes."""
-    import ray.data as rd
-
     from .stages.corpus import mix_order
 
-    return mix_order(rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"),
-        columns=["doc_id", "source"]))
+    return mix_order(_read(sf_dir, "documents", ["doc_id", "source"]))
 
 
 def doc_shard_skew(sf_dir: str):
@@ -3342,24 +3223,16 @@ def kg_pred_paths(sf_dir: str):
         return g.rename(columns={"size": "c"})
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"pred_in": pd.Series([], dtype=object),
-             "pred_out": pd.Series([], dtype=object),
-             "n_paths": pd.Series([], dtype="int64")})
-        if not len(df):
-            return empty
         g = df.groupby(["m", "pred", "kind"], sort=False, as_index=False).agg(
             c=("c", "sum"))
         inn = g[g["kind"] == 0].rename(
             columns={"pred": "pred_in", "c": "c_in"})
         out = g[g["kind"] == 1].rename(
             columns={"pred": "pred_out", "c": "c_out"})
-        if not len(inn) or not len(out):
-            return empty
         pairs = inn[["m", "pred_in", "c_in"]].merge(
             out[["m", "pred_out", "c_out"]], on="m")
         if not len(pairs):
-            return empty
+            return pd.DataFrame()
         ci = pairs["c_in"].to_numpy()
         co = pairs["c_out"].to_numpy()
         if int(ci.max()) * int(co.max()) >= 2 ** 63:
@@ -4046,26 +3919,18 @@ def _sql_lm_score_oracle() -> str:
 def sketch_hll_grouped(sf_dir: str):
     """events -> per-event_type HLL registers of distinct user_ids (the
     grouped mergeable distinct-count sketch)."""
-    import ray.data as rd
-
     from .stages.sketch import hll_grouped_registers
 
-    ds = rd.read_parquet(
-        str(Path(sf_dir) / "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return hll_grouped_registers(ds)
 
 
 def emb_label_centroids(sf_dir: str):
     """embeddings -> integer-exact per-label prototype sums (long format) —
     the class-prototype build over the embeddings table's label column."""
-    import ray.data as rd
-
     from .stages.kmeans import label_centroids
 
-    ds = rd.read_parquet(
-        str(Path(sf_dir) / "embeddings.parquet"), columns=["label", "embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
     return label_centroids(ds)
 
 

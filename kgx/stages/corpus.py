@@ -254,12 +254,6 @@ def inverted_index(docs_ds, postings_k: int = 5):
     from ..functions.text import tokenize
     from .exchange import hash_partitioned_apply
 
-    _EMPTY = pa.table(
-        {"token": pa.array([], pa.string()),
-         "doc_id": pa.array([], pa.int64()),
-         "cnt": pa.array([], pa.int64())}
-    )
-
     def partial(batch: pa.Table) -> pa.Table:
         # distinct (token, doc_id) via Arrow group_by; per-token count rows
         # and min-k posting rows via ONE lexsort + group-start arithmetic
@@ -273,7 +267,7 @@ def inverted_index(docs_ds, postings_k: int = 5):
             toks.extend(seen)
             ids.extend([did] * len(seen))
         if not toks:
-            return _EMPTY
+            return pa.table({})
         tok_np = np.asarray(toks, dtype=object)
         doc_np = np.asarray(ids, dtype=np.int64)
         order = np.lexsort((doc_np, tok_np))
@@ -540,10 +534,6 @@ def bigram_lm_score(docs_ds):
     from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     _SENT = "\x00"
-    _EMPTY = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "w1": pa.array([], pa.string()),
-         "w2": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-    )
 
     def bg_rows(batch: pa.Table) -> pa.Table:
         # sentinel-flat bigram assembly + ONE Arrow group_by count per batch
@@ -560,7 +550,7 @@ def bigram_lm_score(docs_ds):
             flat.append(_SENT)
             fids.extend([did] * (len(tk) + 1))
         if len(flat) < 2:
-            return _EMPTY
+            return pa.table({})
         toks = np.asarray(flat, dtype=object)
         # index-tracked sentinel mask (a `== "\x00"` numpy compare strips
         # the NUL and is silently all-False; see ngram partial)
@@ -698,10 +688,6 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
     from .exchange import hash_partitioned_apply, top_k
 
     _SENT = "\x00"
-    _EMPTY = pa.table(
-        {"a": pa.array([], pa.string()), "b": pa.array([], pa.string()),
-         "c": pa.array([], pa.int64())}
-    )
 
     def pair_rows(batch: pa.Table) -> pa.Table:
         flat: list[str] = []
@@ -711,7 +697,7 @@ def pmi_topk(docs_ds, k: int = 20, min_pair: int = PMI_MIN_PAIR):
             sent_pos.append(len(flat))
             flat.append(_SENT)
         if len(flat) < 2:
-            return _EMPTY
+            return pa.table({})
         toks = np.asarray(flat, dtype=object)
         # index-tracked sentinel mask (numpy strips trailing NULs in a
         # `== "\x00"` compare; see ngram partial)
@@ -957,10 +943,6 @@ def winnow_fingerprints(docs_ds, k: int = WIN_K, w: int = WIN_W):
     _M62 = (1 << 62) - 1 + 1  # fp domain: stable_hash64 % 2^62
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "fp": pd.Series([], dtype="int64")}
-        )
         texts = df["text"].fillna("").str.lower()
         tok_lists = texts.str.findall(TOKEN_PATTERN)
         lens = tok_lists.str.len().to_numpy(dtype=np.int64)
@@ -968,7 +950,7 @@ def winnow_fingerprints(docs_ds, k: int = WIN_K, w: int = WIN_W):
         flat = list(itertools.chain.from_iterable(tok_lists))
         L = len(flat)
         if L < k:
-            return empty
+            return pd.DataFrame()
         codes = pd.factorize(np.asarray(flat, dtype=object))[0].astype(np.int64)
         kk = int(codes.max()) + 1
         Lm = L - k + 1
@@ -981,7 +963,7 @@ def winnow_fingerprints(docs_ds, k: int = WIN_K, w: int = WIN_W):
         valid = pos_in[:Lm] + k <= lens[doc_of[:Lm]]
         vpos = np.flatnonzero(valid)
         if not len(vpos):
-            return empty
+            return pd.DataFrame()
         vg = acc[vpos]
         uniq_g, first_idx = np.unique(vg, return_index=True)
         rep_pos = vpos[first_idx]
@@ -1203,15 +1185,6 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
                    ("n", pa.int64())]),
     ).group_by(["bucket", "source"]).aggregate([("n", "sum")]) \
         .rename_columns(["bucket", "source", "n"]).to_pandas()
-    if not len(cdf):
-        return keyed_ds.map_batches(
-            lambda t: pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "source": pa.array([], pa.string()),
-                 "split": pa.array([], pa.string())}
-            ),
-            batch_format="pyarrow",
-        )
     cdf = cdf.sort_values(["source", "bucket"])
     cdf["offset"] = cdf.groupby("source", dropna=False)["n"].cumsum() \
         - cdf["n"]
@@ -1419,12 +1392,8 @@ def mixture_sample(docs_ds, budget_den: int = MIX_BUDGET_DEN,
     )
     srcs = totals["source"].to_pylist()
     toks = [int(x) for x in totals["toks"].to_pylist()]
-    if not srcs:
-        # empty corpus: a zero-block Dataset loses its schema — return one
-        # explicit empty Arrow block instead
-        import ray.data as rd
-
-        return rd.from_arrow(stats_schema.empty_table())
+    if not srcs:  # no rows
+        return stats_ds
     target = (sum(toks) // budget_den) // len(srcs)
     keep_below = {
         s: (buckets if t == 0 else min(buckets, target * buckets // t))
@@ -1433,8 +1402,6 @@ def mixture_sample(docs_ds, budget_den: int = MIX_BUDGET_DEN,
 
     def keep(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy()
-        if not len(ids):
-            return stats_schema.empty_table()
         src_arr = np.asarray(t["source"].to_pylist(), dtype=object)
         u, inv = np.unique(src_arr, return_inverse=True)
         kb = np.fromiter((keep_below[s] for s in u), dtype=np.int64,
@@ -1594,16 +1561,13 @@ def dup_ngram_stats(docs_ds, k: int = DUPGRAM_K):
     _M62 = 1 << 62
 
     def pairs(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "fp": pd.Series([], dtype="int64")})
         texts = df["text"].fillna("").str.lower()
         tok_lists = texts.str.findall(TOKEN_PATTERN)
         lens = tok_lists.str.len().to_numpy(dtype=np.int64)
         flat = list(itertools.chain.from_iterable(tok_lists))
         L = len(flat)
         if L < k:
-            return empty
+            return pd.DataFrame()
         codes = pd.factorize(np.asarray(flat, dtype=object))[0].astype(np.int64)
         kk = int(codes.max()) + 1
         Lm = L - k + 1
@@ -1616,7 +1580,7 @@ def dup_ngram_stats(docs_ds, k: int = DUPGRAM_K):
         valid = pos_in[:Lm] + k <= lens[doc_of[:Lm]]
         vpos = np.flatnonzero(valid)
         if not len(vpos):
-            return empty
+            return pd.DataFrame()
         vg = acc[vpos]
         dd = doc_of[vpos]
         uniq_g, first_idx = np.unique(vg, return_index=True)
@@ -1709,16 +1673,13 @@ def length_percentile_filter(sf_dir: str, p: int = LENGTH_FILTER_P):
     * pass 2: the scalar cutoff broadcasts by closure and the pruned
       (doc_id, n_chars) scan filters vectorized.
     """
-    from pathlib import Path
-
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data as rd
 
+    from ..pipelines.relational import _read
     from .exchange import collect_arrow, hash_partitioned_agg
 
-    path = str(Path(sf_dir) / "documents.parquet")
-    stats = rd.read_parquet(path, columns=["n_chars"])
+    stats = _read(sf_dir, "documents", ["n_chars"])
 
     def partial(batch: pa.Table) -> "pd.DataFrame":
         v = batch["n_chars"].drop_null().to_numpy(zero_copy_only=False) \
@@ -1738,7 +1699,7 @@ def length_percentile_filter(sf_dir: str, p: int = LENGTH_FILTER_P):
                   "cnt": pa.array([], pa.int64())}),
     ).to_pandas().sort_values("v").reset_index(drop=True)
 
-    docs = rd.read_parquet(path, columns=["doc_id", "n_chars"])
+    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     if not len(hist):
         return docs.map_batches(
             lambda t: pa.table({"doc_id": pa.array([], pa.int64()),
@@ -2038,15 +1999,12 @@ def word_length_histogram(docs_ds):
     from ..functions.text import tokenize
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame({"wlen": pd.Series([], dtype="int64"),
-                           "n_tokens": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         lens: list[int] = []
         for text in batch["text"].to_pylist():
             lens.extend(len(t) for t in tokenize(text or ""))
         if not lens:
-            return _EMPTY
+            return pd.DataFrame()
         u, cnt = np.unique(np.asarray(lens, dtype=np.int64),
                            return_counts=True)
         return pd.DataFrame({"wlen": u, "n_tokens": cnt.astype(np.int64)})
@@ -2092,9 +2050,6 @@ def token_novelty_curve(docs_ds, epoch_us: int, step_us: int = 37_000_000):
 
     DAY_US = 86_400_000_000
 
-    _PAIR_EMPTY = pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                "day": pd.Series([], dtype="int64")})
-
     def pair_partial(batch: pa.Table) -> "pd.DataFrame":
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         days = (epoch_us + ids * step_us) // DAY_US
@@ -2105,7 +2060,7 @@ def token_novelty_curve(docs_ds, epoch_us: int, step_us: int = 37_000_000):
             toks.extend(seen)
             tdays.extend([int(day)] * len(seen))
         if not toks:
-            return _PAIR_EMPTY
+            return pd.DataFrame()
         return pd.DataFrame({"token": toks, "day": np.asarray(
             tdays, dtype=np.int64)}).drop_duplicates()
 
@@ -2192,9 +2147,6 @@ def vocab_overlap(docs_ds):
     from ..functions.text import tokenize
     from .exchange import finish, hash_partitioned_agg, hash_partitioned_apply
 
-    _ST_EMPTY = pd.DataFrame({"source": pd.Series([], dtype="object"),
-                              "token": pd.Series([], dtype="object")})
-
     def st_partial(batch: pa.Table) -> "pd.DataFrame":
         srcs: list[str] = []
         toks: list[str] = []
@@ -2206,7 +2158,7 @@ def vocab_overlap(docs_ds):
             toks.extend(seen)
             srcs.extend([src] * len(seen))
         if not toks:
-            return _ST_EMPTY
+            return pd.DataFrame()
         return pd.DataFrame({"source": srcs,
                              "token": toks}).drop_duplicates()
 
@@ -2359,14 +2311,8 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
     from ray.data.aggregate import Max, Min
 
     agg = st.aggregate(Min("doc_id"), Max("doc_id"))
-    empty = pd.DataFrame(
-        {"doc_id": pd.Series([], dtype="int64"),
-         "source": pd.Series([], dtype="str"),
-         "score": pd.Series([], dtype="int64"),
-         "n_tokens": pd.Series([], dtype="int64"),
-         "cum_tokens": pd.Series([], dtype="int64")})
-    if not agg or agg.get("min(doc_id)") is None:
-        return st.map_batches(lambda df: empty, batch_format="pandas")
+    if not agg or agg.get("min(doc_id)") is None:  # no rows
+        return st
     lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
     B = num_buckets or _default_partitions() * 8
     bucket_w = max(1, (hi - lo + B) // B)
@@ -2396,20 +2342,15 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
         drop=True)
     off_ref = ray.put(offsets)
 
-    pruned_schema = pa.schema(
-        [("doc_id", pa.int64()), ("source", pa.string()),
-         ("n_tokens", pa.int64()), ("score", pa.int64()),
-         ("bucket", pa.int64()), ("off", pa.int64())])
-
-    def attach_and_prune(df: "pd.DataFrame") -> pa.Table:
+    def attach_and_prune(df: "pd.DataFrame") -> "pd.DataFrame":
         off = ray.get(off_ref)
         g = df.copy()
         g["bucket"] = ((g["doc_id"].to_numpy() - lo) // bucket_w).astype(
             "int64")
-        # typed: an empty pandas block with an object column has no size
-        return pa.Table.from_pandas(
-            g.merge(off, on=["source", "score", "bucket"], how="inner"),
-            schema=pruned_schema, preserve_index=False)
+        g = g.merge(off, on=["source", "score", "bucket"], how="inner")
+        # column-less: an empty pandas block with an object column has no
+        # size Ray can compute
+        return g if len(g) else pd.DataFrame()
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.sort_values(["source", "score", "bucket", "doc_id"],
@@ -2683,14 +2624,9 @@ def mix_order(docs_ds, num_buckets: int | None = None):
 
     from ray.data.aggregate import Max, Min
 
-    _EMPTY = pd.DataFrame(
-        {"doc_id": pd.Series([], dtype="int64"),
-         "source": pd.Series([], dtype="str"),
-         "src_rank": pd.Series([], dtype="int64"),
-         "mix_rank": pd.Series([], dtype="int64")})
     agg = st.aggregate(Min("doc_id"), Max("doc_id"))
-    if not agg or agg.get("min(doc_id)") is None:
-        return st.map_batches(lambda df: _EMPTY, batch_format="pandas")
+    if not agg or agg.get("min(doc_id)") is None:  # no rows
+        return st
     lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
     B = num_buckets or _default_partitions() * 8
     bucket_w = max(1, (hi - lo + B) // B)
@@ -2720,8 +2656,6 @@ def mix_order(docs_ds, num_buckets: int | None = None):
     def rank_kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         import numpy as np
 
-        if not len(d):
-            return _EMPTY
         off = ray.get(off_ref)
         d = d.sort_values(["source", "bucket", "doc_id"], kind="stable")
         local = d.groupby(["source", "bucket"], sort=False).cumcount()
@@ -2916,10 +2850,7 @@ def frequency_moments(docs_ds):
             toks.extend(ts)
             srcs.extend([src] * len(ts))
         if not toks:
-            return pd.DataFrame(
-                {"source": pd.Series([], dtype=object),
-                 "token": pd.Series([], dtype=object),
-                 "cnt": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         g = pd.DataFrame({"source": srcs, "token": toks})
         return g.groupby(["source", "token"], sort=False, as_index=False,
                          dropna=False).size().rename(columns={"size": "cnt"})

@@ -718,9 +718,9 @@ def simhash_pairs(docs_ds, max_hamming: int = 3, bands: int = 4):
 def normalized_matrix(emb_table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(ids, row-normalized float64 matrix) from an embeddings table."""
     ids = emb_table["vec_id"].to_numpy()
-    mat = np.stack(
-        [np.asarray(e, dtype=np.float64) for e in emb_table["embedding"].to_pylist()]
-    )
+    vecs = [np.asarray(e, dtype=np.float64)
+            for e in emb_table["embedding"].to_pylist()]
+    mat = np.stack(vecs) if vecs else np.zeros((0, 0))
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     mat = mat / np.maximum(norms, 1e-300)
     mat[norms[:, 0] == 0.0] = 0.0
@@ -795,12 +795,6 @@ def embedding_dup_pairs_lsh(emb_ds, threshold: float,
     def band_rows(batch: pa.Table) -> pa.Table:
         ids, mat = normalized_matrix(batch)
         n = len(ids)
-        if n == 0:
-            return pa.table(
-                {"bucket": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64()),
-                 "embedding": batch["embedding"]}
-            )
         planes = planes_for(mat.shape[1], nbits, tables)
         codes = _bucket_codes(mat, planes)  # (n, tables)
         t_off = np.tile(np.arange(tables, dtype=np.int64), n) << nbits
@@ -913,9 +907,6 @@ def substring_dup_pairs(docs_ds, w: int = SUBSTR_W):
     from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     _SENT = "\x00"
-    _EMPTY = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "fp": pa.array([], pa.int64())}
-    )
 
     def partial(batch: pa.Table) -> pa.Table:
         flat: list[str] = []
@@ -930,7 +921,7 @@ def substring_dup_pairs(docs_ds, w: int = SUBSTR_W):
             flat.append(_SENT)
             fids.extend([did] * (len(tk) + 1))
         if len(flat) < w:
-            return _EMPTY
+            return pa.table({})
         toks = np.asarray(flat, dtype=object)
         m = len(toks) - w + 1
         grams = toks[:m]
@@ -943,7 +934,7 @@ def substring_dup_pairs(docs_ds, w: int = SUBSTR_W):
         ids_np = np.asarray(fids, dtype=np.int64)[:m][~bad]
         grams = grams[~bad]
         if not len(grams):
-            return _EMPTY
+            return pa.table({})
         t = pa.table(
             {"doc_id": pa.array(ids_np),
              "win": pa.array(grams, pa.string())}

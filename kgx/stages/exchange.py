@@ -93,13 +93,38 @@ repartition); the driver collects it instead.
 * :func:`top_k` — the global top-k: a per-block local top-k, then one
   driver merge, in ``by`` order (so a rank column is ``arange(1, n + 1)``).
 
-Zero rows: a ``kernel`` or ``combine`` passed to
-:func:`hash_partitioned_apply` / :func:`hash_partitioned_agg` never sees
-zero rows.  A zero-row input takes the exchange route, where Ray passes an
-empty block through ``map_batches`` without calling the function and
-``map_groups`` calls it only on non-empty groups; the driver route runs
-only on at least one row.  So such functions need no typed-empty guard.
-``finish`` is the exception: it calls ``fn`` on zero rows by contract.
+Zero rows: one rule for the whole engine
+
+The engine, not the function, owns zero rows.  A function the engine
+calls per batch or partition (a ``map_batches`` UDF, a ``kernel`` or
+``combine`` of :func:`hash_partitioned_apply` / :func:`hash_partitioned_agg`,
+a :func:`lookup_join` ``then``) is never called on zero rows, so it neither
+guards its input against them nor builds a typed empty for them.  Where
+its rows become zero inside it (after a filter), its body runs on if it
+handles zero rows, else it returns ``pd.DataFrame()`` / ``pa.table({})``.
+The schema of an empty result is typed only where a caller sees it: the
+``schema`` of :func:`collect_arrow`, :func:`finish` and :func:`top_k`; the
+return of a ``finish`` fn, which runs on zero rows by contract (a fold over
+nothing still owes its total row); and an operator that returns a pandas
+frame or an Arrow table.  The rule rests on four facts of Ray 2.49:
+
+1. ``map_batches`` passes a zero-row pandas or Arrow block through
+   unchanged, without calling the function.  A zero-row input takes the
+   exchange route, where ``map_groups`` calls the kernel only on non-empty
+   groups; the driver route runs only on at least one row; ``then`` runs
+   only on a non-empty join output.
+2. A typed empty fed to an exchange is thrown away: the tagger is skipped
+   on a zero-row block, so the block arrives without ``part_id`` whatever
+   its type, and all-empty partials give a column-less result on both
+   routes.
+3. A zero-row Dataset shows its caller no columns (``to_pandas`` of
+   ``from_arrow(<typed empty>)``, a ``read_parquet`` of a zero-row file):
+   only a driver collect with a ``schema`` types it.
+4. Column-less zero-row blocks (``pd.DataFrame()``, ``pa.table({})``) are
+   correct next to typed ones: both exchange routes in both formats,
+   ``to_pandas``, ``write_parquet``, ``count`` and a bundling
+   ``map_batches``.  A typed pandas empty with an object column is not:
+   Ray cannot compute its size and logs an error.
 
 Lookup join: a fact stream probes a keyed dimension
 
@@ -330,8 +355,6 @@ def top_k(ds, by: list[str], descending: list[bool], k: int, schema=None):
              for c, d in zip(by, descending)]
 
     def local(t):
-        if not t.num_rows:  # may carry no columns
-            return t
         return t.take(pc.sort_indices(t, sort_keys=order)[:k])
 
     df = collect_arrow(ds.map_batches(local, batch_format="pyarrow"),

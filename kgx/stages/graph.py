@@ -200,14 +200,9 @@ def supplier_part_edges(sf_dir: str):
     """Symmetrized supplier<->part incidence edges from lineitem
     (node = 2*suppkey for suppliers, 2*partkey+1 for parts) — the shared
     relational stand-in for a KG's entity graph."""
-    from pathlib import Path
+    from ..pipelines.relational import _read
 
-    import ray.data as rd
-
-    li = rd.read_parquet(
-        str(Path(sf_dir) / "lineitem.parquet"),
-        columns=["l_suppkey", "l_partkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"])
 
     def to_edges(batch: pa.Table) -> pa.Table:
         supp = batch["l_suppkey"].to_numpy().astype(np.int64) * 2

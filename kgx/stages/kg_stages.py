@@ -381,9 +381,7 @@ def two_hop_paths(triples, num_partitions: int | None = None):
         a = d[d["kind"] == 0].sort_values("mid", kind="stable")
         b = d[d["kind"] == 1].sort_values("mid", kind="stable")
         if not len(a) or not len(b):
-            return pd.DataFrame({"subj": pd.Series([], dtype=object),
-                                 "obj2": pd.Series([], dtype=object),
-                                 "n_paths": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         amid = a["mid"].to_numpy()
         asubj = a["other"].to_numpy()
         bmid = b["mid"].to_numpy()
@@ -400,9 +398,7 @@ def two_hop_paths(triples, num_partitions: int | None = None):
         nb = np.where(hit, bcount[pos], 0)
         total = int(nb.sum())
         if not total:
-            return pd.DataFrame({"subj": pd.Series([], dtype=object),
-                                 "obj2": pd.Series([], dtype=object),
-                                 "n_paths": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         li = np.repeat(np.arange(len(amid)), nb)
         cum0 = np.concatenate(([0], np.cumsum(nb)[:-1]))
         ri = (np.arange(total) - np.repeat(cum0, nb)
@@ -613,13 +609,10 @@ def confidence_histogram(triples_ds):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame({"conf_pct": pd.Series([], dtype="int64"),
-                           "n": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["conf"]))
         if not batch.num_rows:
-            return _EMPTY
+            return pd.DataFrame()
         pct = np.floor(
             batch["conf"].to_numpy(zero_copy_only=False)
             .astype(np.float64) * 100.0 + 0.5).astype(np.int64)
@@ -924,9 +917,6 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
     minima = minima.sort_values("rb", kind="stable").reset_index(drop=True)
     minima_ref = ray.put(minima)
 
-    _EMPTY = pd.DataFrame({c: pd.Series([], dtype="str")
-                           for c in ("subj", "pred", "obj", "neg_obj")})
-
     # --- probes ------------------------------------------------------------
     def probe_rows(df: "pd.DataFrame") -> "pd.DataFrame":
         subj = df["subj"].astype(str)
@@ -949,7 +939,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
         mn = ray.get(minima_ref)
         pr = d[d["p"] >= 0]
         if not len(pr) or not len(mn):
-            return _EMPTY
+            return pd.DataFrame()
         e = d[d["p"] < 0].sort_values(["h", "key"], kind="stable")
         eh = e["h"].to_numpy()
         ekey = e["key"].to_numpy()
@@ -1268,11 +1258,6 @@ def entity_walks(triples_ds, walk_len: int = WALK_LEN):
 
     def t_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df.drop_duplicates()
-        if not len(d):
-            return pd.DataFrame(
-                {"node": pd.Series([], dtype="int64"),
-                 "t": pd.Series([], dtype="int64"),
-                 "nxt": pd.Series([], dtype="int64")})
         u = d["src"].to_numpy()
         v = d["dst"].to_numpy()
         outs = []
@@ -1326,9 +1311,6 @@ def entity_walks(triples_ds, walk_len: int = WALK_LEN):
     for r in range(walk_len):
         def advance(df: "pd.DataFrame", _r=r) -> "pd.DataFrame":
             cols = ["key", "kind", "start", *step_cols, "t", "nxt"]
-            if not len(df):
-                return pd.DataFrame(
-                    {c: pd.Series([], dtype="int64") for c in cols})
             walks = df[df["kind"] == 1]
             hop = df[(df["kind"] == 0) & (df["t"] == _r)][["key", "nxt"]] \
                 .rename(columns={"nxt": "_next"})
@@ -1380,7 +1362,8 @@ def inverse_pred_support(triples_ds):
     import numpy as np
     import pandas as pd
 
-    from .exchange import hash_partitioned_agg, hash_partitioned_apply
+    from .exchange import (collect_arrow, hash_partitioned_agg,
+                           hash_partitioned_apply)
     from .wide import _norm_part_series
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1417,8 +1400,6 @@ def inverse_pred_support(triples_ds):
                          on=["u", "v"]).rename(columns={"pred": "pred_a"})
             outs.append(m1[["pred_a", "pred_b"]])
             outs.append(m2[["pred_a", "pred_b"]])
-        if not outs:
-            return pair_schema.empty_table()
         g = pd.concat(outs, ignore_index=True)
         out = g.groupby(["pred_a", "pred_b"], sort=False,
                         as_index=False).size() \
@@ -1428,31 +1409,24 @@ def inverse_pred_support(triples_ds):
 
     tagged = triples_ds.select_columns(["subj", "pred", "obj"]).map_batches(
         partial, batch_format="pandas").materialize()
-    pairs = hash_partitioned_agg(
+    pairs = collect_arrow(hash_partitioned_agg(
         hash_partitioned_apply(tagged, ["u", "v"], kernel),
         ["pred_a", "pred_b"],
         lambda df: df.groupby(["pred_a", "pred_b"], sort=False,
                               as_index=False).agg(n_ab=("n_ab", "sum"))
-    ).to_pandas()
+    ), pair_schema).to_pandas()
 
-    marg = hash_partitioned_agg(
+    marg = collect_arrow(hash_partitioned_agg(
         tagged.map_batches(
             lambda df: df.groupby("pred", sort=False, as_index=False)
             .size().rename(columns={"size": "n_a"}),
             batch_format="pandas"),
         ["pred"],
         lambda df: df.groupby("pred", sort=False, as_index=False).agg(
-            n_a=("n_a", "sum"))).to_pandas()
-    n_a_map = dict(zip(marg["pred"], marg["n_a"]))
+            n_a=("n_a", "sum"))
+    ), pa.schema([("pred", pa.string()), ("n_a", pa.int64())]))
+    n_a_map = dict(zip(marg["pred"].to_pylist(), marg["n_a"].to_pylist()))
 
-    if not len(pairs):
-        return pd.DataFrame(
-            {"pred_a": pd.Series([], dtype=object),
-             "pred_b": pd.Series([], dtype=object),
-             "n_ab": pd.Series([], dtype="int64"),
-             "n_a": pd.Series([], dtype="int64"),
-             "conf_pm": pd.Series([], dtype="int64")})
-    pairs = pairs.copy()
     pairs["n_a"] = pairs["pred_a"].map(n_a_map).astype("int64")
     pairs["conf_pm"] = np.fromiter(
         ((10000 * int(ab)) // int(a)

@@ -75,7 +75,8 @@ def _seed_centroids(emb_ds, k: int) -> np.ndarray:
     cands = collect_arrow(emb_ds.map_batches(min_k, batch_format="pyarrow"))
     rows = min_k(cands).to_pylist() if cands.num_rows else []
     rows.sort(key=lambda r: r["vec_id"])
-    mat = np.asarray([r["embedding"] for r in rows], dtype=np.float64)
+    mat = np.asarray([r["embedding"] for r in rows] or np.zeros((0, 0)),
+                     dtype=np.float64)
     return np.floor(mat * KM_SCALE + 0.5).astype(np.int64) + KM_OFFSET
 
 
@@ -88,11 +89,7 @@ def _update_centroids(emb_ds, cents: np.ndarray) -> np.ndarray:
     def partial(batch: pa.Table) -> pa.Table:
         ids, q = quantized_matrix(batch)
         if not len(ids):
-            return pa.table(
-                {"cluster": pa.array([], pa.int64()),
-                 "cnt": pa.array([], pa.int64()),
-                 "sums": pa.array([], pa.list_(pa.int64(), d))}
-            )
+            return pa.table({})
         best = _argmin_cluster(q, cents)
         sums = np.zeros((k, d), dtype=np.int64)
         np.add.at(sums, best, q)
@@ -154,10 +151,7 @@ def kmeans_labels(emb_ds, k: int = KM_K, iters: int = KM_ITERS):
     def assign(batch: pa.Table) -> pa.Table:
         ids, q = quantized_matrix(batch)
         if not len(ids):
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "cluster": pa.array([], pa.int64())}
-            )
+            return pa.table({})
         best = _argmin_cluster(q, cents)
         return pa.table(
             {"vec_id": pa.array(ids),
@@ -243,11 +237,7 @@ def kmeans_cost(emb_ds, k: int = KM_K, iters: int = KM_ITERS):
     def partial(batch: pa.Table) -> pa.Table:
         ids, q = quantized_matrix(batch)
         if not len(ids):
-            return pa.table(
-                {"cluster": pa.array([], pa.int64()),
-                 "n_vecs": pa.array([], pa.int64()),
-                 "sse": pa.array([], pa.int64())}
-            )
+            return pa.table({})
         d2 = ((q[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         best = d2.argmin(axis=1)
         dist = d2[np.arange(len(best)), best]
@@ -314,20 +304,13 @@ def label_centroids(emb_ds):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame(
-        {"label": pd.Series([], dtype="int64"),
-         "dim": pd.Series([], dtype="int64"),
-         "sum_q": pd.Series([], dtype="int64"),
-         "n_vecs": pd.Series([], dtype="int64")}
-    )
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         ok = pc.and_(pc.is_valid(batch["embedding"]),
                      pc.is_valid(batch["label"]))
         batch = batch.filter(ok)
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         labels = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
@@ -405,10 +388,7 @@ def kmeans_outliers(emb_ds, k: int = KM_K, iters: int = KM_ITERS,
     def flag(batch: pa.Table) -> pa.Table:
         ids, q = quantized_matrix(batch)
         if not len(ids):
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "dist": pa.array([], pa.int64())}
-            )
+            return pa.table({})
         d2 = ((q[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         dist = d2.min(axis=1)
         mask = dist > threshold
@@ -621,10 +601,7 @@ def kmeans_purity(emb_ds, k: int = KM_K, iters: int = KM_ITERS):
                                      pc.is_valid(batch["embedding"])))
         ids, q = quantized_matrix(batch)
         if not len(ids):
-            return pa.table(
-                {"cluster": pa.array([], pa.int64()),
-                 "label": pa.array([], pa.int64()),
-                 "n_vecs": pa.array([], pa.int64())})
+            return pa.table({})
         lab = batch["label"].to_numpy().astype(np.int64)
         best = _argmin_cluster(q, cents).astype(np.int64)
         # pack (cluster, label) into one int64 key for a single np.unique
@@ -691,15 +668,11 @@ def norm_histogram(emb_ds, bucket: int = NORM_BUCKET):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame(
-        {"bucket": pd.Series([], dtype="int64"),
-         "n_vecs": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         q = np.floor(flat.reshape(n, -1) * KM_SCALE + 0.5).astype(np.int64)
@@ -798,10 +771,7 @@ def sq8_codes(emb_ds):
     def mm_partial(batch: pa.Table) -> "pd.DataFrame":
         ids, q = _qmat(batch)
         if not len(ids):
-            return pd.DataFrame(
-                {"dim": pd.Series([], dtype="int64"),
-                 "minq": pd.Series([], dtype="int64"),
-                 "maxq": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         return pd.DataFrame(
             {"dim": np.arange(q.shape[1], dtype=np.int64),
              "minq": q.min(axis=0), "maxq": q.max(axis=0)})
@@ -820,7 +790,7 @@ def sq8_codes(emb_ds):
     def code_map(batch: pa.Table) -> pa.Table:
         ids, q = _qmat(batch)
         if not len(ids):
-            return out_schema.empty_table()
+            return pa.table({})
         codes = (q - minq[None, :]) * 255 // span[None, :]
         return pa.table({"vec_id": ids,
                          "code_sum": codes.sum(axis=1),
@@ -878,17 +848,11 @@ def dim_stats(emb_ds):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame(
-        {"dim": pd.Series([], dtype="int64"),
-         "n": pd.Series([], dtype="int64"),
-         "sum_q": pd.Series([], dtype="int64"),
-         "sumsq_q": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         q = np.floor(flat.reshape(n, -1) * KM_SCALE + 0.5).astype(np.int64)
@@ -960,10 +924,7 @@ def quantize_error(emb_ds):
     def mm_partial(batch: pa.Table) -> "pd.DataFrame":
         q = _qmat(batch)
         if not q.shape[0]:
-            return pd.DataFrame(
-                {"dim": pd.Series([], dtype="int64"),
-                 "minq": pd.Series([], dtype="int64"),
-                 "maxq": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         return pd.DataFrame(
             {"dim": np.arange(q.shape[1], dtype=np.int64),
              "minq": q.min(axis=0), "maxq": q.max(axis=0)})
@@ -975,17 +936,11 @@ def quantize_error(emb_ds):
     minq, span = _sq8_params(emb_ds, mm_partial, mm_combine,
                              hash_partitioned_agg, collect_arrow)
 
-    _EMPTY = pd.DataFrame(
-        {"dim": pd.Series([], dtype="int64"),
-         "n": pd.Series([], dtype="int64"),
-         "sum_err_q": pd.Series([], dtype="int64"),
-         "max_err_q": pd.Series([], dtype="int64")})
-
     def err_partial(batch: pa.Table) -> "pd.DataFrame":
         q = _qmat(batch)
         n = q.shape[0]
         if not n:
-            return _EMPTY
+            return pd.DataFrame()
         codes = (q - minq[None, :]) * 255 // span[None, :]
         recon = minq[None, :] + codes * span[None, :] // 255
         err = q - recon
@@ -1067,13 +1022,6 @@ def centroid_drift(emb_ds):
 
     from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
-    _EMPTY_P = pd.DataFrame(
-        {"label": pd.Series([], dtype="int64"),
-         "half": pd.Series([], dtype="int64"),
-         "dim": pd.Series([], dtype="int64"),
-         "sum_q": pd.Series([], dtype="int64"),
-         "n_vecs": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         ok = pc.and_(pc.and_(pc.is_valid(batch["embedding"]),
                              pc.is_valid(batch["label"])),
@@ -1081,7 +1029,7 @@ def centroid_drift(emb_ds):
         batch = batch.filter(ok)
         n = batch.num_rows
         if n == 0:
-            return _EMPTY_P
+            return pd.DataFrame()
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         labels = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         col = batch["embedding"].combine_chunks()
@@ -1100,14 +1048,6 @@ def centroid_drift(emb_ds):
              "sum_q": sums.ravel(),
              "n_vecs": np.repeat(cnt, d)})
 
-    _EMPTY_K = pd.DataFrame(
-        {"label": pd.Series([], dtype="int64"),
-         "n_a": pd.Series([], dtype="int64"),
-         "n_b": pd.Series([], dtype="int64"),
-         "dot_q": pd.Series([], dtype="int64"),
-         "na2_q": pd.Series([], dtype="int64"),
-         "nb2_q": pd.Series([], dtype="int64")})
-
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         g = d.groupby(["label", "half", "dim"], sort=False,
                       as_index=False).agg(sum_q=("sum_q", "sum"),
@@ -1116,7 +1056,7 @@ def centroid_drift(emb_ds):
         b = g[g["half"] == 1]
         m = a.merge(b, on=["label", "dim"], suffixes=("_a", "_b"))
         if not len(m):
-            return _EMPTY_K
+            return pd.DataFrame()
         sa = m["sum_q_a"].to_numpy()
         sb = m["sum_q_b"].to_numpy()
         if (int(np.abs(sa).max(initial=0)) * int(np.abs(sb).max(initial=0))
@@ -1244,15 +1184,11 @@ def matryoshka_profile(emb_ds):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame(
-        {"ratio_pm": pd.Series([], dtype="int64"),
-         "n_vecs": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         q = np.floor(flat.reshape(n, -1) * KM_SCALE + 0.5).astype(np.int64)
@@ -1311,17 +1247,11 @@ def sign_balance(emb_ds):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame(
-        {"dim": pd.Series([], dtype="int64"),
-         "n_pos": pd.Series([], dtype="int64"),
-         "n_zero": pd.Series([], dtype="int64"),
-         "n_neg": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         q = np.floor(flat.reshape(n, -1) * KM_SCALE + 0.5).astype(np.int64)

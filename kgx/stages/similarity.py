@@ -189,6 +189,8 @@ def ivf_train(mat: np.ndarray, n_lists: int, iters: int = 10, seed: int = 17) ->
     clusters re-seeded by stride.  At web scale this trains on a driver-side
     sample (the standard IVF recipe); assignment/search stay distributed."""
     n = mat.shape[0]
+    if not n:  # no sample, no lists
+        return mat
     idx = (np.arange(n_lists, dtype=np.int64) * max(n // n_lists, 1)) % n
     cent = mat[idx].copy()
     for _ in range(iters):
@@ -327,6 +329,8 @@ def pq_codebooks(sample_tab: pa.Table, m: int = PQ_M,
 
     sample_tab = sample_tab.filter(pc.is_valid(sample_tab["embedding"]))
     n = sample_tab.num_rows
+    if not n:  # no sample, no codebooks
+        return np.zeros((m, 0, 0), dtype=np.int64)
     col = sample_tab["embedding"].combine_chunks()
     flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
     q = np.floor(flat.reshape(n, -1) * PQ_SCALE + 0.5).astype(np.int64)
@@ -351,11 +355,7 @@ def pq_codes(emb_ds, codebooks: np.ndarray):
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "sub": pa.array([], pa.int64()),
-                 "code": pa.array([], pa.int64())}
-            )
+            return pa.table({})
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
@@ -458,9 +458,7 @@ def knn_graph_ivf(emb_ds, cent_ref, k: int = KNN_K):
 
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         if batch.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "embedding": pa.array([], batch.schema.field("embedding").type),
-                             "c": pa.array([], pa.int64())})
+            return pa.table({})
         cent = ray.get(cent_ref)
         _, mat = normalized_matrix(batch)
         # numpy argmax takes the FIRST max: lowest list id wins exact ties,
@@ -541,15 +539,8 @@ def recall_eval(exact_ds, approx_ds, k: int):
     union = exact_ds.map_batches(tag(0), batch_format="pyarrow").union(
         approx_ds.map_batches(tag(1), batch_format="pyarrow"))
 
-    _EMPTY = pd.DataFrame(
-        {"query_id": pd.Series([], dtype="int64"),
-         "n_common": pd.Series([], dtype="int64"),
-         "recall_pm": pd.Series([], dtype="int64")})
-
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         ex = df[df["kind"] == 0]
-        if not len(ex):
-            return _EMPTY
         ap = df[df["kind"] == 1][["query_id", "neighbor_id"]]
         hit = ex[["query_id", "neighbor_id"]].merge(
             ap.drop_duplicates(), on=["query_id", "neighbor_id"],
@@ -584,15 +575,11 @@ def lsh_bucket_balance(emb_ds, nbits: int = 8, tables: int = 4):
 
     from .exchange import hash_partitioned_agg
 
-    _EMPTY = pd.DataFrame({"t": pd.Series([], dtype="int64"),
-                           "code": pd.Series([], dtype="int64"),
-                           "n": pd.Series([], dtype="int64")})
-
     def partial(batch: pa.Table) -> "pd.DataFrame":
         batch = batch.filter(pc.is_valid(batch["embedding"]))
         n = batch.num_rows
         if n == 0:
-            return _EMPTY
+            return pd.DataFrame()
         col = batch["embedding"].combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         mat = flat.reshape(n, -1)
@@ -645,9 +632,6 @@ def ivf_balance(emb_ds, cent_ref):
     def per_batch(batch: pa.Table) -> "pd.DataFrame":
         cent = ray.get(cent_ref)
         _, mat = normalized_matrix(batch)
-        if not len(mat):
-            return pd.DataFrame({"c": pd.Series([], dtype="int64"),
-                                 "size": pd.Series([], dtype="int64")})
         assign = (mat @ cent.T).argmax(axis=1)
         vc = np.bincount(assign, minlength=cent.shape[0])
         nz = np.nonzero(vc)[0]

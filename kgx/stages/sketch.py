@@ -237,7 +237,7 @@ def heavy_hitter_tokens(docs_ds, k: int = 100):
     import ray
 
     from ..functions.text import tokenize
-    from .exchange import hash_partitioned_agg
+    from .exchange import collect_arrow, hash_partitioned_agg
 
     part_schema = pa.schema(
         [("token", pa.string()), ("cnt", pa.int64()), ("is_total", pa.int64())]
@@ -270,24 +270,15 @@ def heavy_hitter_tokens(docs_ds, k: int = 100):
             .agg(cnt=("cnt", "sum"))
         )
 
-    merged = hash_partitioned_agg(
+    merged = collect_arrow(hash_partitioned_agg(
         docs_ds.map_batches(pass1, batch_format="pyarrow"),
         ["token", "is_total"], combine,
-    ).materialize()
-
-    n_total = 0
-    cand_tables = []
-    for ref in merged.to_arrow_refs():
-        t = ray.get(ref)
-        if t.num_rows == 0 or "is_total" not in t.schema.names:
-            continue  # empty pandas-origin blocks carry no schema
-        tot = t.filter(pc.equal(t["is_total"], 1))
-        n_total += int(pc.sum(tot["cnt"]).as_py() or 0)
-        cand_tables.append(t.filter(pc.equal(t["is_total"], 0)).select(["token"]))
-    if not cand_tables:  # empty/null corpus: every block was schema-less
-        cand_tables = [pa.table({"token": pa.array([], type=pa.string())})]
-    cand_arr = pa.concat_tables(cand_tables)["token"].combine_chunks()
-    cand_ref = ray.put(cand_arr)  # bounded: < k rows per pass-1 batch
+    ), part_schema)
+    total = pc.equal(merged["is_total"], 1)
+    n_total = int(pc.sum(merged.filter(total)["cnt"]).as_py() or 0)
+    # bounded: < k rows per pass-1 batch
+    cand_ref = ray.put(
+        merged.filter(pc.invert(total))["token"].combine_chunks())
 
     def pass2(batch: pa.Table) -> "pd.DataFrame":
         # vectorized candidate-only recount: one value_counts + one is_in
@@ -295,8 +286,7 @@ def heavy_hitter_tokens(docs_ds, k: int = 100):
         for text in batch["text"].to_pylist():
             flat.extend(tokenize(text or ""))
         if not flat:
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "cnt": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         vc = pc.value_counts(pa.array(flat, pa.string()))
         toks = vc.field("values")
         keep = pc.is_in(toks, value_set=ray.get(cand_ref))
@@ -877,9 +867,6 @@ def theta_source_sketches(docs_ds, k: int = THETA_K):
             fp = md5_fingerprint(text or "")
             rows[(str(src), stable_hash64(fp) % _M62)] = None
         df = pd.DataFrame(list(rows), columns=["source", "h"])
-        if not len(df):
-            return pd.DataFrame({"source": pd.Series([], dtype=object),
-                                 "h": pd.Series([], dtype="int64")})
         df["h"] = df["h"].astype("int64")
         return df.sort_values(["source", "h"], kind="stable") \
             .groupby("source", sort=False).head(k).reset_index(drop=True)

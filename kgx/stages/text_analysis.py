@@ -225,12 +225,6 @@ def hash_features_batch(df: pd.DataFrame, dims: int = HASH_FEATURE_DIMS
     tok_lists = texts.str.findall(ts.TOKEN_PATTERN)
     lens = tok_lists.str.len().to_numpy(dtype=np.int64)
     flat = list(itertools.chain.from_iterable(tok_lists))
-    if not flat:
-        return pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "dim": pd.Series([], dtype="int64"),
-             "cnt": pd.Series([], dtype="int64")}
-        )
     codes, uniq = pd.factorize(np.asarray(flat, dtype=object))
     dim_u = np.fromiter(
         (stable_hash64(t) % dims for t in uniq), dtype=np.int64,
@@ -280,10 +274,7 @@ def langid_confusion(docs_ds):
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.dropna(subset=["lang"])
         if not len(df):
-            return pd.DataFrame(
-                {"lang": pd.Series([], dtype=object),
-                 "pred_lang": pd.Series([], dtype=object),
-                 "n_docs": pd.Series([], dtype="int64")})
+            return pd.DataFrame()
         pred = langid_batch(df)["pred_lang"].to_numpy()
         g = pd.DataFrame({"lang": df["lang"].to_numpy(), "pred_lang": pred,
                           "n_docs": np.ones(len(df), dtype=np.int64)})

@@ -19,7 +19,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 from .. import schema as S
-from .kg_stages import _rows_to_table
 
 _PARTIAL_ENTITY = pa.schema(
     [
@@ -51,8 +50,6 @@ def explode_and_partial_merge_entities(batch: pa.Table, salt_buckets: int) -> pa
     entities exactly — conformance/skew-tested)."""
     import pandas as pd
 
-    if batch.num_rows == 0:
-        return _rows_to_table([], _PARTIAL_ENTITY)
     df = batch.select(
         ["subj_key", "subj_id", "subj", "subj_surface",
          "obj_key", "obj_id", "obj", "obj_surface", "url", "seg_id"]

@@ -450,13 +450,17 @@ def pages_dataset_from_documents(
     # flagship 4.47 s -> 2.96 s median; 64/128 blocks regress (per-task
     # overhead).  At real scale read_parquet over many file shards gives
     # this parallelism for free and the override is a no-op floor.
+    import pyarrow.parquet as pq
     import ray
 
     nb = max(16, int(ray.cluster_resources().get("CPU", 16))) \
         if ray.is_initialized() else 16
-    ds = rd.read_parquet(
-        str(Path(sf_dir) / "documents.parquet"), override_num_blocks=nb
-    )
+    path = str(Path(sf_dir) / "documents.parquet")
+    # without the file's pandas metadata: a schema carrying it (a dict)
+    # cannot be hashed, so Ray logs a warning and runs its full schema
+    # unify on every batch concat
+    ds = rd.read_parquet(path, override_num_blocks=nb,
+                         schema=pq.read_schema(path).remove_metadata())
     pages = ds.map_batches(
         lambda b: pages_batch_from_documents(b, enrich, kb2, expand, templates,
                                              pad_bytes),

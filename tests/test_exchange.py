@@ -648,3 +648,300 @@ def test_one_lookup_join():
     helpers = re.findall(r"def (_lookup|_sorted_map|_ku)\(", rel)
     assert not helpers, f"relational.py defines {helpers}"
     assert ".clip(max=len(" not in rel, "hand-written probe in relational.py"
+
+
+# ---------------------------------------------------------------------------
+# Zero rows have one owner: what the operators' deleted guards rely on
+# ---------------------------------------------------------------------------
+
+
+def _thinned(fmt: str, empty: str):
+    """Six two-row blocks in ``fmt``; odd blocks (or all) lose their rows."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    blocks = [pa.table({"k": pa.array([i % 3, 5], pa.int64()),
+                        "v": pa.array([i, 100], pa.int64())})
+              for i in range(6)]
+
+    def thin(t: pa.Table):
+        if empty == "all_blocks" or t["v"][0].as_py() % 2:
+            t = t.filter(pc.less(t["v"], 0))
+        return t if fmt == "pyarrow" else t.to_pandas()
+
+    return rd.from_arrow(blocks).map_batches(thin, batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("batch_size", [None, 1, 200_000])
+@pytest.mark.parametrize("udf_format", FORMATS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_map_batches_never_calls_udf_on_zero_rows(ray_session, fmt,
+                                                  udf_format, batch_size):
+    """Ray passes a zero-row block through a pandas or Arrow
+    ``map_batches`` without calling the function, typed or column-less,
+    alone or bundled with full blocks; so a UDF needs no guard on its own
+    input."""
+    import ray.data as rd
+
+    def udf(b):
+        if not len(b):
+            raise AssertionError("map_batches UDF called on zero rows")
+        return b
+
+    for ds in (_thinned(fmt, "some_blocks"), _thinned(fmt, "all_blocks"),
+               rd.from_pandas([pd.DataFrame(), pd.DataFrame({"k": [1]})]),
+               rd.from_arrow([pa.table({}), pa.table({"k": [1]})])):
+        out = ds.map_batches(udf, batch_format=udf_format,
+                             batch_size=batch_size)
+        assert out.count() == ds.count()
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_lookup_join_then_never_runs_on_zero_rows(ray_session, each_route,
+                                                  how):
+    """``then`` is not called where a batch or partition joins to no row
+    (here: fact blocks with no rows, and fact rows that all miss or all
+    hit the dimension), on either route."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    keys = [0, 1] if how == "anti" else [7]
+    fact = rd.from_arrow(
+        [pa.table({"k": pa.array([7, 7], pa.int64()), "v": [1, 2]}),
+         pa.table({"k": pa.array([0, 1], pa.int64()), "v": [3, 4]})]
+    ).map_batches(lambda t: t.filter(pc.greater(t["v"], 2)) if
+                  t["v"][0].as_py() == 1 else t, batch_format="pyarrow")
+    cols = ["name"] if how == "inner" else []
+
+    def then(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            raise AssertionError("then called on zero rows")
+        return pa.table({"n": [t.num_rows]})
+
+    def run():
+        out = X.lookup_join(fact, "k", _dim(keys), "dk", cols, how, then)
+        return int(pc.sum(X.collect_arrow(out, pa.schema(
+            [("n", pa.int64())]))["n"]).as_py() or 0)
+
+    assert each_route(run) == [0, 0]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ["agg", "apply"])
+@pytest.mark.parametrize("empty", ["some_blocks", "all_blocks"])
+def test_column_less_partials_equal_typed_ones(ray_session, each_route,
+                                               mode, fmt, empty):
+    """A partial that returns ``pd.DataFrame()`` / ``pa.table({})`` where
+    it has no rows gives the exchange result of one that returns a typed
+    empty, on both routes and in both formats (all-empty: no rows,
+    whatever the partials' types)."""
+    import pyarrow.compute as pc
+
+    def partial(typed: bool):
+        def f(t: pa.Table):
+            t = t.filter(pc.greater_equal(t["v"], 0))
+            if t.num_rows and t["v"][0].as_py() % 2 == 0:
+                out = t
+            elif typed:
+                out = t.slice(0, 0)
+            else:
+                out = pa.table({})
+            return out if fmt == "pyarrow" else out.to_pandas()
+        return f
+
+    fn = X.hash_partitioned_agg if mode == "agg" else X.hash_partitioned_apply
+    kw = {"kernel_format": fmt}
+
+    def run(typed: bool):
+        ds = _thinned(fmt, empty).map_batches(partial(typed),
+                                              batch_format="pyarrow")
+        out = fn(ds, ["k"], _sum_kernel(["k"], fmt), 8, **kw)
+        df = X.collect_arrow(out).to_pandas()
+        return sorted(zip(df["k"], df["v"])) if len(df) else []
+
+    typed, column_less = (each_route(lambda: run(t)) for t in (True, False))
+    assert column_less == typed
+    assert (typed[0] == []) == (empty == "all_blocks")
+
+
+def _no_rows_test(test: "ast.expr", p: str) -> bool:
+    """``test`` asks whether ``p`` has no rows: ``not len(p)``,
+    ``len(p) == 0``, ``not p.num_rows``, ``p.num_rows == 0``, ``p.empty``
+    (also inside an ``or``), or, as an ``x if test else y`` lambda body,
+    ``len(p)`` / ``p.num_rows`` alone."""
+    import ast
+
+    def rows(n):
+        return (isinstance(n, ast.Call) and getattr(n.func, "id", "") == "len"
+                and len(n.args) == 1 and getattr(n.args[0], "id", "") == p) \
+            or (isinstance(n, ast.Attribute) and n.attr == "num_rows"
+                and getattr(n.value, "id", "") == p)
+
+    for n in ast.walk(test):
+        if n is test and rows(n):
+            return True
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not) \
+                and rows(n.operand):
+            return True
+        if isinstance(n, ast.Compare) and rows(n.left) \
+                and isinstance(n.ops[0], ast.Eq) \
+                and getattr(n.comparators[0], "value", None) == 0:
+            return True
+        if isinstance(n, ast.Attribute) and n.attr == "empty" \
+                and getattr(n.value, "id", "") == p:
+            return True
+    return False
+
+
+def _guard_line(fn) -> int | None:
+    """Line of a no-rows guard on ``fn``'s first parameter that runs
+    before the parameter is rebound, else None."""
+    import ast
+
+    args = [a.arg for a in fn.args.args if a.arg != "self"]
+    if not args:
+        return None
+    p = args[0]
+    if isinstance(fn, ast.Lambda):
+        b = fn.body
+        return fn.lineno if isinstance(b, ast.IfExp) \
+            and _no_rows_test(b.test, p) else None
+    for st in fn.body:
+        if isinstance(st, ast.If) and _no_rows_test(st.test, p):
+            return st.lineno
+        if any(isinstance(t, ast.Name) and t.id == p and
+               isinstance(t.ctx, ast.Store) for t in ast.walk(st)):
+            return None
+    return None
+
+
+def _udfs(tree):
+    """(call line, function node) of every function passed to
+    ``map_batches``, as an exchange ``kernel``/``combine`` or as
+    ``lookup_join``'s ``then=``: a lambda, a def in an enclosing scope,
+    ``partial(f, ...)``, a factory's returned functions or a class's
+    ``__call__``."""
+    import ast
+
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+
+    def scopes(n):
+        while n in parent:
+            n = parent[n]
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef, ast.Module)):
+                yield n
+
+    def defs(name, at):
+        for s in scopes(at):
+            hits = [d for d in ast.walk(s) if getattr(d, "name", None) == name
+                    and isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+            if hits:
+                return [d for d in hits if next(scopes(d)) is s] or hits[:1]
+        return []
+
+    def resolve(a, at):
+        if isinstance(a, ast.Lambda):
+            return [a]
+        if isinstance(a, ast.Name):
+            return [d for d in defs(a.id, at)
+                    if isinstance(d, ast.FunctionDef)]
+        if isinstance(a, ast.Call):
+            name = getattr(a.func, "id", getattr(a.func, "attr", None))
+            if name == "partial" and a.args:
+                return resolve(a.args[0], at)
+            out = []
+            for d in defs(name, at):
+                if isinstance(d, ast.ClassDef):
+                    out += [m for m in d.body if getattr(m, "name", "")
+                            == "__call__"]
+                else:
+                    out += [f for r in ast.walk(d) if isinstance(r, ast.Return)
+                            and r.value is not None
+                            for f in resolve(r.value, r)]
+            return out
+        return []
+
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        passed = []
+        if name == "map_batches" and call.args:
+            passed.append(call.args[0])
+        if name in ("hash_partitioned_apply", "hash_partitioned_agg",
+                    "lookup_join"):
+            if name != "lookup_join" and len(call.args) > 2:
+                passed.append(call.args[2])
+            passed += [k.value for k in call.keywords
+                       if k.arg in ("kernel", "combine", "then")]
+        for a in passed:
+            for fn in resolve(a, call):
+                yield call.lineno, fn
+
+
+def test_udfs_carry_no_zero_row_guard():
+    """No function that the engine only ever calls on rows — a
+    ``map_batches`` UDF, an exchange ``kernel``/``combine``, a
+    ``lookup_join`` ``then=`` — guards against zero rows on its own input
+    (see "Zero rows" in the exchange module docstring).  A ``finish`` fn,
+    which runs on zero rows by contract, is not such a function."""
+    import ast
+
+    root = Path(__file__).resolve().parent.parent / "kgx"
+    bad, n = [], 0
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        seen = set()
+        for call_line, fn in _udfs(tree):
+            if fn.lineno in seen:
+                continue
+            seen.add(fn.lineno)
+            n += 1
+            line = _guard_line(fn)
+            if line is not None:
+                bad.append(f"{path.relative_to(root.parent)}:{line} "
+                           f"(passed at line {call_line})")
+    assert n > 400  # the scan resolves the package's UDFs
+    assert bad == []
+
+
+def test_zero_row_guard_scan_sees_each_shape():
+    """The scan above flags each guard shape it names and nothing else."""
+    import ast
+
+    src = '''
+def op(ds, rd):
+    def a(df):
+        """doc"""
+        if not len(df):
+            return df
+        return df
+    def b(t):
+        cols = ["x"]
+        if t.num_rows == 0 or "x" not in t.column_names:
+            return t
+        return t
+    def c(df):
+        df = df[df["x"] > 0]
+        if not len(df):
+            return df
+        return df
+    def d(df):
+        if len(df) < 2:
+            return df
+        return df
+    class E:
+        def __call__(self, batch):
+            if batch.empty:
+                return batch
+            return batch
+    ds.map_batches(a)
+    ds.map_batches(lambda df: df if len(df) else None)
+    ds.map_batches(E())
+    hash_partitioned_apply(ds, ["k"], b)
+    hash_partitioned_agg(ds, ["k"], c)
+    lookup_join(ds, "k", ds, "k", then=d)
+'''
+    flagged = sorted(line for _, fn in _udfs(ast.parse(src))
+                     if (line := _guard_line(fn)) is not None)
+    assert flagged == [5, 10, 24, 28]

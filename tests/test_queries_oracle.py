@@ -1,7 +1,8 @@
 """Replica of the driver's correctness gate as a pytest: every SQL-backed
 registry query at sf0.001 must match its DuckDB oracle on row count, column
 names, and values (sorted, order-insensitive).  Rows-only queries are
-smoke-checked for non-trivial output."""
+smoke-checked for non-trivial output.  A zero-row copy of sf0.001 gates
+every query on empty input."""
 
 from __future__ import annotations
 
@@ -46,6 +47,12 @@ def _sql_backed_names():
     return sorted(Q.oracle_sql())
 
 
+def _registry_names():
+    from kgx import queries as Q
+
+    return sorted(Q.registry())
+
+
 @pytest.mark.parametrize("name", _sql_backed_names())
 def test_query_matches_duckdb_oracle(ray_session, con, each_route, name):
     """On both exchange routes: at sf0.001 every input fits the driver
@@ -66,6 +73,42 @@ def test_query_matches_duckdb_oracle(ray_session, con, each_route, name):
             else:
                 assert (a.astype(str) == b.astype(str)).all(), \
                     f"column {c} differs"
+
+
+@pytest.fixture(scope="module")
+def zero_rows(tmp_path_factory):
+    """(dir, DuckDB connection) of a zero-row copy of sf0.001: every
+    table keeps its schema and has no rows."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("sf_zero_rows")
+    c = duckdb.connect()
+    for t in TABLES:
+        pq.write_table(pq.read_schema(f"{SF_DIR}/{t}.parquet").empty_table(),
+                       d / f"{t}.parquet")
+        c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{d}/{t}.parquet'")
+    return str(d), c
+
+
+@pytest.mark.parametrize("name", _registry_names())
+def test_query_on_zero_rows(ray_session, zero_rows, name):
+    """Every registry query runs on empty tables and returns its mirror's
+    row count; where the mirror still returns rows (a total over nothing)
+    the values match too, under the gate's compare (``check_queries``:
+    a SQL NULL sum compares as 0).  Every exchange takes the exchange
+    route here (no input has a row), so one route is enough.  A zero-row
+    Dataset shows its caller no columns, so columns are compared only
+    with rows."""
+    from kgx import queries as Q
+    from scripts.check_queries import mismatch
+
+    sf_zero, c = zero_rows
+    ours = to_pandas(Q.registry()[name](sf_zero))
+    theirs = c.execute(Q.oracle_sql()[name]).fetchdf() \
+        if name in Q.oracle_sql() else ours.iloc[:0]
+    assert len(ours) == len(theirs)
+    if len(theirs):
+        assert mismatch(ours, theirs) is None
 
 
 def test_every_registry_query_is_sql_checked():

@@ -2079,6 +2079,24 @@ def test_cohort_matrix_matches_serial(ray_session, tmp_path):
     assert len(want) > 20  # a real triangle, not a degenerate strip
 
 
+def test_cohort_matrix_batch_without_users(ray_session, tmp_path):
+    """A batch whose rows all lack a user_id has no rows after the null
+    filter and contributes no cohort (the mirror drops null users)."""
+    import pyarrow.parquet as pq
+
+    from kgx.pipelines.relational import cohort_matrix
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(pa.table(
+        {"event_id": pa.array([1, 2], pa.int64()),
+         "ts": pa.array(np.array(["2023-01-02", "2023-01-09"],
+                                 "datetime64[us]")),
+         "user_id": pa.array([None, None], pa.int64())}),
+        sf / "events.parquet")
+    assert len(_collect(cohort_matrix(str(sf)))) == 0
+
+
 # ---------------------------------------------------------------------------
 # component-size histogram
 # ---------------------------------------------------------------------------
