@@ -40,7 +40,15 @@ from .text import (
 
 
 def segments_for_page(url: str, html, text, lang: str, cfg: dict) -> tuple[str, list[dict]]:
-    """extract -> segment -> junk filter -> novelty gate -> per-page cap.
+    """extract -> segment -> junk filter -> novelty gate -> per-page cap:
+    :func:`page_text`, then :func:`segment_text`."""
+    ptext = page_text(html, text)
+    return ptext, segment_text(url, ptext, lang, cfg)
+
+
+def segment_text(url: str, ptext: str, lang: str, cfg: dict) -> list[dict]:
+    """Segments of one page's canonical text (``page_text`` output):
+    segment -> junk filter -> novelty gate -> per-page cap.
 
     ``seg_id`` is the ordinal of the span BEFORE filtering, so lineage offsets
     are stable no matter which filters run (the reference's never-renumber
@@ -48,7 +56,6 @@ def segments_for_page(url: str, html, text, lang: str, cfg: dict) -> tuple[str, 
     """
     seg_cfg = cfg["processing"]["segment"]
     junk = [p.lower() for p in cfg["filters"]["junk_patterns"]]
-    ptext = page_text(html, text)
     spans = segment_spans(ptext, seg_cfg["target_chars"], seg_cfg["max_chars"])
     segs = []
     for seg_id, (b, e) in enumerate(spans):
@@ -58,13 +65,20 @@ def segments_for_page(url: str, html, text, lang: str, cfg: dict) -> tuple[str, 
     segs = [s for s in segs if not is_junk_segment(s["text"], junk)]
     mask = novelty_keep_mask([s["text"] for s in segs], seg_cfg["novelty_threshold"])
     segs = [s for s, keep in zip(segs, mask) if keep]
-    return ptext, segs[: seg_cfg["max_per_page"]]
+    return segs[: seg_cfg["max_per_page"]]
 
 
 def segments_for_page_adaptive(url: str, html, text, lang: str, cfg: dict) -> tuple[str, list[dict]]:
-    """Adaptive per-page segmentation (reference G6, AdaptiveFrameTracker
-    ``extractor.py:204-299``: sliding-window rate -> mode switch with
-    hysteresis, parameters change FORWARD from the switch point).
+    """:func:`page_text`, then :func:`segment_text_adaptive`."""
+    ptext = page_text(html, text)
+    return ptext, segment_text_adaptive(url, ptext, lang, cfg)
+
+
+def segment_text_adaptive(url: str, ptext: str, lang: str, cfg: dict) -> list[dict]:
+    """Adaptive segmentation of one page's canonical text (reference G6,
+    AdaptiveFrameTracker ``extractor.py:204-299``: sliding-window rate ->
+    mode switch with hysteresis, parameters change FORWARD from the switch
+    point).
 
     KG realization: scan the page's segments in order tracking the
     novelty-keep rate over a trailing window of ``window`` candidate
@@ -79,7 +93,7 @@ def segments_for_page_adaptive(url: str, html, text, lang: str, cfg: dict) -> tu
     seg_cfg = cfg["processing"]["segment"]
     ad = cfg["processing"].get("adaptive", {})
     if not ad.get("enabled"):
-        return segments_for_page(url, html, text, lang, cfg)
+        return segment_text(url, ptext, lang, cfg)
     junk = [p.lower() for p in cfg["filters"]["junk_patterns"]]
     window = ad.get("window", 8)
     hi = ad.get("hi_keep_rate", 0.8)
@@ -91,7 +105,6 @@ def segments_for_page_adaptive(url: str, html, text, lang: str, cfg: dict) -> tu
             ad.get("coarse_max_chars", seg_cfg["max_chars"] * 2),
         ),
     }
-    ptext = page_text(html, text)
     starts = sentence_starts(ptext)
     mode = "fine"
     pos = 0
@@ -128,7 +141,7 @@ def segments_for_page_adaptive(url: str, html, text, lang: str, cfg: dict) -> tu
         pos = e
         if len(kept) >= seg_cfg["max_per_page"]:
             break
-    return ptext, kept
+    return kept
 
 
 def mentions_for_segment(seg: dict, aliases: AliasMatcher) -> list[dict]:

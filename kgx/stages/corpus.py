@@ -2341,16 +2341,22 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
                          ["source", "score", "bucket", "off"]].reset_index(
         drop=True)
     off_ref = ray.put(offsets)
+    pruned_schema = pa.schema(
+        [("doc_id", pa.int64()), ("source", pa.string()),
+         ("n_tokens", pa.int64()), ("score", pa.int64()),
+         ("bucket", pa.int64()), ("off", pa.int64())])
 
-    def attach_and_prune(df: "pd.DataFrame") -> "pd.DataFrame":
+    def attach_and_prune(df: "pd.DataFrame") -> pa.Table:
         off = ray.get(off_ref)
         g = df.copy()
         g["bucket"] = ((g["doc_id"].to_numpy() - lo) // bucket_w).astype(
             "int64")
         g = g.merge(off, on=["source", "score", "bucket"], how="inner")
-        # column-less: an empty pandas block with an object column has no
-        # size Ray can compute
-        return g if len(g) else pd.DataFrame()
+        # typed Arrow, so a batch pruned to zero rows keeps its columns:
+        # the pinned output has one schema, and the exchange drops its
+        # zero-row blocks before tagging (no "different schema" warning)
+        return pa.Table.from_pandas(g, schema=pruned_schema,
+                                    preserve_index=False)
 
     def kernel(d: "pd.DataFrame") -> "pd.DataFrame":
         d = d.sort_values(["source", "score", "bucket", "doc_id"],
@@ -2362,7 +2368,8 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
         return d[["doc_id", "source", "score", "n_tokens",
                   "cum_tokens"]].reset_index(drop=True)
 
-    pruned = st.map_batches(attach_and_prune, batch_format="pandas")
+    pruned = st.map_batches(attach_and_prune,
+                            batch_format="pandas").materialize()
     return hash_partitioned_apply(
         pruned, ["source", "score", "bucket"], kernel)
 

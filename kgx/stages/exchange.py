@@ -126,6 +126,17 @@ frame or an Arrow table.  The rule rests on four facts of Ray 2.49:
    ``map_batches``.  A typed pandas empty with an object column is not:
    Ray cannot compute its size and logs an error.
 
+Correct is not quiet: Ray logs "Operator produced a RefBundle with a
+different schema" for an operator whose output bundles differ in schema,
+and a zero-row block that skipped the tagger sits untagged next to tagged
+ones.  So :func:`hash_partitioned_apply` drops the zero-row blocks of a
+PINNED input (a ``MaterializedDataset``) before it tags, and on the
+exchange route those of the tagged input before the sort.  A zero-row
+block that a lazy producer hands to the tagger in one fused operator
+still reaches it; a producer that can filter a batch to zero rows and
+wants no warning returns a typed empty (one schema for all its blocks)
+and pins its output (``corpus.token_budget``).
+
 Lookup join: a fact stream probes a keyed dimension
 
 :func:`lookup_join` attaches dimension columns to fact rows (``inner``) or
@@ -219,7 +230,8 @@ def hash_partitioned_apply(
     partition over all its keys, so it may sort and scan freely.
 
     The route is chosen NOW (see "Key-partitioned" in the module
-    docstring): the tagged input is pinned and measured; at most
+    docstring): the tagged input is pinned and measured (a pinned input
+    loses its zero-row blocks first, see "Zero rows"); at most
     :data:`DRIVER_BYTES` of it (and at least one row) runs ``kernel`` once
     on the driver over every row, as one single-chunk batch; anything else
     takes the exchange, lazily, over the pinned tagged blocks.
@@ -228,11 +240,16 @@ def hash_partitioned_apply(
     range-partitioned sort on part_id, and more distinct values give it
     cleaner quantile boundaries and smooth stragglers across
     heterogeneously-sized kernels (per-key disjointness is unaffected by P)."""
+    from ray.data.dataset import MaterializedDataset
+
     P = num_partitions or _default_partitions() * 8
+    if isinstance(ds, MaterializedDataset):
+        ds = _nonempty(ds)
     tagged = ds.map_batches(lambda b: _tag(b, keys, P),
                             batch_format=None).materialize()
     if tagged.count() and tagged.size_bytes() <= DRIVER_BYTES:
         return _on_driver(tagged, kernel, kernel_format)
+    tagged = _nonempty(tagged)
 
     if kernel_format == "pyarrow":
         def run(t):
@@ -243,6 +260,33 @@ def hash_partitioned_apply(
 
     return tagged.groupby("part_id").map_groups(run,
                                                 batch_format=kernel_format)
+
+
+def _nonempty(ds):
+    """The pinned ``ds`` without its zero-row blocks; ``ds`` itself when it
+    has none, or when every block is empty (so zero rows keep their path).
+    A zero-row block skips the tagger (fact 1 of "Zero rows"), so next to
+    tagged blocks it lacks ``part_id``, and every operator that passes it
+    on logs Ray's "RefBundle with a different schema" warning."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import \
+        InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data.dataset import MaterializedDataset
+
+    blocks = [(b.schema, rm) for b in ds.iter_internal_ref_bundles()
+              for rm in b.blocks]
+    full = [RefBundle([rm], owns_blocks=False, schema=s)
+            for s, rm in blocks if rm[1].num_rows != 0]
+    if not full or len(full) == len(blocks):
+        return ds
+    # the same construction as Dataset.materialize(), over fewer bundles
+    out = MaterializedDataset(
+        ExecutionPlan(ds._plan.stats(), data_context=ds.context),
+        LogicalPlan(InputData(input_data=full), ds.context))
+    out._plan.execute()
+    return out
 
 
 def _on_driver(tagged, kernel: Callable, kernel_format: str):

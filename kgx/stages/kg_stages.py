@@ -25,14 +25,16 @@ from __future__ import annotations
 import json
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schema as S
 from ..functions.extract_kg import AliasMatcher, BatchLinker
 from ..functions.pipeline_core import (
     mentions_for_segment,
-    segments_for_page_adaptive,
+    segment_text_adaptive,
 )
-from ..functions.text import page_text
+from ..functions.text import extract_text_from_html
+from ..functions.textstats import SQL_WS_CLASS
 
 
 def _rows_to_table(rows: list[dict], schema: pa.Schema) -> pa.Table:
@@ -48,15 +50,26 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
     Reference semantics: binary-payload decode S2/M8 + whitespace
     normalization M1 (groq_backend.py:21-28, ocr/reader.py:10-40,
     transcriber.py:19-26), fail-open on null payloads.
+
+    Equal to per-row ``page_text``: a non-null ``text`` is normalized in one
+    Arrow call (``SQL_WS_CLASS`` is CPython's ``\\s`` as an RE2 class, so the
+    collapse is ``normalize_ws``'s, and after it the only whitespace left at
+    an end is one space); only null-text rows run the per-row HTML extractor.
     """
-    htmls = batch["html"].to_pylist()
-    texts = batch["text"].to_pylist()
-    out_text = [page_text(h, t) for h, t in zip(htmls, texts)]
+    text = batch["text"].combine_chunks()
+    out_text = pc.utf8_trim(
+        pc.replace_substring_regex(text, SQL_WS_CLASS + "+", " "), " ")
+    if text.null_count:
+        null = pc.is_null(text)
+        htmls = batch["html"].filter(null).to_pylist()
+        out_text = pc.replace_with_mask(
+            out_text, null,
+            pa.array([extract_text_from_html(h) for h in htmls], pa.string()))
     return pa.table(
         {
             "url": batch["url"],
             "warc_ts": batch["warc_ts"],
-            "text": pa.array(out_text, type=pa.string()),
+            "text": out_text,
             "lang": batch["lang"],
         },
         schema=S.PAGE_TEXT,
@@ -83,10 +96,10 @@ class SegmentPages:
         texts = batch["text"].to_pylist()
         langs = batch["lang"].to_pylist()
         for url, text, lang in zip(urls, texts, langs):
-            # html=None: text is already extracted upstream.  Delegates to
-            # the plain segmenter unless processing.adaptive.enabled (G6).
-            _, segs = segments_for_page_adaptive(url, None, text, lang, self.cfg)
-            rows.extend(segs)
+            # text is page_text output already (extract_text_batch), so it
+            # is segmented as is.  The plain segmenter runs unless
+            # processing.adaptive.enabled (G6).
+            rows.extend(segment_text_adaptive(url, text, lang, self.cfg))
         return _rows_to_table(rows, S.SEGMENTS)
 
 

@@ -9,6 +9,8 @@ the row's lineage, producing one partial row per (key, salt); phase 2 groups
 the tiny partial set on entity_key alone.  The merge function is associative
 and commutative (kgx.functions.pipeline_core.merge_entity_group), so the
 two-phase result equals the serial oracle's single-pass result exactly.
+One Arrow kernel, :func:`merge_entities`, is that merge at every level: the
+bundled per-batch combiner, phase 1 and phase 2.
 
 The same partial/final pattern pre-shrinks the exact-dedup shuffle: most
 duplicate (s,p,o) rows collapse inside ``map_batches`` before any data moves.
@@ -16,168 +18,176 @@ duplicate (s,p,o) rows collapse inside ``map_batches`` before any data moves.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schema as S
 
-_PARTIAL_ENTITY = pa.schema(
-    [
-        pa.field("entity_key", pa.string()),
-        pa.field("salt", pa.int32()),
-        pa.field("entity_id", pa.int64()),
-        pa.field("canonical_name", pa.string()),
-        pa.field("aliases", pa.list_(pa.string())),
-        pa.field("n_mentions", pa.int64()),
-        pa.field("url", pa.string()),       # min-lineage carrier for re-merge
-        pa.field("seg_id", pa.int32()),
-    ]
-)
+_SALTED = ["entity_key", "salt"]
 
 
-def explode_and_partial_merge_entities(batch: pa.Table, salt_buckets: int) -> pa.Table:
-    """linked triples -> partially merged entity rows, salted.
-
-    Combines the explode (2 mention rows per triple) and the within-batch
-    partial merge so the shuffle input is already one row per
-    (entity_key, salt) per batch — the combiner that keeps the canonicalize
-    groupby from moving every mention row.
-
-    Fully vectorized: the explode is two column concats, the salt is one
-    vectorized hash of the (url, seg_id) lineage, and the merge is the same
-    pandas formulation as ``_merge_partial_entities_df`` — no per-mention
-    Python loop (VERDICT r2 "What's wrong" #4; the salt function only steers
-    phase-1 partitioning, so any deterministic hash preserves the final
-    entities exactly — conformance/skew-tested)."""
-    import pandas as pd
-
-    df = batch.select(
-        ["subj_key", "subj_id", "subj", "subj_surface",
-         "obj_key", "obj_id", "obj", "obj_surface", "url", "seg_id"]
-    ).to_pandas()
-    m = pd.DataFrame(
-        {
-            "entity_key": pd.concat([df["subj_key"], df["obj_key"]], ignore_index=True),
-            "entity_id": pd.concat([df["subj_id"], df["obj_id"]], ignore_index=True),
-            "canonical_name": pd.concat([df["subj"], df["obj"]], ignore_index=True),
-            # a mention's alias set is its single surface form; the shared
-            # pandas merge kernel explodes strings and lists alike
-            "aliases": pd.concat(
-                [df["subj_surface"], df["obj_surface"]], ignore_index=True
-            ),
-            "n_mentions": 1,
-            "url": pd.concat([df["url"], df["url"]], ignore_index=True),
-            "seg_id": pd.concat([df["seg_id"], df["seg_id"]], ignore_index=True),
-        }
-    )
-    m["salt"] = (
-        pd.util.hash_pandas_object(
-            m["url"].str.cat(m["seg_id"].astype(str), sep="|"), index=False
-        )
-        % salt_buckets
-    ).astype("int32")
-    return _phase1_kernel(m)
+def _run_starts(cols: list) -> np.ndarray:
+    """True where a row of the sorted columns ``cols`` (numpy or Arrow
+    arrays of one length) starts a run of equal values; a null equals a
+    null and differs from every value."""
+    n = len(cols[0])
+    if n < 2:
+        return np.ones(n, dtype=bool)
+    same = np.ones(n - 1, dtype=bool)
+    for c in cols:
+        if isinstance(c, np.ndarray):
+            same &= c[1:] == c[:-1]
+            continue
+        a, b = c.slice(1), c.slice(0, n - 1)
+        eq = pc.equal(a, b)
+        if c.null_count:
+            eq = pc.if_else(pc.is_null(eq),
+                            pc.and_(pc.is_null(a), pc.is_null(b)), eq)
+        same &= eq.to_numpy(zero_copy_only=False)
+    return np.r_[True, ~same]
 
 
-def _merge_partial_entities_df(df, keys: list[str]):
-    """Vectorized merge of partial entity rows grouped by ``keys`` — the
-    pandas-kernel equivalent of mapping ``merge_entity_group`` per group
-    (conformance- and skew-tested equal): min non-NIL id, longest-then-
-    lex-min canonical name, sorted distinct alias union, summed mention
-    count, tuple-min lineage.  One call handles ALL keys of a partition —
-    entity keys are corpus-cardinality at web scale, so per-group Python
-    here would be the adjacency anti-pattern of VERDICT r1 all over again."""
-    import pandas as pd
+def merge_entities(t: pa.Table, keys: list[str]) -> pa.Table:
+    """Partial entity rows -> one row per distinct ``keys``: the one entity
+    merge kernel (combiner, salted phase 1 and final phase alike), equal to
+    ``merge_entity_group`` per key (property- and conformance-tested).
 
-    d = df.reset_index(drop=True)
-    d = d.assign(
-        _id=d["entity_id"].where(d["entity_id"] >= 0),
-        _len=d["canonical_name"].str.len(),
-    )
-    agg = (
-        d.groupby(keys, sort=False)
-        .agg(_id=("_id", "min"), n_mentions=("n_mentions", "sum"))
-        .reset_index()
-    )
-    agg["entity_id"] = agg.pop("_id").fillna(-1).astype("int64")
-    name = (
-        d.sort_values(keys + ["_len", "canonical_name"],
-                      ascending=[True] * len(keys) + [False, True])
-        .drop_duplicates(keys)[keys + ["canonical_name"]]
-    )
-    lin = (
-        d.sort_values(keys + ["url", "seg_id"])
-        .drop_duplicates(keys)[keys + ["url", "seg_id"]]
-    )
-    al = (
-        d[keys + ["aliases"]]
-        .explode("aliases")
-        .drop_duplicates()
-        .sort_values(keys + ["aliases"])
-        .groupby(keys, sort=False)["aliases"]
-        .agg(list)
-        .reset_index()
-    )
-    out = agg.merge(name, on=keys).merge(al, on=keys).merge(lin, on=keys)
-    out["n_mentions"] = out["n_mentions"].astype("int64")
-    return out
+    Every aggregate is the first row of a key run under its own sort:
+    the keys are sorted once and numbered by run (``gid``), and every other
+    order sorts on ``gid`` first, so run ``i`` starts at the same position
+    ``heads[i]`` in each order.  Min non-NIL id and summed mention count
+    are ``reduceat`` over the runs; the canonical name sorts by code-point
+    length descending, then by name ascending (UTF-8 byte order is
+    code-point order, so this is ``merge_entity_group``'s ``(len, -ord)``
+    rule); the lineage is the ``(url, seg_id)`` tuple-min; the aliases are
+    the flattened lists sorted by (gid, alias) with adjacent duplicates
+    dropped.  Output columns: ``keys``, entity_id, canonical_name, aliases,
+    n_mentions, url, seg_id.
+
+    Not ``Table.group_by``: its groups need not come out in key order
+    (pyarrow 16.1 returned those of a key-sorted block out of order), so
+    the results of several group-bys cannot be aligned by position."""
+    t = t.combine_chunks()
+    order = pc.sort_indices(
+        t, sort_keys=[(k, "ascending") for k in keys]).to_numpy()
+    start = _run_starts([t[k].take(order) for k in keys])
+    heads = np.flatnonzero(start)
+    gid = np.empty(len(order), dtype=np.int64)
+    gid[order] = np.cumsum(start) - 1
+
+    def firsts(**by) -> pa.Array:
+        """Index of each run's first row when sorted by gid, then ``by``."""
+        cols = {"gid": gid, **{c: v for c, (v, _) in by.items()}}
+        sort = [("gid", "ascending")] + [(c, d) for c, (_, d) in by.items()]
+        return pc.sort_indices(pa.table(cols), sort_keys=sort) \
+            .take(pa.array(heads))
+
+    name = t["canonical_name"]
+    name_rows = firsts(n=(pc.utf8_length(name), "descending"),
+                       name=(name, "ascending"))
+    lin_rows = firsts(url=(t["url"], "ascending"),
+                      seg=(t["seg_id"], "ascending"))
+
+    big = np.iinfo(np.int64).max
+    ids = t["entity_id"].to_numpy()
+    ids = np.minimum.reduceat(np.where(ids >= 0, ids, big)[order], heads)
+    ids[ids == big] = -1
+    n = np.add.reduceat(t["n_mentions"].to_numpy()[order], heads)
+
+    lens = pc.fill_null(pc.list_value_length(t["aliases"]), 0).to_numpy()
+    ag = np.repeat(gid, lens)
+    al = pc.list_flatten(t["aliases"]).combine_chunks()
+    o = pc.sort_indices(pa.table({"gid": ag, "a": al}),
+                        sort_keys=[("gid", "ascending"), ("a", "ascending")]
+                        ).to_numpy()
+    ag, al = ag[o], al.take(o)
+    keep = _run_starts([ag, al])
+    offsets = np.zeros(len(heads) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ag[keep], minlength=len(heads)), out=offsets[1:])
+    aliases = pa.ListArray.from_arrays(offsets, al.filter(pa.array(keep)))
+
+    rows = pa.array(order[heads])
+    return pa.table({
+        **{k: t[k].take(rows) for k in keys},
+        "entity_id": ids,
+        "canonical_name": name.take(name_rows),
+        "aliases": aliases,
+        "n_mentions": n,
+        "url": t["url"].take(lin_rows),
+        "seg_id": t["seg_id"].take(lin_rows),
+    })
 
 
-def _phase1_kernel(df) -> pa.Table:
-    m = _merge_partial_entities_df(df, ["entity_key", "salt"])
-    return pa.table(
-        {
-            "entity_key": pa.array(m["entity_key"], type=pa.string()),
-            "salt": pa.array(m["salt"], type=pa.int32()),
-            "entity_id": pa.array(m["entity_id"], type=pa.int64()),
-            "canonical_name": pa.array(m["canonical_name"], type=pa.string()),
-            "aliases": pa.array(m["aliases"].tolist(), type=pa.list_(pa.string())),
-            "n_mentions": pa.array(m["n_mentions"], type=pa.int64()),
-            "url": pa.array(m["url"], type=pa.string()),
-            "seg_id": pa.array(m["seg_id"], type=pa.int32()),
-        },
-        schema=_PARTIAL_ENTITY,
-    )
+def mention_partials(batch: pa.Table, salt_buckets: int) -> pa.Table:
+    """linked triples -> partial entity rows merged per (entity_key, salt):
+    the combiner that keeps the canonicalize exchange from moving every
+    mention row.
+
+    The explode makes 2 mention rows per triple (subject, then object),
+    each with a one-element alias list (its surface), so the one kernel
+    merges raw mentions and partial rows alike.  The salt is the
+    exchange's value hash of ``"url|seg_id"`` modulo ``salt_buckets``; it
+    only steers phase-1 partitioning, so any deterministic hash preserves
+    the final entities exactly (conformance- and skew-tested)."""
+    from .exchange import _value_hash
+
+    def both(a: str, b: str) -> pa.ChunkedArray:
+        return pa.chunked_array(batch[a].chunks + batch[b].chunks)
+
+    n = batch.num_rows
+    lineage = pc.binary_join_element_wise(
+        batch["url"], pc.cast(batch["seg_id"], pa.string()), "|")
+    salt = (_value_hash(lineage) % np.uint64(salt_buckets)).astype(np.int32)
+    m = pa.table({
+        "entity_key": both("subj_key", "obj_key"),
+        "salt": np.concatenate([salt, salt]),
+        "entity_id": both("subj_id", "obj_id"),
+        "canonical_name": both("subj", "obj"),
+        "aliases": pa.ListArray.from_arrays(
+            np.arange(2 * n + 1, dtype=np.int32),
+            both("subj_surface", "obj_surface").combine_chunks()),
+        "n_mentions": np.ones(2 * n, dtype=np.int64),
+        "url": both("url", "url"),
+        "seg_id": both("seg_id", "seg_id"),
+    })
+    return merge_entities(m, _SALTED)
 
 
-def _final_kernel(df) -> pa.Table:
-    m = _merge_partial_entities_df(df.drop(columns=["salt"]), ["entity_key"])
-    return pa.table(
-        {
-            "entity_key": pa.array(m["entity_key"], type=pa.string()),
-            "entity_id": pa.array(m["entity_id"], type=pa.int64()),
-            "canonical_name": pa.array(m["canonical_name"], type=pa.string()),
-            "aliases": pa.array(m["aliases"].tolist(), type=pa.list_(pa.string())),
-            "n_mentions": pa.array(m["n_mentions"], type=pa.int64()),
-            "first_url": pa.array(m["url"], type=pa.string()),
-            "first_seg_id": pa.array(m["seg_id"], type=pa.int32()),
-        },
-        schema=S.ENTITIES,
-    )
+def _final_kernel(t: pa.Table) -> pa.Table:
+    m = merge_entities(t.drop_columns(["salt"]), ["entity_key"])
+    return m.rename_columns(S.ENTITIES.names).cast(S.ENTITIES)
 
 
 def canonical_phase1(linked_ds, cfg: dict):
     """Combiner + phase-1 salted exchange: partial rows merged per
     (entity_key, salt), so a head key reaches the final exchange as at most
-    ``salt_buckets`` rows (the skew bound, asserted in tests/test_skew.py)."""
+    ``salt_buckets`` rows (the skew bound, asserted in tests/test_skew.py).
+    The combiner runs bundled (``batch_size=200_000``, as the dedup and
+    adjacency combiners do): its cost is per call, not per row."""
     from .exchange import hash_partitioned_apply
 
     salt_buckets = cfg["processing"]["canonicalize"]["salt_buckets"]
     partial = linked_ds.map_batches(
-        lambda b: explode_and_partial_merge_entities(b, salt_buckets),
-        batch_format="pyarrow",
+        lambda b: mention_partials(b, salt_buckets),
+        batch_format="pyarrow", batch_size=200_000,
     )
-    return hash_partitioned_apply(partial, ["entity_key", "salt"], _phase1_kernel)
+    return hash_partitioned_apply(
+        partial, _SALTED, lambda t: merge_entities(t, _SALTED),
+        kernel_format="pyarrow")
 
 
 def canonical_entities(linked_ds, cfg: dict):
     """ray.data.Dataset[LINKED_FULL] -> Dataset[ENTITIES] via the salted
     two-phase exchange described in the module docstring.  Both phases run
-    as hash-partitioned exchanges with ONE vectorized pandas kernel per
-    partition — no per-entity-key Python anywhere."""
+    :func:`merge_entities` once per partition (or once on the driver, on
+    the exchange's driver route) over Arrow batches — no per-entity-key
+    Python and no pandas frame."""
     from .exchange import hash_partitioned_apply
 
     phase1 = canonical_phase1(linked_ds, cfg)
-    return hash_partitioned_apply(phase1, ["entity_key"], _final_kernel)
+    return hash_partitioned_apply(phase1, ["entity_key"], _final_kernel,
+                                  kernel_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -764,6 +764,39 @@ def test_column_less_partials_equal_typed_ones(ray_session, each_route,
     assert (typed[0] == []) == (empty == "all_blocks")
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_pinned_zero_row_blocks_reach_no_operator(ray_session, each_route,
+                                                  fmt):
+    """A pinned input's zero-row blocks are dropped before tagging (on the
+    exchange route the tagged input's too, before the sort), so no operator
+    logs Ray's "RefBundle with a different schema" warning, on either
+    route; the result is unchanged."""
+    import logging
+
+    class Count(logging.Handler):
+        n = 0
+
+        def emit(self, record):
+            Count.n += "different schema" in record.getMessage()
+
+    ds = _thinned(fmt, "some_blocks").materialize()
+
+    def run():
+        out = X.hash_partitioned_apply(ds, ["k"], _sum_kernel(["k"], fmt), 8,
+                                       kernel_format=fmt)
+        df = X.collect_arrow(out).to_pandas()
+        return sorted(zip(df["k"].tolist(), df["v"].tolist()))
+
+    log = logging.getLogger("ray.data")
+    handler = Count()
+    log.addHandler(handler)
+    try:
+        assert each_route(run) == [[(0, 0), (1, 4), (2, 2), (5, 300)]] * 2
+    finally:
+        log.removeHandler(handler)
+    assert Count.n == 0
+
+
 def _no_rows_test(test: "ast.expr", p: str) -> bool:
     """``test`` asks whether ``p`` has no rows: ``not len(p)``,
     ``len(p) == 0``, ``not p.num_rows``, ``p.num_rows == 0``, ``p.empty``

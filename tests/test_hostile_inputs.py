@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgx.functions.text import extract_text_from_html, page_text
+from kgx.functions.text import WS_CODEPOINTS, extract_text_from_html, page_text
 from kgx import schema as S
 
 HOSTILE_HTML = [
@@ -40,6 +42,64 @@ class TestExtractFailOpen:
     def test_none_inputs(self):
         assert page_text(None, None) == ""
         assert extract_text_from_html(None) == ""
+
+
+# whitespace that CPython's \\s matches and RE2's does not, and look-alikes
+# that are not whitespace at all
+HOSTILE_TEXT = [
+    "".join(chr(c) for c in WS_CODEPOINTS),
+    "a" + "".join(chr(c) for c in WS_CODEPOINTS) + "b",
+    "\xa0\xa0NBSP\xa0\xa0run\xa0",
+    "zero\u200bwidth \u200b \ufeffbom",
+    "\U0001f600\u3000\U00010348  \U0001f600",
+    "",
+    " ",
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85",
+    "  plain  ascii  ",
+    "caf\u00e9\u2028line\u2029para",
+]
+
+
+def _pages(texts, htmls):
+    n = len(texts)
+    return pa.table({"url": [f"u{i}" for i in range(n)], "warc_ts": [0] * n,
+                     "html": htmls, "text": texts, "lang": ["en"] * n},
+                    schema=S.PAGES)
+
+
+class TestExtractTextBatch:
+    """``extract_text_batch`` (one Arrow normalize, per-row HTML only for
+    null text) equals per-row ``page_text``."""
+
+    @staticmethod
+    def _check(pages):
+        from kgx.stages.kg_stages import extract_text_batch
+
+        got = extract_text_batch(pages)
+        want = [page_text(h, t) for h, t in zip(pages["html"].to_pylist(),
+                                                pages["text"].to_pylist())]
+        assert got["text"].to_pylist() == want
+        assert got["url"].equals(pages["url"])
+
+    def test_hostile_text_and_html(self):
+        texts = HOSTILE_TEXT + [None] * len(HOSTILE_HTML)
+        htmls = [b"<p>ignored</p>"] * len(HOSTILE_TEXT) + HOSTILE_HTML
+        self._check(_pages(texts, htmls))
+        self._check(_pages([None, None], [None, b"<b>x</b>"]))  # all null
+
+    @given(st.lists(st.one_of(
+        st.none(),
+        st.text(alphabet=st.sampled_from(
+            [chr(c) for c in WS_CODEPOINTS] + ["a", "\u00e9", "\u200b",
+                                               "\U0001f600", "<", "&"])),
+        st.text()), min_size=1, max_size=12), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_text_column(self, texts, cut):
+        htmls = [None if t else b"<p>a &amp;\xa0b</p>" for t in texts]
+        pages = _pages(texts, htmls)
+        cut = min(cut, pages.num_rows)
+        # two chunks per column, the second a slice with an offset
+        self._check(pa.concat_tables([pages.slice(0, cut), pages.slice(cut)]))
 
 
 class TestHostilePagesThroughPipeline:

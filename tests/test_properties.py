@@ -156,6 +156,69 @@ class TestMergeAlgebra:
         assert merge_triple_group(shuffled) == base
 
 
+# equal-length non-ASCII names (code-point order != any locale order),
+# case variants of one surface, and arbitrary text
+_names = st.one_of(st.sampled_from(["\u00e9a", "e\u00e9", "\u00fcb", "zz",
+                                    "\u20acx", "\U0001f600a", "Acme"]),
+                   st.text(min_size=1, max_size=4))
+_surfaces = st.one_of(st.sampled_from(["acme", "Acme", "ACME", "\u00c9cole",
+                                       "\u00e9cole", "\u0130"]),
+                      st.text(min_size=1, max_size=4))
+
+
+def _side(prefix):
+    return st.fixed_dictionaries({
+        f"{prefix}_key": st.sampled_from(["k1", "k2", "K1"]),
+        f"{prefix}_id": st.integers(-1, 3),  # -1 = NIL; a key may be all-NIL
+        prefix: _names,
+        f"{prefix}_surface": _surfaces,
+    })
+
+
+_linked = st.lists(
+    st.tuples(_side("subj"), _side("obj"),
+              st.sampled_from(["u", "\u00fc", "a/b"]), st.integers(0, 3)).map(
+        lambda t: {**t[0], **t[1], "url": t[2], "seg_id": t[3]}),
+    min_size=1, max_size=30)
+
+
+class TestEntityKernel:
+    """``wide.merge_entities`` (the Arrow entity kernel) over linked rows
+    split into arbitrary batches, through combiner -> re-combined partials
+    -> salted phase 1 -> final, equals ``merge_entity_group`` per key."""
+
+    @given(_linked, st.lists(st.integers(0, 30), max_size=4),
+           st.integers(0, 60), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_merge_entity_group(self, rows, cuts, recut, salts):
+        import pyarrow as pa
+
+        from kgx.functions.pipeline_core import mention_rows_from_linked
+        from kgx.stages import wide
+
+        t = pa.Table.from_pylist(rows).cast(pa.schema(
+            [(c, pa.int32() if c == "seg_id" else
+              pa.int64() if c.endswith("_id") else pa.string())
+             for c in rows[0]]))
+        bounds = sorted({0, t.num_rows, *(min(c, t.num_rows) for c in cuts)})
+        partials = pa.concat_tables(
+            [wide.mention_partials(t.slice(a, b - a), salts)
+             for a, b in zip(bounds, bounds[1:]) if b > a])
+        cut = min(recut, partials.num_rows)
+        parts = [p for p in (partials.slice(0, cut), partials.slice(cut))
+                 if p.num_rows]
+        phase1 = wide.merge_entities(
+            pa.concat_tables([wide.merge_entities(p, wide._SALTED)
+                              for p in parts]), wide._SALTED)
+        assert max(phase1["salt"].to_pylist()) < salts
+        got = wide._final_kernel(phase1).to_pylist()
+        by_key: dict[str, list] = {}
+        for m in mention_rows_from_linked(rows):
+            by_key.setdefault(m["entity_key"], []).append(m)
+        want = [merge_entity_group(by_key[k]) for k in sorted(by_key)]
+        assert got == want
+
+
 class TestPayloadCodec:
     @given(st.binary(max_size=500), st.integers(0, 65535), st.integers(0, 65535))
     def test_roundtrip(self, body, w, h):

@@ -90,3 +90,22 @@ def test_salting_bounds_hot_key_partials(ray_session, each_route, linked_ds,
     for counts in each_route(phase1_counts):
         assert 1 < counts["mega corp"] <= salt_buckets
         assert max(counts.values()) <= salt_buckets
+
+
+def test_canonicalization_on_sliced_multichunk_blocks(ray_session, each_route,
+                                                      cfg):
+    """Blocks that are two chunks each, both slices with nonzero offsets,
+    reach the same entities as the serial merge on both routes."""
+    import ray.data as rd
+
+    from kgx.stages.exchange import collect_arrow
+
+    t = skewed_linked(3_000)
+    blocks = [pa.concat_tables([t.slice(i + 7, 150), t.slice(i + 301, 97)])
+              for i in range(0, 2_400, 400)]
+    assert all(b.column(0).num_chunks == 2 for b in blocks)
+    want = serial_entities(pa.concat_tables(blocks))
+    ds = rd.from_arrow(blocks)
+    for out in each_route(
+            lambda: collect_arrow(wide.canonical_entities(ds, cfg))):
+        assert {r["entity_key"]: r for r in out.to_pylist()} == want
