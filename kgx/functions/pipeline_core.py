@@ -14,6 +14,8 @@ union; "first" means min (url, seg_id), not arrival order).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .extract_kg import (
     AliasMatcher,
     PredicateMatcher,
@@ -21,10 +23,12 @@ from .extract_kg import (
     link_surface,
 )
 from .text import (
+    _SENT_END_RE,
     first_segment_span,
     hash_embed,
     is_junk_segment,
     jaccard,
+    junk_mask,
     normalize_triple_part,
     novelty_keep_mask,
     page_text,
@@ -66,6 +70,83 @@ def segment_text(url: str, ptext: str, lang: str, cfg: dict) -> list[dict]:
     mask = novelty_keep_mask([s["text"] for s in segs], seg_cfg["novelty_threshold"])
     segs = [s for s, keep in zip(segs, mask) if keep]
     return segs[: seg_cfg["max_per_page"]]
+
+
+def segment_batch(texts: list[str], cfg: dict) -> tuple[np.ndarray, dict]:
+    """:func:`segment_text` of every text at once, equal to the per-text
+    calls in value and order: the index in ``texts`` of each segment's
+    page, and the seg_id, begin, end and text columns.
+
+    The texts are joined into one buffer with a NUL between any two.  A NUL
+    is not ``\\s``, so no sentence boundary crosses into the next text, and
+    one ``_SENT_END_RE`` scan finds them all.  The greedy packing then runs
+    for every page at once: each step closes, on each page still open, the
+    segment at the first boundary or page end at least ``target_chars``
+    past its begin (one ``np.searchsorted``), so there are as many steps as
+    the longest page has spans.  The ``max_chars`` split, the drop of spans
+    that strip to nothing, the junk filter (``junk_mask``) and the per-page
+    cap are array operations.  Only pages with more than one segment left
+    run the sequential novelty gate: it always keeps a page's first one.
+    """
+    seg_cfg = cfg["processing"]["segment"]
+    target, max_chars = seg_cfg["target_chars"], seg_cfg["max_chars"]
+    lens = np.fromiter(map(len, texts), np.int64, len(texts))
+    start = np.cumsum(lens + 1) - (lens + 1)  # each page's offset in the buffer
+    end = start + lens
+    buf = "\0".join(texts)
+    cuts = np.fromiter((m.end() for m in _SENT_END_RE.finditer(buf)), np.int64)
+    bounds = np.sort(np.concatenate([cuts, end]))  # every page's sentence starts but 0
+    last = np.searchsorted(bounds, start) - 1  # the bound a page's open segment began at
+    stop = np.searchsorted(bounds, end, "right")  # past the page's own bounds
+    begin = start.copy()
+    none = np.zeros(0, np.int64)
+    spans = [(none, none, none)]  # (page, begin, end) of each step
+    open_ = np.flatnonzero(lens)  # an empty text has no span
+    while len(open_):
+        b = begin[open_]
+        j = np.maximum(np.searchsorted(bounds, b + target), last[open_] + 1)
+        more = j < stop[open_]
+        done = open_[~more]
+        open_, b, j = open_[more], b[more], j[more]
+        # a closed page's last span runs to its end (empty if the last bound
+        # taken was the end: the blank-span drop below removes it)
+        spans += [(open_, b, bounds[j]), (done, begin[done], end[done])]
+        begin[open_], last[open_] = bounds[j], j
+    page, b, e = (np.concatenate(c) for c in zip(*spans))
+    order = np.argsort(page, kind="stable")  # steps are in span order
+    page, b, e = page[order], b[order], e[order]
+
+    # hard split: ceil(len / max_chars) pieces, the last one ending at e
+    pieces = np.maximum(-(-(e - b) // max_chars), 1)
+    span = np.repeat(np.arange(len(b)), pieces)
+    page, b = page[span], b[span] + _rank(span) * max_chars
+    e = np.minimum(b + max_chars, e[span])
+
+    text = [buf[x:y].strip() for x, y in zip(b.tolist(), e.tolist())]
+    rows = np.flatnonzero(np.fromiter(map(len, text), np.int64, len(text)))
+    page, b, e = page[rows], b[rows], e[rows]
+    text = [text[i] for i in rows.tolist()]
+    seg_id = _rank(page)  # the ordinal before the filters
+
+    junk = [p.lower() for p in cfg["filters"]["junk_patterns"]]
+    rows = np.flatnonzero(~junk_mask(text, junk))
+    p = page[rows]
+    novel = np.ones(len(rows), dtype=bool)
+    first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+    size = np.diff(np.r_[first, len(p)])
+    for f, n in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+        novel[f:f + n] = novelty_keep_mask([text[i] for i in rows[f:f + n].tolist()],
+                                           seg_cfg["novelty_threshold"])
+    rows = rows[novel]
+    rows = rows[_rank(page[rows]) < seg_cfg["max_per_page"]]
+    page = page[rows]
+    return page, {"seg_id": seg_id[rows], "begin": b[rows] - start[page],
+                  "end": e[rows] - start[page], "text": [text[i] for i in rows.tolist()]}
+
+
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Each entry's ordinal within its run of equal, sorted ``keys``."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
 
 def segments_for_page_adaptive(url: str, html, text, lang: str, cfg: dict) -> tuple[str, list[dict]]:

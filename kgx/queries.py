@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import config_loader, synth
 from .functions import textstats as ts
-from .functions.pipeline_core import segments_for_page
+from .functions.pipeline_core import segment_batch
 from .pipelines.relational import _read
 
 DOC_URL_SQL = "'https://synth.example/' || source || '/' || doc_id"
@@ -97,7 +97,10 @@ def kg_segment_count(sf_dir: str):
     function of text length, hence SQL-checkable.  Demonstrates the
     CLI-over-preset-over-default override chain (reference extractor.py:65-97).
     """
+    import numpy as np
     import pyarrow as pa
+
+    from .stages.kg_stages import extract_text_batch
 
     cfg = config_loader.resolve_settings()
     seg = dict(cfg["processing"]["segment"])
@@ -108,13 +111,9 @@ def kg_segment_count(sf_dir: str):
             "filters": {**cfg["filters"], "junk_patterns": []}}
 
     def count_batch(batch: pa.Table) -> pa.Table:
-        urls, counts = [], []
-        for r in batch.to_pylist():
-            _, segs = segments_for_page(r["url"], r["html"], r["text"], r["lang"], cfg2)
-            urls.append(r["url"])
-            counts.append(len(segs))
+        page, _ = segment_batch(extract_text_batch(batch)["text"].to_pylist(), cfg2)
         return pa.table(
-            {"url": urls, "n_segments": counts},
+            {"url": batch["url"], "n_segments": np.bincount(page, minlength=batch.num_rows)},
             schema=pa.schema([("url", pa.string()), ("n_segments", pa.int64())]),
         )
 
@@ -1151,27 +1150,24 @@ def kg_boilerplate(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from .functions.pipeline_core import segments_for_page
     from .functions.text import stable_hash64
     from .stages.exchange import hash_partitioned_agg
+    from .stages.kg_stages import extract_text_batch
 
     cfg2 = _kg_sql_cfg()
     tok_re = re.compile(r"[a-z0-9_]+")
 
     def partial(batch: "pa.Table") -> "pd.DataFrame":
-        keys: list[int] = []
-        for r in batch.to_pylist():
-            page_keys = set()
-            _, segs = segments_for_page(
-                r["url"], r["html"], r["text"], r["lang"], cfg2)
-            for s in segs:
-                k = " ".join(tok_re.findall(s["text"].lower()))
-                if k:
-                    # % 2^62 keeps the key in int64 range (the
-                    # kg_entity_edges convention); the oracle groups by
-                    # the raw token join, so only counts must agree
-                    page_keys.add(stable_hash64(k) % (1 << 62))
-            keys.extend(page_keys)
+        page, cols = segment_batch(extract_text_batch(batch)["text"].to_pylist(), cfg2)
+        page_keys = set()  # distinct (page, key)
+        for p, text in zip(page.tolist(), cols["text"]):
+            k = " ".join(tok_re.findall(text.lower()))
+            if k:
+                # % 2^62 keeps the key in int64 range (the
+                # kg_entity_edges convention); the oracle groups by
+                # the raw token join, so only counts must agree
+                page_keys.add((p, stable_hash64(k) % (1 << 62)))
+        keys = [k for _, k in page_keys]
         if not keys:
             return pd.DataFrame()
         u, cnt = np.unique(np.asarray(keys, dtype=np.int64),

@@ -2336,8 +2336,10 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
                                 ascending=[True, False, True], kind="stable")
     csum = merged.groupby("source", sort=False)["n_tokens"].cumsum()
     merged["off"] = (csum - merged["n_tokens"]).astype("int64")
-    # prune: a group starting at or past the budget contributes nothing
-    offsets = merged.loc[merged["off"] < budget,
+    # prune: a group starting past the budget contributes nothing (one
+    # starting AT it still keeps its zero-token documents: their inclusive
+    # running total equals the budget)
+    offsets = merged.loc[merged["off"] <= budget,
                          ["source", "score", "bucket", "off"]].reset_index(
         drop=True)
     off_ref = ray.put(offsets)

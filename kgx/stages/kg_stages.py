@@ -14,10 +14,12 @@ The wide steps (canonicalize / dedup / adjacency) live in
 ``kgx.stages.wide``.  Every row-level computation delegates to
 ``kgx.functions`` so the serial oracle and this distributed pipeline cannot
 drift (the P/R and byte-identity gates then measure distribution only).
-TripleLinker is the one stage that runs a batch kernel instead of the
-per-row functions: ``extract_kg.BatchLinker`` scans a whole batch at once
-and links column-wise, and must equal the oracle's per-row
-``raw_triples_for_segment`` + ``link_raw_triple`` row for row, in order.
+The two phase-A stages after extraction run batch kernels instead of the
+per-row functions, and each must equal the oracle's per-row functions row
+for row, in order: SegmentPages runs ``pipeline_core.segment_batch``
+(against ``segment_text``), and TripleLinker runs ``extract_kg.BatchLinker``,
+which scans a whole batch at once and links column-wise (against
+``raw_triples_for_segment`` + ``link_raw_triple``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .. import schema as S
 from ..functions.extract_kg import AliasMatcher, BatchLinker
 from ..functions.pipeline_core import (
     mentions_for_segment,
+    segment_batch,
     segment_text_adaptive,
 )
 from ..functions.text import extract_text_from_html
@@ -77,11 +80,15 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
 
 
 class SegmentPages:
-    """Stateless-ish flat map: one page row -> N segment rows.
+    """Page texts -> segments, a batch at a time: ``segment_batch`` (one
+    sentence-boundary scan over the batch's texts joined into one buffer,
+    the greedy packing for all pages at once, the junk filter as one search
+    per pattern, the novelty gate only on pages with two or more segments
+    left).  Its rows equal the per-page ``segment_text`` of the serial
+    oracle, in order.  With ``processing.adaptive.enabled`` (G6), whose
+    parameters change along a page, every page runs
+    ``segment_text_adaptive`` instead.
 
-    A class (not a plain fn) only so the config dict is normalized once per
-    worker instead of per batch; it holds no heavy state and could run as
-    tasks — kept as a pooled callable for symmetry with the actor stages.
     Reference semantics: chunk splitter M4/M5 + junk filter M7 + novelty
     gating M6 + per-window cap G5, all page-local (chunker.py:72-272,
     extractor.py:123-179,369-396).
@@ -91,16 +98,24 @@ class SegmentPages:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        for url, text, lang in zip(urls, texts, langs):
-            # text is page_text output already (extract_text_batch), so it
-            # is segmented as is.  The plain segmenter runs unless
-            # processing.adaptive.enabled (G6).
-            rows.extend(segment_text_adaptive(url, text, lang, self.cfg))
-        return _rows_to_table(rows, S.SEGMENTS)
+        # text is page_text output already (extract_text_batch), so it is
+        # segmented as is
+        if self.cfg["processing"].get("adaptive", {}).get("enabled"):
+            rows: list[dict] = []
+            for url, text, lang in zip(batch["url"].to_pylist(), batch["text"].to_pylist(),
+                                       batch["lang"].to_pylist()):
+                rows.extend(segment_text_adaptive(url, text, lang, self.cfg))
+            return _rows_to_table(rows, S.SEGMENTS)
+        page, cols = segment_batch(batch["text"].fill_null("").to_pylist(), self.cfg)
+        page = pa.array(page)
+        return pa.table({
+            "url": batch["url"].take(page),
+            "seg_id": pa.array(cols["seg_id"], pa.int32()),
+            "begin": pa.array(cols["begin"], pa.int32()),
+            "end": pa.array(cols["end"], pa.int32()),
+            "text": pa.array(cols["text"], pa.string()),
+            "lang": batch["lang"].take(page),
+        }, schema=S.SEGMENTS)
 
 
 class MentionDetector:

@@ -9,12 +9,16 @@ import re
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgx import config_loader, schema, synth
 from kgx.functions.extract_kg import (
     AliasMatcher,
     BatchLinker,
     PredicateMatcher,
+    _alternation,
+    _trie,
     extract_raw_triples,
     link_surface,
 )
@@ -157,6 +161,46 @@ class TestCaseFolding:
         m = PredicateMatcher([{"phrase": "acquired", "pred": "acquired", "conf": 0.9}])
         assert m.find("Acme ACQU\u0130RED Globex") == [(5, 13, "acquired", 0.9)]
         assert m.find("Acme acquired Globex") == [(5, 13, "acquired", 0.9)]
+
+
+class TestTrie:
+    """The prefix-tree pattern of the lowered ASCII scan finds the spans of
+    the longest-first alternation it replaced."""
+
+    @given(keys=st.lists(st.text(alphabet="ab .-", max_size=5), min_size=1, max_size=8),
+           text=st.text(alphabet="ab .-\0", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_alternation(self, keys, text):
+        keys = sorted(set(keys), key=len, reverse=True)
+        want = [m.span() for m in _alternation(keys, 0).finditer(text)]
+        assert [m.span() for m in _trie(keys).finditer(text)] == want
+
+    LEXICON = ["bank", "bank of x", "bank of xy", "acme sys", "acme", "ha\u017ft ag",
+               "\u0130stanbul bank", "kelvin", "kelvin labs", "z\u00fcrich"]
+    TEXTS = [
+        "Bank of X and bank of xylophones, BANK OF XY, banks of x",
+        "Acme Systems met ACME SYS and acme syste",  # an alias ending inside a word
+        "\u212aelvin Labs, KELVIN LABS\0kelvin labsx, \u212aELVIN",  # Kelvin sign
+        "Ha\u017ft AG, HAST AG\0hast ag \u017f",  # long s
+        "\u0130stanbul Bank, istanbul bank, \u0130STANBUL BANK",  # dotted capital I
+        "bank\0of x\0bank of x\0\0Z\u00fcrich\0zurich",  # NUL pieces
+        "",
+    ]
+
+    @pytest.mark.parametrize("ascii_only", [True, False])
+    def test_hostile_lexicon(self, ascii_only):
+        names = [k for k in self.LEXICON if k.isascii() or not ascii_only]
+        m = AliasMatcher([{"alias": a, "entity_id": i, "canonical_name": a,
+                           "ner_type": "ORG", "prior": 1.0} for i, a in enumerate(names)])
+        assert m.lexicon._fast == ascii_only  # the long s turns the fast scan off
+        plain = _alternation(sorted(m.index, key=len, reverse=True), re.IGNORECASE)
+        for text in self.TEXTS:
+            want = [(x.start(), x.end(), x.group(0)) for x in plain.finditer(text)]
+            assert m.find(text) == want, text
+
+    def test_deep_nesting_falls_back(self):
+        keys = ["a" * i for i in range(1500, 0, -1)]  # each a prefix of the next
+        assert [m.span() for m in _trie(keys).finditer("a" * 20 + " " + "a" * 1501)] == [(0, 20)]
 
 
 def _serial_table(segs: list[dict], alias_rows, embeddings, cfg) -> pa.Table:

@@ -226,3 +226,30 @@ class TestNullDimensionMatchesMirror:
                 lambda: to_pandas(queries.registry()[name](str(tmp_path)))):
             assert got[col].isna().any(), "NULL group lost"
             assert mismatch(got, want) is None
+
+
+class TestTokenBudgetBoundary:
+    """``token_budget`` keeps a document iff its inclusive running token
+    total is within the budget, as the DuckDB mirror does.  A zero-token
+    document whose (source, score, bucket) group starts exactly at the
+    budget has a total equal to it, so its group must survive the prune."""
+
+    def test_zero_token_group_at_the_budget(self, ray_session, each_route, tmp_path):
+        import duckdb
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from kgx.stages.corpus import sql_token_budget, token_budget
+
+        path = tmp_path / "documents.parquet"
+        pq.write_table(pa.table({"doc_id": pa.array([1, 100], pa.int64()),
+                                 "text": ["aaa bbb ccc", ""],
+                                 "source": ["s", "s"]}), path)
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{path}')")
+        cols = ["doc_id", "source", "score", "n_tokens", "cum_tokens"]
+        want = sorted(con.execute(sql_token_budget(budget=3)).fetchall())
+        assert [r[0] for r in want] == [1, 100]
+        for got in each_route(lambda: token_budget(
+                rd.read_parquet(str(path)), budget=3, num_buckets=2).to_pandas()):
+            assert sorted(map(tuple, got[cols].itertuples(index=False))) == want
