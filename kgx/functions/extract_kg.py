@@ -57,6 +57,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -489,15 +490,31 @@ class BatchLinker:
         token id`` of the context tokens that occur in a candidate name.
 
         The vector entries are sums of +-1.0, exact in any order, and the
-        norm is taken with Python's ``** 0.5``, as in ``hash_embed``."""
-        text = "\0".join([c.replace("\0", " ") for c in contexts])  # NUL ends a context
-        words = _WORD_OR_NUL_RE.findall(text.lower())
+        norm is taken with Python's ``** 0.5``, as in ``hash_embed``.  The
+        ASCII contexts are lowered at once, as in ``_Lexicon.spans``: one
+        non-ASCII character would put the whole buffer on ``lower()``'s
+        Unicode path, so such contexts are lowered one by one, after the
+        others (``at`` maps buffer order back to context order)."""
+        texts = [c.replace("\0", " ") for c in contexts]  # NUL ends a context
+        text, at = "\0".join(texts), None
+        if text.isascii():
+            text = text.lower()
+        else:
+            fast = np.fromiter(map(str.isascii, texts), bool, len(texts))
+            at = np.r_[np.flatnonzero(fast), np.flatnonzero(~fast)]
+            low = [t.lower() for t in compress(texts, ~fast)]
+            if fast.any():
+                low.insert(0, "\0".join(compress(texts, fast)).lower())
+            text = "\0".join(low)
+        words = _WORD_OR_NUL_RE.findall(text)
         ids: dict[str, int] = {"\0": 0}
         wid = np.fromiter((ids.setdefault(w, len(ids)) for w in words), np.int64, len(words))
         word = wid != 0
         n_ids = len(ids)
         pairs = np.unique(np.cumsum(~word)[word] * n_ids + wid[word])  # distinct (context, token)
         ctx, tok = pairs // n_ids, pairs % n_ids
+        if at is not None:
+            ctx = at[ctx]
         words = list(ids)  # by id; words[0] is the NUL
         bucket, sign = np.array([(0, 0.0)] + [hash_bucket(w, self.dim) for w in words[1:]]).T
         vecs = np.bincount(ctx * self.dim + bucket[tok].astype(np.int64), weights=sign[tok],

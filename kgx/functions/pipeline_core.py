@@ -405,7 +405,7 @@ def merge_triple_group(rows: list[dict]) -> dict:
     (partial rows carry n_support).  The tie-break includes the raw
     (subj, pred, obj) so two same-key rows in the SAME segment still pick an
     order-free representative (the distributed path computes exactly this
-    tuple-min via multi-column sort+first — stages/wide.py)."""
+    tuple-min as the head of a sorted run — stages/wide.py merge_triples)."""
     rep = min(
         rows, key=lambda r: (r["url"], r["seg_id"], r["subj"], r["pred"], r["obj"])
     )

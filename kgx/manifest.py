@@ -88,15 +88,22 @@ def atomic_write_dir(ds, final_dir: str | Path, **write_kwargs) -> int:
 
 def parquet_dir_checksum(dir_path: str | Path, key_cols: list[str]) -> str:
     """Order-insensitive content checksum of the key columns of a Parquet
-    dir: XOR of per-row stable hashes — cheap columnar read, no full sort."""
+    dir: XOR of per-row hashes, column-wise.  A batch's key strings
+    (``key_cols`` as strings joined by ``\x1f``, a null as ``\x00``, so a
+    null key changes the checksum) are built in Arrow and hashed at once
+    with pandas' stable object hasher, the exchange's."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    from .functions.text import stable_hash64
-
-    acc = 0
+    acc = np.uint64(0)
     dset = pads.dataset(str(dir_path), format="parquet")
     for batch in dset.to_batches(columns=key_cols):
-        cols = [batch.column(c).to_pylist() for c in key_cols]
-        for vals in zip(*cols):
-            acc ^= stable_hash64("\x1f".join(str(v) for v in vals))
-    return f"{acc:016x}"
+        cols = [pc.cast(batch.column(c), pa.string()) for c in key_cols]
+        keys = pc.binary_join_element_wise(
+            *cols, "\x1f", null_handling="replace", null_replacement="\x00")
+        h = pd.util.hash_array(keys.to_numpy(zero_copy_only=False))
+        acc ^= np.bitwise_xor.reduce(h)
+    return f"{int(acc):016x}"

@@ -129,9 +129,12 @@ def finalize(linked_ds, cfg: dict, sort_output: bool = True) -> dict:
     Dataset: exact dedup + categorize -> final triples (sorted by subj for
     the range-partitioned graph materialization, O3), canonical entities,
     adjacency.  The input Dataset is consumed by three chains, so callers
-    pass either a checkpoint read (run_kg) or a materialized Dataset
-    (in-memory query path) — never a lazy chain that would recompute phase A
-    three times.
+    pass a pinned Dataset (a materialized checkpoint read in run_kg, the
+    materialized phase-A output on the in-memory query path) — never a lazy
+    chain that would recompute phase A three times.  A pinned input up to
+    ``exchange.DRIVER_BYTES`` takes the exchange's driver route in all
+    three chains: phase B then runs its kernels at this call, with no Ray
+    Data execution (the sort of ``sort_output`` aside).
     """
     # Dedup runs ONCE; the pinned result (the small final-triples table) feeds
     # both the sorted output and the adjacency chain — previously the whole
@@ -217,7 +220,9 @@ def run_kg(
         todo = [n for n, _ in artifacts if not man.phase_done(f"write_{n}")]
         outs = None
         if todo:
-            linked = rd.read_parquet(str(out_dir / "linked"))
+            # pinned, as kg_tables_in_memory pins linked: the three chains
+            # read the checkpoint once, and a small one runs on the driver
+            linked = rd.read_parquet(str(out_dir / "linked")).materialize()
             outs = finalize(linked, cfg, sort_output=True)
         counters = {}
         for name, part_cols in artifacts:

@@ -3,22 +3,26 @@ all-to-one finish of a driver-scale result.
 
 Key-partitioned: one shape, two entry points, two routes
 
-    tag part_id = hash(key values) % P      # ONE tagger, format-preserving
-    pin the tagged input, measure it
-    rows > 0 and bytes <= DRIVER_BYTES:     # driver route
-        kernel(all rows)                    #   ONE call, on the driver
-    otherwise:                              # exchange route
-        groupby(part_id).map_groups(kernel) #   ONE exchange, P groups,
-                                            #     one vectorized call each
+    pinned input, rows > 0, bytes <= DRIVER_BYTES:   # driver route, at once
+        kernel(combine(all rows))                    #   no tag, no execution
+    otherwise:
+        combine per batch, tag part_id = hash(key values) % P
+        pin the tagged input, measure it             # ONE tagger,
+        rows > 0 and bytes <= DRIVER_BYTES:          #   format-preserving
+            kernel(all rows)                         # driver route
+        otherwise:                                   # exchange route
+            groupby(part_id).map_groups(kernel)      #   ONE exchange, P
+                                                     #   groups, one call each
 
 * :func:`hash_partitioned_apply` — partition-only: ``kernel`` runs exactly
   once per partition over every key the partition holds (holistic per-key
   work that admits no combiner: sessionization, bucket verification,
   ordered windows).
-* :func:`hash_partitioned_agg` — the same exchange run over
-  ``ds.map_batches(combine)``, so an associative/commutative ``combine``
-  runs once per input batch (the combiner: one partial row per key per
-  batch) and once per partition (the re-merge).
+  Given ``combine=``, an associative/commutative combiner that shrinks
+  the rows before they move (one partial row per key per batch), it runs
+  once per input batch, or once over all rows on the driver route.
+* :func:`hash_partitioned_agg` — ``hash_partitioned_apply`` whose kernel
+  is its ``combine``: the combiner, then the re-merge.
 
 Compared with ``groupby(keys).map_groups(fn)`` this removes the per-group
 Python call (10^4-10^6 groups -> 10^1-10^2 partitions) while keeping key
@@ -29,16 +33,26 @@ The route.  A kernel that is correct on every key-complete row set is
 correct on all rows at once, so a small input (the usual case after a
 combiner: 10^4 partials for 10^2 keys) skips the all-to-all, whose cost is
 its stages and their scheduling, not its bytes.  The route is chosen
-when the function is CALLED: the TAGGED input is pinned (``materialize``)
-and its block metadata gives its rows and bytes.  The driver route runs
-the kernel then and there; the exchange route stays lazy over the pinned
-tagged blocks.  Those are exactly the blocks the exchange's sort buffers
-in full before it partitions, so pinning them adds no copy while one
-exchange runs; what it adds is lifetime: they live as long as the result
-Dataset does, so a chain of exchanges whose earlier results are still
-referenced holds one tagged input per live result.  (Materializing the
-exchange output to release the input sooner costs more: the output then
-lives on in the caller.)
+when the function is CALLED, from block metadata, so it costs no pass:
+
+* A PINNED input (a ``MaterializedDataset``: ``materialize()``,
+  ``from_arrow``, a driver-route result) already knows its rows and bytes.
+  With at least one row and at most :data:`DRIVER_BYTES`, the combiner
+  runs once over all its rows and the kernel once over the combiner's
+  output, then and there: no tag pass, no Ray execution.  (A chain of
+  such calls, like the pipeline's phase B over its pinned linked table,
+  runs no execution at all.)  This route makes no tagged copy, so it
+  holds nothing past the call but its one-block result.
+* Any other input (lazy, or pinned and larger) runs the combiner per
+  batch and the tagger, and the TAGGED output is pinned and measured.
+  Small, it takes the driver route over the tagged blocks; otherwise the
+  exchange route stays lazy over them.  Those are exactly the blocks the
+  exchange's sort buffers in full before it partitions, so pinning them
+  adds no copy while one exchange runs; what it adds is lifetime: they
+  live as long as the result Dataset does, so a chain of exchanges whose
+  earlier results are still referenced holds one tagged input per live
+  result.  (Materializing the exchange output to release the input sooner
+  costs more: the output then lives on in the caller.)
 
 One constant, :data:`DRIVER_BYTES`, bounds every driver-vs-exchange choice
 in this module (this route and :func:`lookup_join`'s).  It is a byte bound
@@ -111,12 +125,14 @@ frame or an Arrow table.  The rule rests on four facts of Ray 2.49:
 1. ``map_batches`` passes a zero-row pandas or Arrow block through
    unchanged, without calling the function.  A zero-row input takes the
    exchange route, where ``map_groups`` calls the kernel only on non-empty
-   groups; the driver route runs only on at least one row; ``then`` runs
-   only on a non-empty join output.
+   groups; the driver route runs only on at least one row, and its kernel
+   only on a non-empty combiner output; ``then`` runs only on a non-empty
+   join output.
 2. A typed empty fed to an exchange is thrown away: the tagger is skipped
    on a zero-row block, so the block arrives without ``part_id`` whatever
    its type, and all-empty partials give a column-less result on both
-   routes.
+   routes (on the driver route of a pinned input, a combiner output of
+   zero rows gives the same column-less one-block result).
 3. A zero-row Dataset shows its caller no columns (``to_pandas`` of
    ``from_arrow(<typed empty>)``, a ``read_parquet`` of a zero-row file):
    only a driver collect with a ``schema`` types it.
@@ -130,12 +146,12 @@ Correct is not quiet: Ray logs "Operator produced a RefBundle with a
 different schema" for an operator whose output bundles differ in schema,
 and a zero-row block that skipped the tagger sits untagged next to tagged
 ones.  So :func:`hash_partitioned_apply` drops the zero-row blocks of a
-PINNED input (a ``MaterializedDataset``) before it tags, and on the
-exchange route those of the tagged input before the sort.  A zero-row
-block that a lazy producer hands to the tagger in one fused operator
-still reaches it; a producer that can filter a batch to zero rows and
-wants no warning returns a typed empty (one schema for all its blocks)
-and pins its output (``corpus.token_budget``).
+PINNED input (a ``MaterializedDataset``) before it tags (its driver route
+tags nothing), and on the exchange route those of the tagged input before
+the sort.  A zero-row block that a lazy producer hands to the tagger in
+one fused operator still reaches it; a producer that can filter a batch
+to zero rows and wants no warning returns a typed empty (one schema for
+all its blocks) and pins its output (``corpus.token_budget``).
 
 Lookup join: a fact stream probes a keyed dimension
 
@@ -224,17 +240,26 @@ def hash_partitioned_apply(
     kernel: Callable,
     num_partitions: int | None = None,
     kernel_format: str = "pandas",
+    combine: Callable | None = None,
+    combine_batch_size: int | None = None,
 ):
     """Partition-ONLY exchange: rows co-locate by hash(keys) and ``kernel``
     (a ``kernel_format`` batch -> batch function) runs EXACTLY ONCE per
     partition over all its keys, so it may sort and scan freely.
 
-    The route is chosen NOW (see "Key-partitioned" in the module
-    docstring): the tagged input is pinned and measured (a pinned input
-    loses its zero-row blocks first, see "Zero rows"); at most
-    :data:`DRIVER_BYTES` of it (and at least one row) runs ``kernel`` once
-    on the driver over every row, as one single-chunk batch; anything else
-    takes the exchange, lazily, over the pinned tagged blocks.
+    ``combine`` (optional, ``kernel_format`` batch -> batch, associative
+    and commutative over ``keys``) shrinks the rows before they move: it
+    runs on every input batch of ``combine_batch_size`` rows (None: one
+    call per block) and the kernel sees its output.
+
+    The route is chosen NOW (see "The route" in the module docstring): a
+    pinned input of at least one row and at most :data:`DRIVER_BYTES` runs
+    ``combine`` once over every row and ``kernel`` once over its output, on
+    the driver; otherwise the combiner output is tagged, pinned and
+    measured (a pinned input loses its zero-row blocks first, see "Zero
+    rows"), and a small one takes the same driver route, anything else the
+    exchange, lazily, over the pinned tagged blocks.  The kernel gets one
+    single-chunk batch on the driver.
 
     Default P is 8x the CPU count, NOT the CPU count: the exchange is a
     range-partitioned sort on part_id, and more distinct values give it
@@ -242,13 +267,19 @@ def hash_partitioned_apply(
     heterogeneously-sized kernels (per-key disjointness is unaffected by P)."""
     from ray.data.dataset import MaterializedDataset
 
+    pinned = isinstance(ds, MaterializedDataset)
+    if pinned and ds.count() and ds.size_bytes() <= DRIVER_BYTES:
+        return _on_driver(ds, kernel, kernel_format, combine)
     P = num_partitions or _default_partitions() * 8
-    if isinstance(ds, MaterializedDataset):
+    if pinned:
         ds = _nonempty(ds)
+    if combine is not None:
+        ds = ds.map_batches(combine, batch_format=kernel_format,
+                            batch_size=combine_batch_size)
     tagged = ds.map_batches(lambda b: _tag(b, keys, P),
                             batch_format=None).materialize()
     if tagged.count() and tagged.size_bytes() <= DRIVER_BYTES:
-        return _on_driver(tagged, kernel, kernel_format)
+        return _on_driver(tagged, kernel, kernel_format, drop="part_id")
     tagged = _nonempty(tagged)
 
     if kernel_format == "pyarrow":
@@ -275,8 +306,7 @@ def _nonempty(ds):
     from ray.data._internal.plan import ExecutionPlan
     from ray.data.dataset import MaterializedDataset
 
-    blocks = [(b.schema, rm) for b in ds.iter_internal_ref_bundles()
-              for rm in b.blocks]
+    blocks = [(b.schema, rm) for b in _bundles(ds) for rm in b.blocks]
     full = [RefBundle([rm], owns_blocks=False, schema=s)
             for s, rm in blocks if rm[1].num_rows != 0]
     if not full or len(full) == len(blocks):
@@ -289,27 +319,45 @@ def _nonempty(ds):
     return out
 
 
-def _on_driver(tagged, kernel: Callable, kernel_format: str):
-    """``kernel`` once over every row of the pinned, tagged Dataset, as a
-    one-block Dataset.  Pandas blocks reach a pandas kernel through one
-    ``pd.concat``; otherwise the blocks become one single-chunk Arrow table
-    (a per-key ``take`` on a chunked table re-concatenates every chunk)."""
-    import pandas as pd
+def _on_driver(ds, kernel: Callable, kernel_format: str,
+               combine: Callable | None = None, drop: str | None = None):
+    """``kernel`` (after ``combine``, if given) once over every row of the
+    pinned Dataset ``ds`` less its ``drop`` column, as a one-block Dataset;
+    a combiner output of zero rows gives a column-less one (the kernel is
+    not called)."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data.block import BlockAccessor
 
-    blocks = [b for b in _blocks(tagged) if len(b)]
+    batch = _one_batch([b for b in _blocks(ds) if len(b)], kernel_format,
+                       drop)
+    if combine is not None:
+        part = BlockAccessor.batch_to_block(combine(batch))
+        if not len(part):
+            return rd.from_blocks([pa.table({})])
+        batch = _one_batch([part], kernel_format)
+    return rd.from_blocks([BlockAccessor.batch_to_block(kernel(batch))])
+
+
+def _one_batch(blocks: list, kernel_format: str, drop: str | None = None):
+    """Non-empty ``blocks`` as one ``kernel_format`` batch without its
+    ``drop`` column.  Pandas blocks reach a pandas kernel through one
+    ``pd.concat`` (object columns Arrow cannot hold pass unchanged);
+    otherwise they become one Arrow table with a SINGLE chunk per column (a
+    per-key ``take`` on a chunked table re-concatenates every chunk)."""
+    import pandas as pd
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    cut = [drop] if drop else []
     if kernel_format == "pandas" and all(
             isinstance(b, pd.DataFrame) for b in blocks):
-        batch = pd.concat(blocks, ignore_index=True).drop(columns="part_id")
-    else:
-        t = pa.concat_tables(
-            [BlockAccessor.for_block(b).to_arrow() for b in blocks],
-            promote_options="permissive").drop_columns("part_id")
-        batch = BlockAccessor.for_block(t.combine_chunks()) \
-            .to_batch_format(kernel_format)
-    return rd.from_blocks([BlockAccessor.batch_to_block(kernel(batch))])
+        return pd.concat(blocks, ignore_index=True).drop(columns=cut)
+    t = pa.concat_tables(
+        [BlockAccessor.for_block(b).to_arrow() for b in blocks],
+        promote_options="permissive").drop_columns(cut)
+    return BlockAccessor.for_block(t.combine_chunks()) \
+        .to_batch_format(kernel_format)
 
 
 def hash_partitioned_agg(
@@ -321,16 +369,27 @@ def hash_partitioned_agg(
 ):
     """``combine`` must be an associative/commutative aggregation over
     ``keys`` (groupby + sum/min/max/first-on-sorted...) taking and returning
-    ``kernel_format`` batches.  It runs once per input batch (the combiner)
-    and once per partition (the re-merge); output columns must be stable
-    across both applications.  The route is chosen from the combiner
-    output's size: at most :data:`DRIVER_BYTES` of partials are re-merged
-    by one driver call.  Default P is the CPU count: after the combiner a
+    ``kernel_format`` batches.  It runs as the combiner (once per input
+    block, or once over all rows of a small pinned input) and once per
+    partition (the re-merge); output columns must be stable across both
+    applications.  Default P is the CPU count: after the combiner a
     partition holds partials, not rows."""
     return hash_partitioned_apply(
-        ds.map_batches(combine, batch_format=kernel_format), keys, combine,
-        num_partitions or _default_partitions(), kernel_format,
+        ds, keys, combine, num_partitions or _default_partitions(),
+        kernel_format, combine=combine,
     )
+
+
+def _bundles(ds) -> list:
+    """The RefBundles of ``ds``.  A pinned Dataset's are read from its plan:
+    ``iter_internal_ref_bundles`` starts a Ray Data execution even over
+    blocks that are already in the object store."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    if isinstance(dag, SourceOperator) and dag.output_data() is not None:
+        return list(dag.output_data())
+    return list(ds.iter_internal_ref_bundles())
 
 
 def _blocks(ds) -> list:
@@ -340,8 +399,7 @@ def _blocks(ds) -> list:
     # not ray.get(ds.to_arrow_refs()): that runs the plan a second time (a
     # limit(1) pass for the schema, which cancels tasks when it stops) and
     # hands a pandas block among Arrow ones over unconverted
-    return ray.get([r for b in ds.iter_internal_ref_bundles()
-                    for r in b.block_refs])
+    return ray.get([r for b in _bundles(ds) for r in b.block_refs])
 
 
 def collect_arrow(ds, schema=None):

@@ -13,7 +13,8 @@ One Arrow kernel, :func:`merge_entities`, is that merge at every level: the
 bundled per-batch combiner, phase 1 and phase 2.
 
 The same partial/final pattern pre-shrinks the exact-dedup shuffle: most
-duplicate (s,p,o) rows collapse inside ``map_batches`` before any data moves.
+duplicate (s,p,o) rows collapse in the combiner before any data moves, and
+one Arrow kernel, :func:`merge_triples`, is that merge at both levels.
 """
 
 from __future__ import annotations
@@ -168,13 +169,11 @@ def canonical_phase1(linked_ds, cfg: dict):
     from .exchange import hash_partitioned_apply
 
     salt_buckets = cfg["processing"]["canonicalize"]["salt_buckets"]
-    partial = linked_ds.map_batches(
-        lambda b: mention_partials(b, salt_buckets),
-        batch_format="pyarrow", batch_size=200_000,
-    )
     return hash_partitioned_apply(
-        partial, _SALTED, lambda t: merge_entities(t, _SALTED),
-        kernel_format="pyarrow")
+        linked_ds, _SALTED, lambda t: merge_entities(t, _SALTED),
+        kernel_format="pyarrow",
+        combine=lambda b: mention_partials(b, salt_buckets),
+        combine_batch_size=200_000)
 
 
 def canonical_entities(linked_ds, cfg: dict):
@@ -194,21 +193,20 @@ def canonical_entities(linked_ds, cfg: dict):
 # Exact triple dedup + categorize
 # ---------------------------------------------------------------------------
 #
-# Fully vectorized formulation of the G4/D3 + G3 semantics:
-#   * the min-lineage representative (url, seg_id, subj, pred, obj) tuple-min
-#     of merge_triple_group (pipeline_core) is computed as a multi-column
-#     sort_values + groupby(...).first() — columns stay SEPARATE, so a url
-#     containing control characters can never corrupt the aggregation (the
-#     earlier packed-\x1f-string encoding crashed on data-controlled urls,
-#     ADVICE.md 2026-08-17);
-#   * per-batch partial merge is a pandas groupby (the combiner), the global
-#     merge re-applies the same sort+first per hash partition — no per-group
-#     Python anywhere, which is what keeps this stage off the profile at
-#     10^5+ distinct keys per block.
+# One Arrow kernel, merge_triples, is merge_triple_group (pipeline_core) at
+# every level: the bundled per-batch combiner and the final merge.  The key
+# ``dkey`` is normalize_triple_part(subj) | pred | normalize_triple_part(obj)
+# and stays its own column next to the lineage columns, so a url holding
+# control characters can never corrupt the merge (a packed-\x1f-string
+# encoding once crashed on data-controlled urls, ADVICE.md 2026-08-17).
 
 _SEP = "\x1f"  # separator INSIDE dkey only: parts there are normalize_triple_part
 # output (control chars stripped), so the key can never be ambiguous.
 _LIN_COLS = ["url", "seg_id", "subj", "pred", "obj"]
+# normalize_triple_part's classes after an ASCII lower, spelled out for
+# RE2: (?a)\w is [0-9a-z_] once lowered, and RE2's \s lacks the \v of (?a)\s
+_PUNCT_RE2 = "[^0-9a-z_ \t\n\x0b\x0c\r]"
+_WS_RE2 = "[ \t\n\x0b\x0c\r]+"
 
 
 def _norm_part_series(s):
@@ -222,122 +220,111 @@ def _norm_part_series(s):
     )
 
 
-def partial_dedup_triples_df(df):
-    """Within-batch combiner for the exact-dedup shuffle: collapse duplicate
-    normalized (s,p,o) before any row leaves the task.  The representative
-    is the lexicographic min over (url, seg_id, subj, pred, obj) — pandas
-    multi-column sort + first == Python tuple min (str columns compare as
-    str, seg_id as int)."""
-    import pandas as pd
-
-    dkey = _norm_part_series(df["subj"]) + _SEP + df["pred"] + _SEP + _norm_part_series(df["obj"])
-    t = pd.DataFrame(
-        {
-            "dkey": dkey,
-            "url": df["url"],
-            "seg_id": df["seg_id"],
-            "subj": df["subj"],
-            "pred": df["pred"],
-            "obj": df["obj"],
-            "conf": df["conf"],
-            "n_support": 1,
-        }
-    )
-    return _merge_partials_df(t)
+def _non_ascii_by(a, out, fn):
+    """``out`` with ``fn(value)`` in place of every non-ASCII value of the
+    string array ``a``: what Arrow's ASCII kernels cannot mirror (Python's
+    ``lower`` maps some non-ASCII characters to ASCII ones, the Kelvin sign
+    to ``k`` and ``İ`` to ``i̇``)."""
+    slow = pc.invert(pc.fill_null(pc.string_is_ascii(a), True))
+    if not pc.any(slow).as_py():
+        return out
+    vals = [fn(v) for v in a.filter(slow).to_pylist()]
+    if isinstance(out, pa.ChunkedArray):  # replace_with_mask takes arrays
+        out, slow = out.combine_chunks(), slow.combine_chunks()
+    return pc.replace_with_mask(out, slow, pa.array(vals, pa.string()))
 
 
-def categorize_series(subj, pred, obj, cat_order: list[str], cat_kw: dict):
-    """Vectorized keyword-argmax categorization (G3): winner = first
-    category in cat_order attaining the max keyword-hit count, 'general'
-    when no keyword hits — identical to the strict-> replacement loop of
-    categorize_triple (argmax returns the first maximum)."""
-    import numpy as np
+def _norm_parts(a):
+    """``normalize_triple_part`` of every value of the string array ``a``."""
+    from ..functions.text import normalize_triple_part
 
-    hay = (subj + " " + pred + " " + obj).str.lower()
+    out = pc.replace_substring_regex(pc.ascii_lower(a), _PUNCT_RE2, "")
+    out = pc.utf8_trim(pc.replace_substring_regex(out, _WS_RE2, " "), " ")
+    return _non_ascii_by(a, out, normalize_triple_part)
+
+
+def merge_triples(t: pa.Table) -> pa.Table:
+    """Partial dedup rows (dkey, url, seg_id, subj, pred, obj, conf,
+    n_support) -> one row per ``dkey``: ``merge_triple_group`` per key, at
+    any level and over any split of the rows (property-tested).
+
+    One sort on (dkey, url, seg_id, subj, pred, obj) puts each key's
+    tuple-min lineage at the head of its run (UTF-8 byte order is Python's
+    code-point order); conf is the max and n_support the sum over the run
+    (``reduceat``).  Rows come out in dkey order."""
+    t = t.combine_chunks()
+    by = ["dkey", *_LIN_COLS]
+    order = pc.sort_indices(t, sort_keys=[(c, "ascending") for c in by]) \
+        .to_numpy()
+    heads = np.flatnonzero(_run_starts([t["dkey"].take(order)]))
+    rows = pa.array(order[heads])
+    return pa.table({
+        **{c: t[c].take(rows) for c in by},
+        "conf": np.maximum.reduceat(t["conf"].to_numpy()[order], heads),
+        "n_support": np.add.reduceat(t["n_support"].to_numpy()[order],
+                                     heads),
+    })
+
+
+def dedup_partials(t: pa.Table) -> pa.Table:
+    """Linked rows -> partial dedup rows: the combiner of the exact-dedup
+    exchange, so duplicate (s, p, o) collapse before any row moves."""
+    dkey = pc.binary_join_element_wise(
+        _norm_parts(t["subj"]), t["pred"], _norm_parts(t["obj"]), _SEP)
+    return merge_triples(pa.table({
+        "dkey": dkey, **{c: t[c] for c in _LIN_COLS}, "conf": t["conf"],
+        "n_support": np.ones(t.num_rows, dtype=np.int64)}))
+
+
+def categorize(t: pa.Table, cat_order: list[str], cat_kw: dict) -> pa.Array:
+    """``categorize_triple`` of every row: per category, the number of its
+    keywords found in the lowered "subj pred obj"; the first category of
+    ``cat_order`` with the highest count wins, "general" when none hits."""
+    hay = pc.binary_join_element_wise(t["subj"], t["pred"], t["obj"], " ")
+    low = _non_ascii_by(hay, pc.ascii_lower(hay), str.lower)
     cats = [c for c in cat_order if c != "general"]
-    scores = np.stack(
-        [
-            sum(hay.str.contains(kw, regex=False).to_numpy() for kw in cat_kw.get(c, []))
-            if cat_kw.get(c)
-            else np.zeros(len(hay), dtype=np.int64)
-            for c in cats
-        ]
-    )
-    winner = np.array(cats, dtype=object)[scores.argmax(axis=0)]
-    winner[scores.max(axis=0) == 0] = "general"
-    return winner
+    scores = np.full((len(cats) + 1, len(low)), 0.5)  # last row: general
+    for i, c in enumerate(cats):
+        scores[i] = sum((pc.match_substring(low, kw).to_numpy(
+            zero_copy_only=False) for kw in cat_kw.get(c) or []), 0)
+    names = np.array([*cats, "general"], dtype=object)
+    return pa.array(names[scores.argmax(axis=0)], pa.string())
 
 
-def _merge_partials_df(df):
-    """Associative/commutative re-merge of partial dedup rows — applicable
-    at any tree level and in any grouping of rows (tuple-min lineage via
-    sort+first, max conf, summed support)."""
-    g = (
-        df.sort_values(_LIN_COLS)
-        .groupby("dkey", sort=False)
-        .agg(
-            url=("url", "first"),
-            seg_id=("seg_id", "first"),
-            subj=("subj", "first"),
-            pred=("pred", "first"),
-            obj=("obj", "first"),
-            conf=("conf", "max"),
-            n_support=("n_support", "sum"),
-        )
-    )
-    return g.reset_index()
+def final_triples(t: pa.Table, cat_order: list[str], cat_kw: dict) -> pa.Table:
+    """Partial dedup rows -> final TRIPLES rows: the last merge, then the
+    category of each."""
+    m = merge_triples(t)
+    return pa.table({
+        **{c: m[c] for c in ("subj", "pred", "obj", "url", "seg_id", "conf")},
+        "category": categorize(m, cat_order, cat_kw),
+        "n_support": m["n_support"],
+    }).cast(S.TRIPLES)
 
 
 def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None):
     """Dataset[LINKED_FULL] -> Dataset[TRIPLES].
 
-    Exact dedup as a hash exchange (``exchange.hash_partitioned_apply``)
-    with vectorized kernels at BOTH ends: pandas partial merge per batch
-    (the combiner — one row per key per batch, so the shuffle moves
-    partials, not triples), then P partitions keyed on ``dkey`` (P ~ cluster
-    CPUs, not #keys), each re-merging its whole partition in a single pandas
-    groupby.  Keys are wholly contained in one partition by construction,
-    the merge is associative/commutative, so the result equals the serial
-    oracle for any block arrangement.  Skewed KEYS are harmless here (a key
-    is one row per upstream batch after the combiner); P bounds per-task
-    width.  Categorization (G3) is vectorized in the same final kernel."""
+    Exact dedup as one hash exchange (``exchange.hash_partitioned_apply``)
+    on ``dkey``: :func:`dedup_partials` is the bundled combiner (one row
+    per key per batch, so the shuffle moves partials, not triples), and
+    each partition (P ~ cluster CPUs, not #keys) re-merges with
+    :func:`merge_triples` and categorizes (G3) in the same call.  A pinned
+    small input runs both once, on the driver.  Keys are wholly contained
+    in one partition and the merge is associative/commutative, so the
+    result equals the serial oracle for any block arrangement.  Skewed
+    KEYS are harmless here (a key is one row per upstream batch after the
+    combiner); P bounds per-task width."""
     from .exchange import _default_partitions, hash_partitioned_apply
 
-    cat_order = cfg["categories"]["order"]
-    cat_kw = cfg["categories"]["keywords"]
-
-    def decode(df):
-        return pa.table(
-            {
-                "subj": pa.array(df["subj"], type=pa.string()),
-                "pred": pa.array(df["pred"], type=pa.string()),
-                "obj": pa.array(df["obj"], type=pa.string()),
-                "url": pa.array(df["url"], type=pa.string()),
-                "seg_id": pa.array(df["seg_id"], type=pa.int32()),
-                "conf": pa.array(df["conf"], type=pa.float32()),
-                "category": pa.array(
-                    categorize_series(df["subj"], df["pred"], df["obj"], cat_order, cat_kw),
-                    type=pa.string(),
-                ),
-                "n_support": pa.array(df["n_support"], type=pa.int64()),
-            },
-            schema=S.TRIPLES,
-        )
-
-    def merge_decode(df):
-        return decode(_merge_partials_df(df))
-
-    # Large batch_size bundles several upstream blocks into one combiner
-    # task: partial output is ~#keys rows per TASK, so fewer/bigger combiner
-    # tasks directly shrink the exchange (the shuffle, not the combiner CPU,
-    # is the scarce resource on a single node).
-    partial_ds = linked_ds.map_batches(
-        partial_dedup_triples_df, batch_format="pandas", batch_size=200_000
-    )
+    cats = cfg["categories"]["order"], cfg["categories"]["keywords"]
+    # A large combiner batch bundles several upstream blocks into one task:
+    # partial output is ~#keys rows per TASK, so fewer/bigger combiner tasks
+    # directly shrink the exchange.
     return hash_partitioned_apply(
-        partial_ds, ["dkey"], merge_decode,
-        num_partitions or _default_partitions(),
-    )
+        linked_ds, ["dkey"], lambda t: final_triples(t, *cats),
+        num_partitions or _default_partitions(), "pyarrow",
+        combine=dedup_partials, combine_batch_size=200_000)
 
 
 def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
@@ -375,7 +362,6 @@ def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
             schema=S.ADJACENCY,
         )
 
-    part = triples_ds.map_batches(partial, batch_format="pandas", batch_size=200_000)
     return hash_partitioned_apply(
-        part, ["subj"], build, num_partitions or _default_partitions()
-    )
+        triples_ds, ["subj"], build, num_partitions or _default_partitions(),
+        combine=partial, combine_batch_size=200_000)

@@ -103,3 +103,99 @@ class TestEdgeRowBehavior:
         dup = trips[trips.url == "https://edge.example/within-dup"]
         # three identical sentences -> one triple row (n_support folds them)
         assert len(dup) <= 1
+
+
+@pytest.fixture(scope="module")
+def linked_small(pages_small, cfg, kb):
+    """The phase-A output of the small corpus, built serially, in 4 blocks."""
+    from kgx.functions.extract_kg import BatchLinker
+    from kgx.stages import kg_stages
+
+    segs = kg_stages.SegmentPages(cfg)(kg_stages.extract_text_batch(pages_small))
+    emb = {r["entity_id"]: r["embedding"] for r in kb["embedding_table"].to_pylist()}
+    t = kg_stages.linked_table(
+        BatchLinker(kb["alias_table"].to_pylist(), emb, cfg), segs)
+    step = -(-t.num_rows // 4)
+    return [t.slice(i, step) for i in range(0, t.num_rows, step)]
+
+
+def _input(blocks, pinned: bool):
+    """A pinned Dataset of ``blocks``, or a lazy chain over them."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(blocks)
+    return ds if pinned else ds.map_batches(lambda t: t, batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "lazy"])
+class TestWideStagesOnEachRoute:
+    """Each wide stage equals the serial oracle on both exchange routes,
+    from a pinned input (the driver route runs without an execution) and
+    from a lazy one (combiner, tag, then the route)."""
+
+    def test_dedup_and_categorize(self, ray_session, each_route, linked_small,
+                                  oracle_small, cfg, pinned):
+        from kgx.stages import wide
+
+        want = _norm(oracle_small["triples"].to_pandas(), ["subj", "pred", "obj"])
+        for got in each_route(lambda: wide.dedup_and_categorize(
+                _input(linked_small, pinned), cfg).to_pandas()):
+            pd.testing.assert_frame_equal(_norm(got, ["subj", "pred", "obj"]), want)
+
+    def test_canonical_entities(self, ray_session, each_route, linked_small,
+                                oracle_small, cfg, pinned):
+        from kgx.stages import wide
+
+        want = _norm(oracle_small["entities"].to_pandas(), ["entity_key"])
+        for got in each_route(lambda: wide.canonical_entities(
+                _input(linked_small, pinned), cfg).to_pandas()):
+            pd.testing.assert_frame_equal(_norm(got, ["entity_key"]), want)
+
+    def test_adjacency_from_triples(self, ray_session, each_route, oracle_small,
+                                    pinned):
+        from kgx.stages import wide
+
+        triples = oracle_small["triples"]
+        step = -(-triples.num_rows // 3)
+        blocks = [triples.slice(i, step) for i in range(0, triples.num_rows, step)]
+        want = _norm(oracle_small["adjacency"].to_pandas(), ["subj"])
+        for got in each_route(lambda: wide.adjacency_from_triples(
+                _input(blocks, pinned)).to_pandas()):
+            pd.testing.assert_frame_equal(_norm(got, ["subj"]), want)
+
+
+def test_finalize_on_pinned_input_runs_no_execution(ray_session, monkeypatch,
+                                                    linked_small, oracle_small,
+                                                    cfg):
+    """Phase B over a pinned small linked Dataset runs its kernels on the
+    driver when it is called: no Ray Data execution starts, and the
+    outputs equal the oracle's.  Forced onto the exchange route, the same
+    call executes."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from kgx import pipeline
+    from kgx.stages import exchange
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    linked = rd.from_arrow(linked_small)
+    outs = pipeline.finalize(linked, cfg, sort_output=False)
+    assert not runs
+    got = {k: exchange.collect_arrow(v).to_pandas() for k, v in outs.items()}
+    assert not runs  # collecting driver-route results executes nothing
+    for name, keys in [("triples", ["subj", "pred", "obj"]),
+                       ("entities", ["entity_key"]), ("adjacency", ["subj"])]:
+        pd.testing.assert_frame_equal(
+            _norm(got[name], keys), _norm(oracle_small[name].to_pandas(), keys))
+
+    monkeypatch.setattr(exchange, "DRIVER_BYTES", -1)
+    pipeline.finalize(linked, cfg, sort_output=False)
+    assert runs

@@ -335,6 +335,81 @@ def test_route_is_chosen_by_bytes_not_rows(ray_session, monkeypatch):
     assert len(calls["wide"]) > 1 and sum(calls["wide"]) == n
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "lazy"])
+def test_combine_then_kernel(ray_session, each_route, monkeypatch, fmt,
+                             pinned):
+    """``combine=`` shrinks the rows before the kernel.  A small pinned
+    input runs it ONCE over all rows and the kernel once over its output,
+    on the driver, with no Ray Data execution; a lazy one runs it per
+    block in the workers, then takes the route.  Same rows on every
+    path."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    blocks = _keyed_blocks()
+    ref = pa.concat_tables(blocks).to_pandas().groupby(
+        ["k"], dropna=False, as_index=False).agg(v=("v", "sum"))
+    combine, combined = _counting(_sum_kernel(["k"], fmt))
+    kernel, kerneled = _counting(_sum_kernel(["k"], fmt))
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    def run():
+        ds = rd.from_arrow(blocks)
+        if not pinned:
+            ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        combined.clear(), kerneled.clear(), runs.clear()
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4, fmt,
+                                       combine=combine)
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        return (_canon(X.collect_arrow(out).to_pandas(), ["k"]),
+                list(combined), list(kerneled), len(runs))
+
+    # calls made in Ray workers (the per-block combiner, the exchange
+    # route's kernel) are not seen here; the driver route's are
+    (driver, d_comb, d_kern, d_runs), (exchange, *_) = each_route(run)
+    assert driver == exchange == _canon(ref, ["k"])
+    if pinned:
+        assert (d_comb, d_kern, d_runs) == ([180], [len(ref)], 0)
+    else:
+        assert not d_comb and len(d_kern) == 1 and d_runs
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "lazy"])
+def test_combine_to_zero_rows_calls_no_kernel(ray_session, each_route, fmt,
+                                              pinned):
+    """A combiner that leaves zero rows: the kernel is not called, and
+    every route returns the same column-less empty."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    def combine(b):
+        if fmt == "pyarrow":
+            return b.filter(pc.less(b["v"], 0))
+        return b[b["v"] < 0]
+
+    def kernel(b):
+        raise AssertionError("kernel called on a combiner's zero rows")
+
+    def run():
+        ds = rd.from_arrow(_keyed_blocks())
+        if not pinned:
+            ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4, fmt,
+                                       combine=combine)
+        return out.count(), X.collect_arrow(out).num_columns
+
+    assert each_route(run) == [(0, 0), (0, 0)]
+
+
 # ---------------------------------------------------------------------------
 # all-to-one finish
 # ---------------------------------------------------------------------------

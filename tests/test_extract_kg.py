@@ -300,6 +300,29 @@ class TestBatchLinkerEqualsPerRow:
         assert tie and tie[0]["obj_id"] == 7
         assert any(r["subj_surface"] == "\u212aelvin Labs" for r in rows)
 
+    def test_one_non_ascii_context(self, cfg, kb):
+        """The context features of a batch whose contexts are all ASCII but
+        a few in the middle ('İ' and the Kelvin sign lower to ASCII, final
+        sigma does not) equal ``_ctx_features`` per context: the ASCII
+        contexts are lowered at once, the others one by one."""
+        from kgx.functions.pipeline_core import _ctx_features
+
+        pages = synth.gen_pages(300, seed=5, kb=kb)
+        texts = kg_stages.SegmentPages(cfg)(kg_stages.extract_text_batch(pages))["text"]
+        contexts = texts.to_pylist()
+        i = len(contexts) // 2
+        contexts[i:i] = ["\u212aelvin \u0130stanbul Labs", "\u0391\u03a3 \u03a3\u0391\0Acme"]
+        emb = {r["entity_id"]: r["embedding"] for r in kb["embedding_table"].to_pylist()}
+        linker = BatchLinker(kb["alias_table"].to_pylist(), emb, cfg)
+        vecs, keys = linker._contexts(contexts)
+        dim = cfg["processing"]["linker"]["embed_dim"]
+        want = []
+        for c, text in enumerate(contexts):
+            toks, vec = _ctx_features(text.replace("\0", " "), dim)
+            assert vecs[c].tolist() == list(vec)
+            want += [c * len(linker.vocab) + linker.vocab[t] for t in toks if t in linker.vocab]
+        assert sorted(keys.tolist()) == sorted(want)
+
     def test_scores_at_min_score(self, cfg):
         """A score exactly at ``min_score`` links and one ulp under it does
         not, so any change in how the kernel sums or orders the score

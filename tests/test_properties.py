@@ -7,7 +7,7 @@ roundtrips."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgx.functions import text as T
@@ -217,6 +217,102 @@ class TestEntityKernel:
             by_key.setdefault(m["entity_key"], []).append(m)
         want = [merge_entity_group(by_key[k]) for k in sorted(by_key)]
         assert got == want
+
+
+# dedup-key parts that Arrow's ASCII kernels cannot take as they are: the
+# Kelvin sign and 'İ' lower to ASCII, \v is (?a)\s but not RE2's \s,
+# \x1c-\x1f are Unicode but not ASCII whitespace, NBSP, punctuation only;
+# each next to an ASCII part it must (or must not) share a key with
+_parts = st.one_of(
+    st.sampled_from(["\u212a", "k", "\u212aelvin", "Kelvin", "\u0130", "i",
+                     "\u0130stanbul", "istanbul", "a\vb", "a b", "ab",
+                     "a\x1cb\x1f", "\x1f", "a\xa0b", "!!", "...", "",
+                     "Acme Corp", "acme  corp!", "ACME\tCORP", "\u00df", "ss",
+                     "\u03a3", "\u0391\u03a3 x", "caf\u00e9", "caf"]),
+    st.text(max_size=5))
+_triple_rows = st.lists(st.fixed_dictionaries({
+    "url": st.sampled_from(["u", "\u00fc", "a/b"]),
+    "seg_id": st.integers(0, 2),  # many (url, seg_id) ties
+    "subj": _parts,
+    "pred": st.sampled_from(["acquired", "p"]),
+    "obj": st.one_of(st.sampled_from(["Globex", "GLOBEX.", "k", "\u212a"]),
+                     _parts),
+    "conf": st.floats(0.0, 1.0, width=32),
+}), min_size=1, max_size=30)
+# keywords that only Python's lower() finds ('İ' -> 'i̇', final sigma),
+# that are non-ASCII, or that match everything
+_HOSTILE_CATS = (["marks", "acts", "general", "empty"],
+                 {"marks": ["i\u0307", "\u03c2", "\u00df", "\x1f"],
+                  "acts": ["acquired", "k", "i"], "empty": [""]})
+
+
+def _linked_row(subj, obj="Globex", url="u", seg_id=0, conf=0.5):
+    return {"url": url, "seg_id": seg_id, "subj": subj, "pred": "p",
+            "obj": obj, "conf": conf}
+
+
+# each hostile part next to the ASCII part it shares a key with, and
+# same-key rows tied on (url, seg_id)
+_HOSTILE_ROWS = [
+    _linked_row("a\vb"), _linked_row("a b"), _linked_row("a\x1cb\x1f"),
+    _linked_row("ab"), _linked_row("a\xa0b", conf=0.75),
+    _linked_row("\u212a", obj="\u212a"), _linked_row("k", obj="K"),
+    _linked_row("\u0130stanbul"), _linked_row("istanbul", seg_id=1),
+    _linked_row("!!"), _linked_row("..."), _linked_row(""),
+    _linked_row("acme  corp!", url="\u00fc"), _linked_row("Acme Corp", url="\u00fc"),
+    _linked_row("\u0391\u03a3 x", url="a/b", seg_id=2),
+]
+
+
+class TestTripleKernel:
+    """``wide.dedup_partials`` -> ``wide.merge_triples`` -> ``wide.final_triples``
+    (the Arrow dedup + categorize kernels) over linked rows split into
+    arbitrary batches, the partials re-merged in any split, equals
+    ``merge_triple_group`` + ``categorize_triple`` per dedup key."""
+
+    @given(_triple_rows, st.lists(st.integers(0, 30), max_size=4),
+           st.integers(0, 30), st.booleans())
+    @example(_HOSTILE_ROWS, [4, 9], 5, True)
+    @example(_HOSTILE_ROWS, [], 0, False)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_merge_triple_group(self, rows, cuts, recut, hostile):
+        import pyarrow as pa
+
+        from kgx import config_loader
+        from kgx.functions.pipeline_core import (categorize_triple,
+                                                 triple_dedup_key)
+        from kgx.stages import wide
+
+        if hostile:
+            cat_order, cat_kw = _HOSTILE_CATS
+        else:
+            c = config_loader.resolve_settings()["categories"]
+            cat_order, cat_kw = c["order"], c["keywords"]
+        t = pa.Table.from_pylist(rows, schema=pa.schema([
+            ("url", pa.string()), ("seg_id", pa.int32()), ("subj", pa.string()),
+            ("pred", pa.string()), ("obj", pa.string()), ("conf", pa.float32())]))
+        bounds = sorted({0, t.num_rows, *(min(c, t.num_rows) for c in cuts)})
+        partials = pa.concat_tables(
+            [wide.dedup_partials(t.slice(a, b - a))
+             for a, b in zip(bounds, bounds[1:]) if b > a])
+        cut = min(recut, partials.num_rows)
+        merged = pa.concat_tables(
+            [wide.merge_triples(p) for p in (partials.slice(0, cut),
+                                             partials.slice(cut)) if p.num_rows])
+        got = wide.final_triples(merged, cat_order, cat_kw).to_pylist()
+
+        groups: dict[tuple, list] = {}
+        for r in rows:
+            groups.setdefault(triple_dedup_key(r), []).append(r)
+        want = []
+        for g in groups.values():
+            m = merge_triple_group(g)
+            want.append({**m, "category": categorize_triple(m, cat_order, cat_kw)})
+
+        def key(r):
+            return r["subj"], r["pred"], r["obj"]
+
+        assert sorted(got, key=key) == sorted(want, key=key)
 
 
 class TestPayloadCodec:

@@ -119,6 +119,37 @@ def test_manifest_counters_and_checksums(ray_session, small_pages, cfg, kb, tmp_
     assert counters["triples"] > 0
 
 
+def test_checksum_is_order_free_and_sees_every_value(tmp_path):
+    """The checksum ignores row order and file split, and changes with any
+    key value, a null one included."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from kgx.manifest import parquet_dir_checksum
+
+    keys = ["url", "seg_id"]
+    rows = pa.table({"url": ["a", "b", "c"], "seg_id": pa.array([1, 2, 3], pa.int32())})
+
+    def checksum(*tables):
+        d = tmp_path / f"d{len(list(tmp_path.iterdir()))}"
+        d.mkdir()
+        for i, t in enumerate(tables):
+            pq.write_table(t, d / f"{i}.parquet")
+        return parquet_dir_checksum(d, keys)
+
+    base = checksum(rows)
+    assert checksum(rows.take([2, 0]), rows.slice(1, 1)) == base
+    assert checksum(rows.slice(0, 0)) == "0" * 16
+    changed = [
+        rows.set_column(0, "url", pa.array(["a", None, "c"])),
+        rows.set_column(1, "seg_id", pa.array([1, None, 3], pa.int32())),
+        rows.set_column(0, "url", pa.array(["a", "", "c"])),
+        rows.slice(0, 2),
+    ]
+    sums = [checksum(t) for t in changed]
+    assert base not in sums and len(set(sums)) == len(sums)
+
+
 def test_artifact_level_resume(ray_session, tmp_path, cfg, kb):
     """Phase B commits each output dir as its own phase: clearing one
     artifact's commit reruns only that artifact — committed ones are not
