@@ -588,13 +588,15 @@ def run_clusters_distributed(sf_dir: str, num_cpus: int, replicate: int = 16) ->
     bench scale (VERDICT r2 next-round #8): the corpus is replicated
     ``replicate`` times with offset doc_ids (every doc becomes an exact
     ``replicate``-clique -> C(r,2) x n_docs edges), then clustered twice —
-    once forced onto label propagation (edge_limit=0) and once through the
-    driver union-find — asserting identical non-singleton cluster counts and
-    reporting wall time + rounds for both backends."""
+    once forced onto label propagation and once through the driver
+    union-find (``exchange.DRIVER_BYTES`` below and above the pairs' bytes)
+    — asserting identical non-singleton cluster counts and reporting wall
+    time + rounds for both backends."""
     import pyarrow as pa
     import ray
     import ray.data as rd
 
+    from kgx.stages import exchange
     from kgx.stages.cluster import cluster_ids
     from kgx.stages.dedup import ngram_jaccard_pairs
 
@@ -641,16 +643,20 @@ def run_clusters_distributed(sf_dir: str, num_cpus: int, replicate: int = 16) ->
         "n_edges": n_edges,
     }
     stats: dict = {}
+    bound = exchange.DRIVER_BYTES
+    exchange.DRIVER_BYTES = -1  # below the pairs' bytes: label propagation
     t0 = time.perf_counter()
-    merged_lp = n_merged(cluster_ids(big, pairs, edge_limit=0, stats=stats))
+    merged_lp = n_merged(cluster_ids(big, pairs, stats=stats))
     out["label_propagation"] = {
         "sec": round(time.perf_counter() - t0, 3),
         "rounds": stats.get("rounds"),
         "converged": stats.get("converged"),
         "merged_docs": merged_lp,
     }
+    exchange.DRIVER_BYTES = 1 << 62  # above them: driver union-find
     t0 = time.perf_counter()
-    merged_uf = n_merged(cluster_ids(big, pairs, edge_limit=1 << 40))
+    merged_uf = n_merged(cluster_ids(big, pairs))
+    exchange.DRIVER_BYTES = bound
     out["driver_union_find"] = {
         "sec": round(time.perf_counter() - t0, 3),
         "merged_docs": merged_uf,

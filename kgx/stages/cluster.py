@@ -3,14 +3,16 @@ one cluster id (min member id) per document.
 
 This is the union-find stage that SURVEY.md §7 adds on top of the pair
 generators in ``kgx.stages.dedup`` (the scalable realization of the
-reference's near-dup merge G2/D1/D2).  Two interchangeable backends, gated
-on the measured edge count (``cluster_ids``):
+reference's near-dup merge G2/D1/D2).  Two interchangeable, exact backends,
+chosen by the pinned pairs' size in bytes (``cluster_ids``), on the one
+driver bound of every driver-vs-distributed choice,
+``kgx.stages.exchange.DRIVER_BYTES``:
 
-* **driver union-find** (default below ``edge_limit``): near-dup edges above
-  a high threshold are orders of magnitude fewer than documents, so they fit
-  the driver; the labels dict broadcasts back into a streaming
+* **driver union-find** (pairs at most ``DRIVER_BYTES``): near-dup edges
+  above a high threshold are orders of magnitude fewer than documents, so
+  they fit the driver; the labels dict broadcasts back into a streaming
   ``map_batches`` over the corpus.  The corpus itself is never collected.
-* **distributed min-label propagation** (above ``edge_limit``): labels live
+* **distributed min-label propagation** (larger pairs): labels live
   in a Dataset; every round is edges ⋈ labels (native hash join) ->
   label messages -> groupby-min — the driver only ever sees one scalar per
   round (the monotone label sum used as the convergence check).  Converges
@@ -65,19 +67,20 @@ def _driver_labels_tag(docs_ds, labels: dict[int, int]):
     return docs_ds.select_columns(["doc_id"]).map_batches(tag, batch_format="pyarrow")
 
 
-def cluster_ids(docs_ds, pairs_ds, edge_limit: int = 5_000_000,
-                stats: dict | None = None):
+def cluster_ids(docs_ds, pairs_ds, stats: dict | None = None):
     """(doc_id) x (id_a, id_b) -> (doc_id, cluster_id) for EVERY doc;
     singletons get cluster_id = doc_id.
 
-    Backend gate: edges are counted (a pinned Dataset — one scalar to the
-    driver); at or below ``edge_limit`` they union-find on the driver, above
-    it the distributed label-propagation path runs and the corpus is tagged
-    by joining against the label Dataset (min(own id, label) — a component's
-    label is always <= every member id, so a groupby-min over the union of
-    identity rows and label rows needs no outer join)."""
+    Backend gate: the pairs are pinned and measured (block metadata, no
+    pass); at most ``exchange.DRIVER_BYTES`` they union-find on the driver,
+    above it the distributed label-propagation path runs and the corpus is
+    tagged by joining against the label Dataset (min(own id, label) — a
+    component's label is always <= every member id, so a groupby-min over
+    the union of identity rows and label rows needs no outer join)."""
+    from . import exchange
+
     pairs = pairs_ds.materialize()
-    if pairs.count() <= edge_limit:
+    if pairs.size_bytes() <= exchange.DRIVER_BYTES:
         edges = [
             (r["id_a"], r["id_b"])
             for batch in pairs.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -85,9 +88,6 @@ def cluster_ids(docs_ds, pairs_ds, edge_limit: int = 5_000_000,
         ]
         return _driver_labels_tag(docs_ds, _components(edges))
 
-    from .exchange import _default_partitions
-
-    n_parts = max(8, _default_partitions())
     labels_ds = label_propagation_ds(pairs, stats=stats)
     identity = docs_ds.select_columns(["doc_id"]).map_batches(
         lambda b: pa.table(
@@ -95,7 +95,7 @@ def cluster_ids(docs_ds, pairs_ds, edge_limit: int = 5_000_000,
         ),
         batch_format="pyarrow",
     )
-    final = _grouped_min(identity.union(labels_ds), n_parts)
+    final = _grouped_min(identity.union(labels_ds))
     return final.map_batches(
         lambda b: pa.table(
             {"doc_id": b["node"], "cluster_id": b["label"]},
@@ -116,14 +116,12 @@ def _min_label_partition(df):
     )
 
 
-def _grouped_min(labels_ds, num_partitions: int):
+def _grouped_min(labels_ds):
     """groupby(node).min(label) via the hash exchange (vectorized at both
     ends — no per-node Python)."""
     from .exchange import hash_partitioned_agg
 
-    return hash_partitioned_agg(
-        labels_ds, ["node"], _min_label_partition, num_partitions
-    )
+    return hash_partitioned_agg(labels_ds, ["node"], _min_label_partition)
 
 
 def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = None):
@@ -158,16 +156,12 @@ def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = No
     import ray
     import ray.data as rd
 
-    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
-        make_splitter,
         partition_edges,
         run_rounds,
         split_by_owner,
     )
-
-    P = max(2, _default_partitions())
 
     edge_key_schema = pa.schema([("node", pa.int64()), ("other", pa.int64())])
 
@@ -191,9 +185,8 @@ def label_propagation_ds(pairs_ds, max_rounds: int = 50, stats: dict | None = No
             schema=edge_key_schema,
         )
 
-    edge_parts = partition_edges(
-        pairs_ds, make_splitter(norm_pairs, "node", P), P
-    )
+    edge_parts = partition_edges(pairs_ds, norm_pairs, "node")
+    P = len(edge_parts)
 
     # ---- round 0: label(n) = min(n, neighbors(n)) — purely local ----------
     def seed_part(t: pa.Table) -> pa.Table:

@@ -524,8 +524,8 @@ def bigram_lm_score(docs_ds):
        (non-associative) final division runs row-wise AFTER the merge.
 
     Skew note: a stopword prefix concentrates its bigrams in one partition
-    (same class as the tfidf token exchange); P ~ 8x CPUs spreads the rest
-    around it.  Docs with < 2 tokens have no bigrams and no output row
+    (same class as the tfidf token exchange); the other partitions share
+    the rest.  Docs with < 2 tokens have no bigrams and no output row
     (matches the SQL).
     """
     import pandas as pd
@@ -784,8 +784,7 @@ FROM s ORDER BY pmi_score DESC, gram LIMIT {k}
 PACK_WINDOW = 512
 
 
-def pack_sequences(docs_ds, window: int = PACK_WINDOW,
-                   num_buckets: int | None = None):
+def pack_sequences(docs_ds, window: int = PACK_WINDOW):
     """documents -> (doc_id, n_tokens, seq_id, seq_offset): where each doc
     starts in the GPT-style concatenate-and-chunk token stream — docs in
     doc_id order, fixed ``window``-token training sequences, seq_id =
@@ -797,7 +796,7 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
     1. token counts materialize once (two tiny int64 columns — the reuse
        point for both passes);
     2. pass A: docs range-bucket by ``(doc_id - lo) // bucket_w``; per-batch
-       np.add.at bucket partials sum on the driver to num_buckets rows, whose
+       np.add.at bucket partials sum on the driver to 8 x CPUs rows, whose
        exclusive prefix (the per-bucket global offsets, a small array)
        broadcasts into pass B;
     3. pass B: one partition-only exchange on the bucket key — each kernel
@@ -833,7 +832,7 @@ def pack_sequences(docs_ds, window: int = PACK_WINDOW,
             batch_format="pyarrow",
         )
     lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
-    B = num_buckets or _default_partitions() * 8
+    B = _default_partitions() * 8
     bucket_w = max(1, (hi - lo + B) // B)
     n_buckets = (hi - lo) // bucket_w + 1
 
@@ -1114,8 +1113,7 @@ SPLIT_VAL_PCT = 10
 
 
 def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
-                    val_pct: int = SPLIT_VAL_PCT,
-                    num_buckets: int | None = None):
+                    val_pct: int = SPLIT_VAL_PCT):
     """documents -> (doc_id, source, split): per-source exact-proportion
     deterministic split — within each source, docs ordered by
     (shuffle-hash, doc_id) take the first ceil(train_pct% * n) slots as
@@ -1143,7 +1141,7 @@ def split_documents(docs_ds, train_pct: int = SPLIT_TRAIN_PCT,
     from .exchange import (_default_partitions, collect_arrow,
                            hash_partitioned_apply)
 
-    B = num_buckets or _default_partitions() * 8
+    B = _default_partitions() * 8
     bucket_w = ((1 << 62) + B - 1) // B
 
     key_schema = pa.schema(
@@ -2249,8 +2247,7 @@ JOIN sz zb ON zb.source = pr.src_b
 BUDGET_TOKENS = 600             # per-source token budget (cuts at every sf)
 
 
-def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
-                 num_buckets: int | None = None):
+def token_budget(docs_ds, budget: int = BUDGET_TOKENS):
     """documents -> (doc_id, source, score, n_tokens, cum_tokens): fill each
     source's token budget with its best documents — the curation step a
     training-mix builder runs last ("give me <= B tokens per source, best
@@ -2268,7 +2265,7 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
        materializes (doc_id, source, n_tokens, score) once;
     2. pass A: docs range-bucket by doc_id (the pack_sequences bucketing);
        per-batch (source, score, bucket) token sums merge on the driver
-       to a BOUNDED table (|sources| x 4 x num_buckets), whose exclusive prefix
+       to a BOUNDED table (|sources| x 4 x 8 x CPUs), whose exclusive prefix
        under (score DESC, bucket ASC) per source gives every group's
        global starting offset — and PRUNES: any group whose offset already
        exceeds the budget is dropped before the exchange, so at web scale
@@ -2314,7 +2311,7 @@ def token_budget(docs_ds, budget: int = BUDGET_TOKENS,
     if not agg or agg.get("min(doc_id)") is None:  # no rows
         return st
     lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
-    B = num_buckets or _default_partitions() * 8
+    B = _default_partitions() * 8
     bucket_w = max(1, (hi - lo + B) // B)
 
     def bucket_sums(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2588,7 +2585,7 @@ FROM t GROUP BY 1
 # ---------------------------------------------------------------------------
 
 
-def mix_order(docs_ds, num_buckets: int | None = None):
+def mix_order(docs_ds):
     """documents -> (doc_id, source, src_rank, mix_rank): the SOURCE-
     BALANCED INTERLEAVE — the deterministic global position of every
     document in the uniform-mixture training stream, where each source's
@@ -2637,7 +2634,7 @@ def mix_order(docs_ds, num_buckets: int | None = None):
     if not agg or agg.get("min(doc_id)") is None:  # no rows
         return st
     lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
-    B = num_buckets or _default_partitions() * 8
+    B = _default_partitions() * 8
     bucket_w = max(1, (hi - lo + B) // B)
 
     def bucket_counts(df: "pd.DataFrame") -> "pd.DataFrame":

@@ -857,16 +857,14 @@ def collect_emb_table(emb_ds) -> pa.Table:
     )
 
 
-def embedding_dup_pairs_gated(emb_ds, threshold: float,
-                              brute_limit: int | None = None):
+def embedding_dup_pairs_gated(emb_ds, threshold: float):
     """Default query path (VERDICT r4 #3): metadata row count decides —
     <= EMB_BRUTE_LIMIT vectors -> exact brute force (bit-matches the SQL
     oracle; the driver corpora always take this route), above -> the
     LSH-bucketed banded path (recall-tested, exact in-bucket verify)."""
     import ray
 
-    limit = EMB_BRUTE_LIMIT if brute_limit is None else brute_limit
-    if emb_ds.count() <= limit:
+    if emb_ds.count() <= EMB_BRUTE_LIMIT:
         all_ref = ray.put(normalized_matrix(collect_emb_table(emb_ds)))
         return embedding_dup_pairs(emb_ds, all_ref, threshold=threshold)
     return embedding_dup_pairs_lsh(emb_ds, threshold)

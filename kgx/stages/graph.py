@@ -39,7 +39,7 @@ EDGE_KEYS = pa.schema([("node", pa.int64()), ("other", pa.int64())])
 
 def edge_keys(t: pa.Table) -> pa.Table:
     """A (src, dst) edge block as the (node, other) rows that
-    ``pregel.make_splitter`` owner-partitions on ``node``.  The splitter
+    ``pregel.partition_edges`` owner-partitions on ``node``.  It
     sees raw materialized blocks, and an empty one can come without
     columns, so zero rows map to the typed empty table."""
     if t.num_rows == 0:
@@ -47,7 +47,7 @@ def edge_keys(t: pa.Table) -> pa.Table:
     return pa.table({"node": t["src"], "other": t["dst"]}, schema=EDGE_KEYS)
 
 
-def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None):
+def pagerank_ds(edges_ds, iterations: int = 3):
     """edges (src:int64, dst:int64) -> (node, pr) after ``iterations`` rounds
     of integer power iteration.  Nodes are the distinct edge endpoints.
 
@@ -64,16 +64,13 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
     import pandas as pd
     import ray
 
-    from .exchange import (_default_partitions, hash_partitioned_agg,
-                           hash_partitioned_apply)
-
-    P = num_partitions or max(8, _default_partitions())
+    from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     # ---- distinct edges + outdegree, built once ----------------------------
     def edge_combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
 
-    dedup_edges = hash_partitioned_agg(edges_ds, ["src"], edge_combine, P)
+    dedup_edges = hash_partitioned_agg(edges_ds, ["src"], edge_combine)
 
     def degree_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         deg = df.groupby("src", sort=False)["dst"].transform("size")
@@ -87,9 +84,7 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
 
     # src-keyed exchange: outdeg attaches where the per-round kernel needs
     # it anyway, so the iteration ships no degree table separately
-    keyed_edges = hash_partitioned_apply(
-        dedup_edges, ["src"], degree_kernel, P
-    )
+    keyed_edges = hash_partitioned_apply(dedup_edges, ["src"], degree_kernel)
 
     # ---- partitioned-edge Pregel rounds ------------------------------------
     # The shared machinery (kgx.stages.pregel): the static edge set is
@@ -102,15 +97,8 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
     # alone and every node receives at least one in-contribution per round.
     import ray.data as rd
 
-    from .pregel import (
-        concat_parts,
-        make_splitter,
-        partition_edges,
-        run_rounds,
-        split_by_owner,
-    )
-
-    P = max(2, P)
+    from .pregel import concat_parts, partition_edges, run_rounds, \
+        split_by_owner
 
     edge_schema = pa.schema(
         [("src", pa.int64()), ("dst", pa.int64()), ("outdeg", pa.int64())]
@@ -125,9 +113,8 @@ def pagerank_ds(edges_ds, iterations: int = 3, num_partitions: int | None = None
             {c: t[c] for c in ("src", "dst", "outdeg")}, schema=edge_schema
         )
 
-    edge_parts = partition_edges(
-        keyed_edges, make_splitter(norm_edges, "src", P), P
-    )
+    edge_parts = partition_edges(keyed_edges, norm_edges, "src")
+    P = len(edge_parts)
 
     def seed_part(t: pa.Table) -> pa.Table:
         src = np.unique(t["src"].to_numpy().astype(np.int64))
@@ -271,7 +258,7 @@ def sql_supplier_part_pagerank(iterations: int = 3) -> str:
     return "".join(lines)
 
 
-def degree_histogram(edges_ds, num_partitions: int | None = None):
+def degree_histogram(edges_ds):
     """edges (src:int64, dst:int64) -> the graph's degree distribution
     (degree, n_nodes) — the first diagnostic anyone runs on an extracted
     KG (hub detection, power-law sanity; reference consumes its adjacency
@@ -291,10 +278,7 @@ def degree_histogram(edges_ds, num_partitions: int | None = None):
     """
     import pandas as pd
 
-    from .exchange import (_default_partitions, hash_partitioned_agg,
-                           hash_partitioned_apply)
-
-    P = num_partitions or max(8, _default_partitions())
+    from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     def pre_dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
@@ -310,14 +294,14 @@ def degree_histogram(edges_ds, num_partitions: int | None = None):
              "n_nodes": np.ones(len(g), dtype="int64")}
         )
 
-    deg = hash_partitioned_apply(partial, ["src"], degree_kernel, P)
+    deg = hash_partitioned_apply(partial, ["src"], degree_kernel)
 
     def hist_combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby("degree", sort=False, as_index=False).agg(
             n_nodes=("n_nodes", "sum")
         )
 
-    return hash_partitioned_agg(deg, ["degree"], hist_combine, P)
+    return hash_partitioned_agg(deg, ["degree"], hist_combine)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +332,15 @@ def cc_rounds_ds(edges_ds, rounds: int = CC_ROUNDS):
     import ray
     import ray.data as rd
 
-    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
-        make_splitter,
         partition_edges,
         run_rounds,
         split_by_owner,
     )
 
-    P = max(2, _default_partitions())
-
-    edge_parts = partition_edges(
-        edges_ds, make_splitter(edge_keys, "node", P), P
-    )
+    edge_parts = partition_edges(edges_ds, edge_keys, "node")
+    P = len(edge_parts)
 
     def _min_per_node(n: np.ndarray, l: np.ndarray):
         o = np.lexsort((l, n))
@@ -476,16 +455,13 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
     import ray
     import ray.data as rd
 
-    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
-        make_splitter,
         partition_edges,
         run_rounds,
         split_by_owner,
     )
 
-    P = max(2, _default_partitions())
     def dedup_part(t: pa.Table) -> pa.Table:
         n = t["node"].to_numpy()
         o = t["other"].to_numpy()
@@ -499,8 +475,8 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
             schema=EDGE_KEYS,
         )
 
-    raw_parts = partition_edges(
-        edges_ds, make_splitter(edge_keys, "node", P), P)
+    raw_parts = partition_edges(edges_ds, edge_keys, "node")
+    P = len(raw_parts)
     dedup_r = ray.remote(dedup_part)
     edge_parts = [dedup_r.remote(p) for p in raw_parts]
 
@@ -648,20 +624,15 @@ def bfs_rounds_ds(edges_ds, rounds: int = BFS_ROUNDS):
     import ray
     import ray.data as rd
 
-    from .exchange import _default_partitions
     from .pregel import (
         concat_parts,
-        make_splitter,
         partition_edges,
         run_rounds,
         split_by_owner,
     )
 
-    P = max(2, _default_partitions())
-
-    edge_parts = partition_edges(
-        edges_ds, make_splitter(edge_keys, "node", P), P
-    )
+    edge_parts = partition_edges(edges_ds, edge_keys, "node")
+    P = len(edge_parts)
 
     def _min_per_node(n: np.ndarray, d: np.ndarray):
         o = np.lexsort((d, n))
@@ -761,7 +732,7 @@ def sql_supplier_part_bfs(rounds: int = BFS_ROUNDS) -> str:
 # the symmetrized edge list — the "do hubs link to hubs?" diagnostic.
 # ---------------------------------------------------------------------------
 
-def assortativity_moments(edges_ds, num_partitions: int | None = None):
+def assortativity_moments(edges_ds):
     """edges (src, dst; symmetric) -> ONE row of exact integer moments of
     (deg(src), deg(dst)) over the distinct directed edge list:
     (n_edges, sum_ds, sum_dd, sum_dsdd, sum_ds2, sum_dd2).  Pearson
@@ -777,17 +748,15 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None):
     driver."""
     import pandas as pd
 
-    from .exchange import (_default_partitions, finish, hash_partitioned_agg,
+    from .exchange import (finish, hash_partitioned_agg,
                            hash_partitioned_apply, lookup_join)
-
-    P = num_partitions or max(8, _default_partitions())
 
     def pre_dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
 
     edges = hash_partitioned_apply(
         edges_ds.map_batches(pre_dedup, batch_format="pandas"),
-        ["src", "dst"], pre_dedup, P
+        ["src", "dst"], pre_dedup
     ).materialize()
 
     def node_deg(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -803,7 +772,7 @@ def assortativity_moments(edges_ds, num_partitions: int | None = None):
 
     deg = hash_partitioned_agg(
         edges.map_batches(node_deg, batch_format="pandas"),
-        ["node"], deg_combine, P,
+        ["node"], deg_combine,
     ).materialize()
 
     MOMENTS = ["n_edges", "sum_ds", "sum_dd", "sum_dsdd", "sum_ds2",
@@ -867,8 +836,7 @@ FROM j
 NBR_SAMPLE_K = 8
 
 
-def neighbor_sample(edges_ds, k: int = NBR_SAMPLE_K,
-                    num_partitions: int | None = None):
+def neighbor_sample(edges_ds, k: int = NBR_SAMPLE_K):
     """edges (src, dst; symmetric) -> (node, neighbor, rank): each node's
     K lowest-ranked distinct neighbors under the deterministic
     wraparound-multiply hash of the (node, neighbor) pair — the
@@ -906,7 +874,7 @@ def neighbor_sample(edges_ds, k: int = NBR_SAMPLE_K,
         return d2[d2["rank"] < k][["node", "neighbor", "rank"]]
 
     partial = edges_ds.map_batches(pre_dedup, batch_format="pandas")
-    return hash_partitioned_apply(partial, ["src"], kernel, num_partitions)
+    return hash_partitioned_apply(partial, ["src"], kernel)
 
 
 def sql_neighbor_sample(k: int = NBR_SAMPLE_K) -> str:

@@ -201,7 +201,7 @@ def linked_table(kernel: BatchLinker, segments: pa.Table) -> pa.Table:
     return pa.table({f.name: cols[f.name] for f in LINKED_FULL}, schema=LINKED_FULL)
 
 
-def entity_cooccurrence(mentions, num_partitions: int | None = None):
+def entity_cooccurrence(mentions):
     """mentions (url, surface, ...) -> (surface_a, surface_b, n_pages):
     page-level entity co-occurrence counts — the KG-construction signal
     behind "related entities" edges and PMI-style link weighting
@@ -218,15 +218,13 @@ def entity_cooccurrence(mentions, num_partitions: int | None = None):
     import numpy as np
     import pandas as pd
 
-    from .exchange import _default_partitions, hash_partitioned_agg, \
-        hash_partitioned_apply
+    from .exchange import hash_partitioned_agg, hash_partitioned_apply
     from .triangles import _group_bounds, _pairs_within_groups
 
-    # one partition per CPU, not the 8x straggler-smoothing default: the
-    # per-page kernel is uniform (page mention count is KB-bounded), so
-    # extra partitions only buy barrier latency (P-sweep at sf0.1:
-    # 256 -> 32 partitions is 3.6x faster on the exchange)
-    P = num_partitions or _default_partitions()
+    # the exchange's partition count was measured on this operator: the
+    # per-page kernel is uniform (page mention count is KB-bounded), and at
+    # sf0.1 on 4 CPUs 4 partitions took 0.72 s, 32 took 1.03 s (medians of
+    # 4 interleaved runs on the exchange route; see exchange.py)
 
     def pair_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df[["url", "surface"]].dropna().drop_duplicates()
@@ -240,14 +238,13 @@ def entity_cooccurrence(mentions, num_partitions: int | None = None):
         return out.groupby(["surface_a", "surface_b"], sort=False,
                            as_index=False).agg(n_pages=("n_pages", "sum"))
 
-    pairs = hash_partitioned_apply(mentions, ["url"], pair_kernel, P)
+    pairs = hash_partitioned_apply(mentions, ["url"], pair_kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby(["surface_a", "surface_b"], sort=False,
                           as_index=False).agg(n_pages=("n_pages", "sum"))
 
-    return hash_partitioned_agg(pairs, ["surface_a", "surface_b"],
-                                combine, P)
+    return hash_partitioned_agg(pairs, ["surface_a", "surface_b"], combine)
 
 
 ENTITY_PMI_K = 20
@@ -255,8 +252,7 @@ ENTITY_PMI_MIN_PAIR = 2
 
 
 def entity_pmi(mentions, k: int = ENTITY_PMI_K,
-               min_pair: int = ENTITY_PMI_MIN_PAIR,
-               num_partitions: int | None = None):
+               min_pair: int = ENTITY_PMI_MIN_PAIR):
     """mentions -> the k strongest entity associations (surface_a,
     surface_b, n_pages, pmi_score, rank): page-level PMI over the entity
     co-occurrence event space — the relation-candidate ranking signal
@@ -278,8 +274,7 @@ def entity_pmi(mentions, k: int = ENTITY_PMI_K,
     import pandas as pd
 
     from .corpus import PMI_SCALE, pmi_scores_np  # noqa: F401 (PMI_SCALE in doc)
-    from .exchange import _default_partitions, collect_arrow, \
-        hash_partitioned_apply
+    from .exchange import collect_arrow, hash_partitioned_apply
     from .triangles import _group_bounds, _pairs_within_groups
 
     def partial_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -309,9 +304,7 @@ def entity_pmi(mentions, k: int = ENTITY_PMI_K,
             [pairs[cols], singles[cols], npages[cols]], ignore_index=True
         )
 
-    # one partition per CPU (the entity_cooccurrence P rationale)
-    P = num_partitions or _default_partitions()
-    partials = hash_partitioned_apply(mentions, ["url"], partial_kernel, P)
+    partials = hash_partitioned_apply(mentions, ["url"], partial_kernel)
 
     # the partials are already combiner-compressed per partition and the
     # merged state is KB-bounded, so a second all-to-all exchange would be
@@ -352,7 +345,7 @@ def entity_pmi(mentions, k: int = ENTITY_PMI_K,
     return out.reset_index(drop=True)
 
 
-def two_hop_paths(triples, num_partitions: int | None = None):
+def two_hop_paths(triples):
     """triples (subj, obj, ...) -> (subj, obj2, n_paths): the number of
     distinct intermediate entities m with edges subj->m and m->obj2 in the
     DISTINCT (subj, obj) edge projection of the final triple table — the
@@ -376,10 +369,7 @@ def two_hop_paths(triples, num_partitions: int | None = None):
     import numpy as np
     import pandas as pd
 
-    from .exchange import _default_partitions, hash_partitioned_agg, \
-        hash_partitioned_apply
-
-    P = num_partitions or _default_partitions()
+    from .exchange import hash_partitioned_agg, hash_partitioned_apply
 
     def in_rows(t):
         import pyarrow as pa
@@ -436,13 +426,13 @@ def two_hop_paths(triples, num_partitions: int | None = None):
         return out.groupby(["subj", "obj2"], sort=False,
                            as_index=False).agg(n_paths=("n_paths", "sum"))
 
-    pairs = hash_partitioned_apply(edges, ["mid"], path_kernel, P)
+    pairs = hash_partitioned_apply(edges, ["mid"], path_kernel)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.groupby(["subj", "obj2"], sort=False,
                           as_index=False).agg(n_paths=("n_paths", "sum"))
 
-    return hash_partitioned_agg(pairs, ["subj", "obj2"], combine, P)
+    return hash_partitioned_agg(pairs, ["subj", "obj2"], combine)
 
 
 def alias_stats(linked_ds):
@@ -849,7 +839,7 @@ def kg_hub_entities(triples_ds, k: int = 15, iterations: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def negative_samples(triples_ds, num_partitions: int | None = None):
+def negative_samples(triples_ds):
     """deduped triples -> (subj, pred, obj, neg_obj): one deterministic
     corrupted-object negative per positive triple — the training-pair
     artifact a KG-embedding job (TransE-style margin loss) consumes next
@@ -871,7 +861,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
     buckets, entities and probes co-locate by bucket, and each partition
     resolves its probes with one searchsorted over its sorted entities.
     Cross-bucket wrap (a probe past its bucket's last entity) resolves
-    against the BOUNDED per-bucket-minimum table (<= num_buckets rows,
+    against the BOUNDED per-bucket-minimum table (<= 8 x CPUs rows,
     collected once and shipped via ray.put) — the vocabulary itself is
     never broadcast, so the operator holds at any entity count.  Hash
     cost is one md5 per entity + one per triple (the exact-dedup cost
@@ -889,7 +879,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
     from .wide import _norm_part_series
 
     M62 = 1 << 62
-    NB = (num_partitions or _default_partitions()) * 8
+    NB = _default_partitions() * 8
     W = (M62 + NB - 1) // NB  # ring-bucket width: rb = h // W in [0, NB)
 
     def _h62(prefix: str, values) -> np.ndarray:
@@ -913,8 +903,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
             role_rows, batch_format="pandas"),
         ["key"],
         lambda df: df.groupby("key", sort=False, as_index=False).agg(
-            disp=("disp", "min")),
-        num_partitions)
+            disp=("disp", "min")))
 
     def hash_vocab(df: "pd.DataFrame") -> "pd.DataFrame":
         h = _h62("ent:", df["key"].tolist())
@@ -935,7 +924,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
     minima_ds = hash_partitioned_agg(
         ents.map_batches(
             lambda d: d[["rb", "h", "key", "disp"]], batch_format="pandas"),
-        ["rb"], bucket_min, num_partitions)
+        ["rb"], bucket_min)
     minima = collect_arrow(
         minima_ds,
         pa.table({"rb": pa.array([], pa.int64()),
@@ -997,7 +986,7 @@ def negative_samples(triples_ds, num_partitions: int | None = None):
         return out[["subj", "pred", "obj", "neg_obj"]].astype(str)
 
     return hash_partitioned_apply(
-        ents.union(probes), ["rb"], kernel, num_partitions)
+        ents.union(probes), ["rb"], kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,10 +1048,10 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
     import ray
     import ray.data as rd
 
-    from .exchange import _default_partitions, collect_arrow
+    from .exchange import collect_arrow
     from .graph import edge_keys
-    from .pregel import (concat_parts, make_splitter, partition_edges,
-                         run_rounds, split_by_owner)
+    from .pregel import (concat_parts, partition_edges, run_rounds,
+                         split_by_owner)
 
     assert n_seeds * 4 <= 64, "nibble packing: at most 16 seeds"
     edges_ds = kg_entity_edges(triples_ds)
@@ -1081,14 +1070,13 @@ def _nf_state_parts(triples_ds, rounds: int = NF_ROUNDS,
     if k == 0:
         return None, seed_ids
 
-    P = max(2, _default_partitions())
     state_schema = pa.schema([("node", pa.int64()), ("packed", pa.int64())])
     INF_PACK = np.uint64(0)
     for s in range(k):
         INF_PACK |= np.uint64(15) << np.uint64(4 * s)
 
-    edge_parts = partition_edges(
-        edges_mat, make_splitter(edge_keys, "node", P), P)
+    edge_parts = partition_edges(edges_mat, edge_keys, "node")
+    P = len(edge_parts)
 
     def _unpack(packed_i64: np.ndarray) -> np.ndarray:
         """(n,) int64 bit patterns -> (n, k) uint8 nibble depths."""

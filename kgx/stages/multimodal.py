@@ -290,7 +290,7 @@ def thumbnails(docs_ds):
     )
 
 
-def resolution_histogram(docs_ds, num_partitions: int | None = None):
+def resolution_histogram(docs_ds):
     """documents -> (width, height, n_payloads, sum_bytes): corpus
     resolution inventory — the decode -> aggregate composition every
     multimodal pipeline runs before choosing resize targets.  The
@@ -317,7 +317,7 @@ def resolution_histogram(docs_ds, num_partitions: int | None = None):
 
     return hash_partitioned_agg(
         stats.map_batches(partial, batch_format="pandas"),
-        ["width", "height"], combine, num_partitions,
+        ["width", "height"], combine,
     )
 
 

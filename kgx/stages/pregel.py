@@ -23,8 +23,10 @@ the (unchanged) edge set.  Raw partition handles persist; only state
 moves.  Measured in round 3: PageRank 9.5s -> 2.6s, label propagation
 7.5s -> 2.2s at sf0.1/32 CPUs (the documented drop-to-raw-Ray case).
 
-Keep ``P >= 2`` everywhere: ``ray.remote(num_returns=1)`` changes Ray's
-return-value semantics (a single ref instead of a tuple of refs).
+P is chosen in one place, :func:`partition_edges` (the CPU count, at least
+2: ``ray.remote(num_returns=1)`` changes Ray's return-value semantics, a
+single ref instead of a tuple of refs); every caller reads it back as
+``len(edge_parts)``.
 """
 
 from __future__ import annotations
@@ -65,37 +67,36 @@ def concat_parts(*pieces: pa.Table) -> pa.Table:
     return pa.concat_tables(live).combine_chunks() if live else pieces[0]
 
 
-def make_splitter(normalize, key_col: str, num_partitions: int):
-    """Block splitter for ``partition_edges``: ``normalize`` projects a raw
-    Dataset block to the keyed edge schema (and must map a schema-less
-    empty block — the recurring pandas-origin trap — to an empty table
-    WITH the explicit schema); the split then owner-partitions on
-    ``key_col``."""
+def partition_edges(keyed_ds, normalize, key_col: str):
+    """Hash-partition the edge Dataset ONCE into P pinned object-store
+    partitions, owner-split on ``key_col`` after ``normalize`` projects
+    each raw block to the keyed edge schema (it must map a schema-less
+    empty block to an empty table WITH that schema): one ``num_returns=P``
+    split task per materialized block, one concat task per partition.
+    Returns the P ``ObjectRef`` handles (callers read P as their count) —
+    the driver never holds edge data.
+
+    P is decided here, for every Pregel (see the module docstring);
+    outputs do not depend on it."""
+    import ray
+
+    from .exchange import _default_partitions
+
+    P = max(2, _default_partitions())
 
     def split(t: pa.Table):
         kt = normalize(t)
         if kt.num_rows == 0:
-            return tuple(kt for _ in range(num_partitions))
-        return split_by_owner(kt, kt[key_col].to_numpy(), num_partitions)
+            return tuple(kt for _ in range(P))
+        return split_by_owner(kt, kt[key_col].to_numpy(), P)
 
-    return split
-
-
-def partition_edges(keyed_ds, splitter, num_partitions: int):
-    """Hash-partition the edge Dataset ONCE into P pinned object-store
-    partitions: one ``num_returns=P`` split task per materialized block,
-    one concat task per partition.  Returns P ``ObjectRef`` handles — the
-    driver never holds edge data."""
-    import ray
-
-    assert num_partitions >= 2, "P >= 2 (num_returns=1 changes semantics)"
-    split_r = ray.remote(num_returns=num_partitions)(splitter)
+    split_r = ray.remote(num_returns=P)(split)
     concat_r = ray.remote(concat_parts)
     block_refs = keyed_ds.materialize().to_arrow_refs()
     pieces = [split_r.remote(ref) for ref in block_refs]
     return [
         concat_r.remote(*[pieces[b][p] for b in range(len(pieces))])
-        for p in range(num_partitions)
+        for p in range(P)
     ]
 
 
@@ -135,7 +136,6 @@ def run_rounds(
     import ray
 
     P = len(edge_parts)
-    assert P >= 2, "P >= 2 (num_returns=1 changes semantics)"
     msg_r = ray.remote(num_returns=P)(message_fn)
     merge_r = ray.remote(num_returns=2)(merge_fn)
     extra_r = (

@@ -57,9 +57,8 @@ def _group_bounds(keys: np.ndarray):
     return starts, sizes
 
 
-def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
-                         per_edge: bool = False, jaccard: bool = False,
-                         clustering: bool = False):
+def cosupplier_triangles(lineitem_ds, per_edge: bool = False,
+                         jaccard: bool = False, clustering: bool = False):
     """lineitem -> one row (n_triangles,): exact triangle count of the
     co-supplier graph (edge iff two suppliers share an order).
 
@@ -103,7 +102,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         ).drop_duplicates()
 
     pairs = hash_partitioned_apply(
-        lineitem_ds, ["l_orderkey"], order_pairs_kernel, num_partitions
+        lineitem_ds, ["l_orderkey"], order_pairs_kernel
     )
 
     # -- 2. distinct edges ------------------------------------------------
@@ -116,7 +115,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
     # without this the diamond reuse re-runs the edge build ~6x)
     edges = hash_partitioned_apply(
         pairs.map_batches(edge_dedup, batch_format="pandas"),
-        ["a", "b"], edge_dedup, num_partitions
+        ["a", "b"], edge_dedup
     ).materialize()
 
     # -- 3. degrees (undirected), then attach to both endpoints ----------
@@ -135,7 +134,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
 
     deg = hash_partitioned_agg(
         edges.map_batches(symmetrize, batch_format="pandas"),
-        ["node"], deg_combine, num_partitions,
+        ["node"], deg_combine
     ).materialize()
 
     # -- 4. orient by (degree, id); wedges; closure -----------------------
@@ -177,7 +176,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         return pd2.DataFrame(out)
 
     wedges = hash_partitioned_apply(
-        oriented, ["src"], wedge_kernel, num_partitions
+        oriented, ["src"], wedge_kernel
     )
 
     def edge_probe_rows(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -213,11 +212,11 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         # triangle credits (cnt 0) and every node's degree (n_tri 0) fold
         # in one node-keyed combiner, so zero-triangle nodes keep their row
         credits = hash_partitioned_apply(
-            probe, ["u", "w"], close_nodes_kernel, num_partitions)
+            probe, ["u", "w"], close_nodes_kernel)
         degrees = deg.map_batches(lambda df: df.assign(n_tri=np.int64(0)),
                                   batch_format="pandas")
         nodes = hash_partitioned_agg(credits.union(degrees), ["node"],
-                                     node_sums, num_partitions)
+                                     node_sums)
 
         def cc_cols(df: "pd.DataFrame") -> "pd.DataFrame":
             df = df[df["cnt"] >= 2]
@@ -252,7 +251,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
             )
 
         tri_edges = hash_partitioned_apply(
-            probe, ["u", "w"], close_edges_kernel, num_partitions
+            probe, ["u", "w"], close_edges_kernel
         )
 
         def cn_combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -261,7 +260,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
             )
 
         cn = hash_partitioned_agg(
-            tri_edges, ["a", "b"], cn_combine, num_partitions
+            tri_edges, ["a", "b"], cn_combine
         )
         if not jaccard:
             return cn
@@ -291,7 +290,7 @@ def cosupplier_triangles(lineitem_ds, num_partitions: int | None = None,
         return pd2.DataFrame({"n_triangles": [np.int64(n)]})
 
     counts = hash_partitioned_apply(
-        probe, ["u", "w"], close_kernel, num_partitions
+        probe, ["u", "w"], close_kernel
     )
 
     def total(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -428,7 +427,7 @@ FROM cn JOIN deg da ON da.node = cn.a JOIN deg db ON db.node = cn.b
 """
 
 
-def _distinct_pair_weights(lineitem_ds, num_partitions: int | None = None):
+def _distinct_pair_weights(lineitem_ds):
     """lineitem -> globally distinct weighted co-supplier pairs (a, b, w):
     stage 1 is the triangle pipeline's orderkey exchange KEEPING one row
     per (order, pair) with an in-partition pre-fold (an order lives wholly
@@ -452,16 +451,15 @@ def _distinct_pair_weights(lineitem_ds, num_partitions: int | None = None):
             w=("w", "sum"))
 
     pair_w = hash_partitioned_apply(
-        lineitem_ds, ["l_orderkey"], order_pair_weights, num_partitions)
+        lineitem_ds, ["l_orderkey"], order_pair_weights)
 
     return hash_partitioned_agg(
         pair_w, ["a", "b"],
         lambda df: df.groupby(["a", "b"], sort=False, as_index=False).agg(
-            w=("w", "sum")),
-        num_partitions)
+            w=("w", "sum")))
 
 
-def cosupplier_edge_weights(lineitem_ds, num_partitions: int | None = None):
+def cosupplier_edge_weights(lineitem_ds):
     """lineitem -> (weight, n_edges): histogram of co-supplier edge
     multiplicities — weight = number of DISTINCT orders a supplier pair
     shares, the graph's edge-strength distribution (the thresholding
@@ -475,7 +473,7 @@ def cosupplier_edge_weights(lineitem_ds, num_partitions: int | None = None):
 
     from .exchange import hash_partitioned_agg
 
-    weights = _distinct_pair_weights(lineitem_ds, num_partitions)
+    weights = _distinct_pair_weights(lineitem_ds)
 
     def hist_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         vc = df["w"].value_counts()
@@ -487,11 +485,10 @@ def cosupplier_edge_weights(lineitem_ds, num_partitions: int | None = None):
         weights.map_batches(hist_partial, batch_format="pandas"),
         ["weight"],
         lambda df: df.groupby("weight", sort=False, as_index=False).agg(
-            n_edges=("n_edges", "sum")),
-        num_partitions)
+            n_edges=("n_edges", "sum")))
 
 
-def cosupplier_degree_moments(lineitem_ds, num_partitions: int | None = None):
+def cosupplier_degree_moments(lineitem_ds):
     """lineitem -> ONE row (n_nodes, n_edges, n_wedges, max_deg): exact
     degree-distribution moments of the co-supplier graph — the pre-flight
     a scheduler reads BEFORE launching the wedge pipelines (n_wedges =
@@ -507,7 +504,7 @@ def cosupplier_degree_moments(lineitem_ds, num_partitions: int | None = None):
 
     from .exchange import finish, hash_partitioned_agg
 
-    weights = _distinct_pair_weights(lineitem_ds, num_partitions)
+    weights = _distinct_pair_weights(lineitem_ds)
 
     def node_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         nodes = pd.concat([df["a"], df["b"]], ignore_index=True)
@@ -519,8 +516,7 @@ def cosupplier_degree_moments(lineitem_ds, num_partitions: int | None = None):
         weights.map_batches(node_partial, batch_format="pandas"),
         ["node"],
         lambda df: df.groupby("node", sort=False, as_index=False).agg(
-            d=("d", "sum")),
-        num_partitions)
+            d=("d", "sum")))
 
     def moment_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df["d"].to_numpy()

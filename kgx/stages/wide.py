@@ -302,20 +302,20 @@ def final_triples(t: pa.Table, cat_order: list[str], cat_kw: dict) -> pa.Table:
     }).cast(S.TRIPLES)
 
 
-def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None):
+def dedup_and_categorize(linked_ds, cfg: dict):
     """Dataset[LINKED_FULL] -> Dataset[TRIPLES].
 
     Exact dedup as one hash exchange (``exchange.hash_partitioned_apply``)
     on ``dkey``: :func:`dedup_partials` is the bundled combiner (one row
     per key per batch, so the shuffle moves partials, not triples), and
-    each partition (P ~ cluster CPUs, not #keys) re-merges with
+    each partition (one per cluster CPU, not per key) re-merges with
     :func:`merge_triples` and categorizes (G3) in the same call.  A pinned
     small input runs both once, on the driver.  Keys are wholly contained
     in one partition and the merge is associative/commutative, so the
     result equals the serial oracle for any block arrangement.  Skewed
     KEYS are harmless here (a key is one row per upstream batch after the
-    combiner); P bounds per-task width."""
-    from .exchange import _default_partitions, hash_partitioned_apply
+    combiner)."""
+    from .exchange import hash_partitioned_apply
 
     cats = cfg["categories"]["order"], cfg["categories"]["keywords"]
     # A large combiner batch bundles several upstream blocks into one task:
@@ -323,16 +323,16 @@ def dedup_and_categorize(linked_ds, cfg: dict, num_partitions: int | None = None
     # directly shrink the exchange.
     return hash_partitioned_apply(
         linked_ds, ["dkey"], lambda t: final_triples(t, *cats),
-        num_partitions or _default_partitions(), "pyarrow",
-        combine=dedup_partials, combine_batch_size=200_000)
+        kernel_format="pyarrow", combine=dedup_partials,
+        combine_batch_size=200_000)
 
 
-def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
+def adjacency_from_triples(triples_ds):
     """Dataset[TRIPLES] -> Dataset[ADJACENCY]: grouped edges per subject with
     deterministic (obj, pred) ordering (O3 sorted graph materialization).
 
     Same hash exchange as ``dedup_and_categorize``: a per-batch combiner
-    shrinks edges to distinct (subj, obj, pred), then P partitions keyed on
+    shrinks edges to distinct (subj, obj, pred), then partitions keyed on
     ``subj``, each building all its adjacency lists in a single vectorized
     pandas pass — no per-subject Python map_groups (VERDICT r1 "What's
     wrong" #7).  Subjects are wholly contained in one partition, so output
@@ -340,7 +340,7 @@ def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
     test_conformance)."""
     import pandas as pd
 
-    from .exchange import _default_partitions, hash_partitioned_apply
+    from .exchange import hash_partitioned_apply
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         return df[["subj", "obj", "pred"]].drop_duplicates()
@@ -363,5 +363,5 @@ def adjacency_from_triples(triples_ds, num_partitions: int | None = None):
         )
 
     return hash_partitioned_apply(
-        triples_ds, ["subj"], build, num_partitions or _default_partitions(),
-        combine=partial, combine_batch_size=200_000)
+        triples_ds, ["subj"], build, combine=partial,
+        combine_batch_size=200_000)

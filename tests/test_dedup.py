@@ -417,14 +417,15 @@ class TestEmbeddingDedupGate:
         assert got == self._brute(tab, 0.95)
         assert planted <= got
 
-    def test_forced_lsh_path_agrees_on_planted_dups(self, ray_session):
+    def test_forced_lsh_path_agrees_on_planted_dups(self, ray_session,
+                                                    monkeypatch):
         import ray.data as rd
 
         tab, planted = self._corpus()
         want = self._brute(tab, 0.95)
+        monkeypatch.setattr(D, "EMB_BRUTE_LIMIT", 0)
         got = pairs_set(
-            D.embedding_dup_pairs_gated(rd.from_arrow(tab), threshold=0.95,
-                                        brute_limit=0)
+            D.embedding_dup_pairs_gated(rd.from_arrow(tab), threshold=0.95)
         )
         # exact in-bucket verify: no false positives, ever
         assert got <= want

@@ -12,6 +12,7 @@ once on the driver, whatever the block layout, zero rows included."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,13 +39,13 @@ def _sum_kernel(keys: list[str], fmt: str):
     return k
 
 
-def _run(ds, mode: str, keys: list[str], fmt: str, P: int) -> pd.DataFrame:
+def _run(ds, mode: str, keys: list[str], fmt: str) -> pd.DataFrame:
     kernel = _sum_kernel(keys, fmt)
     fn = X.hash_partitioned_agg if mode == "agg" else X.hash_partitioned_apply
     # pandas is the default kernel_format: leave it implicit so the pandas
     # cases exercise the default call
     kw = {} if fmt == "pandas" else {"kernel_format": fmt}
-    out = fn(ds, keys, kernel, P, **kw)
+    out = fn(ds, keys, kernel, **kw)
     return out.to_pandas()
 
 
@@ -52,17 +53,19 @@ def _run(ds, mode: str, keys: list[str], fmt: str, P: int) -> pd.DataFrame:
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ["agg", "apply"])
 def test_int_key_not_split_by_null_in_another_block(ray_session, each_route,
-                                                    mode, fmt, P):
+                                                    monkeypatch, mode, fmt, P):
     """Blocks k=[5,6] and k=[5,null]: pandas widens the second block's k to
-    float64, which must not move key 5 to another partition."""
+    float64, which must not move key 5 to another partition, whatever the
+    partition count."""
     import ray.data as rd
 
+    monkeypatch.setattr(X, "_default_partitions", lambda: P)
     blocks = [
         pa.table({"k": pa.array([5, 6], pa.int64()), "v": [1, 10]}),
         pa.table({"k": pa.array([5, None], pa.int64()), "v": [2, 100]}),
     ]
     for got in each_route(
-            lambda: _run(rd.from_arrow(blocks), mode, ["k"], fmt, P)):
+            lambda: _run(rd.from_arrow(blocks), mode, ["k"], fmt)):
         live = got[got["k"].notna()]
         assert sorted(live["k"].astype(int)) == [5, 6]
         assert dict(zip(live["k"].astype(int), live["v"])) == {5: 3, 6: 10}
@@ -81,7 +84,7 @@ def test_two_keys_string_and_int(ray_session, each_route, mode, fmt):
                   "v": [10, 20, 30]}),
     ]
     for got in each_route(
-            lambda: _run(rd.from_arrow(blocks), mode, ["s", "k"], fmt, 32)):
+            lambda: _run(rd.from_arrow(blocks), mode, ["s", "k"], fmt)):
         live = got[got["k"].notna()]
         assert {(s, int(k)): v
                 for s, k, v in zip(live["s"], live["k"], live["v"])} \
@@ -103,7 +106,7 @@ def test_pandas_upstream_blocks(ray_session, each_route, mode, fmt):
             pd.DataFrame({"k": pd.Series([8, 7], dtype=object),
                           "v": [16, 32]}),
         ])
-        return _run(ds, mode, ["k"], fmt, 64)
+        return _run(ds, mode, ["k"], fmt)
 
     for got in each_route(run):
         live = got[got["k"].notna()]
@@ -132,7 +135,7 @@ def test_null_keys_share_one_partition_and_kernel_sees_values(ray_session,
 
     for keys in (["k"], ["k", "s"]):
         for out in each_route(lambda: X.hash_partitioned_apply(
-                rd.from_arrow(blocks), keys, kernel, 16,
+                rd.from_arrow(blocks), keys, kernel,
                 kernel_format="pyarrow").to_pandas()):
             with_null = out[out["n_null"] > 0]
             if keys == ["k"]:
@@ -177,7 +180,7 @@ def test_kernels_never_see_zero_rows(ray_session, each_route, mode, fmt,
     kept = [t for t in blocks if t["v"][0].as_py() % 2 == 0]
     want = pa.concat_tables(kept).to_pandas().groupby("k")["v"].sum()
     for got in each_route(lambda: X.collect_arrow(
-            fn(ds, ["k"], kernel, 8, fmt)).to_pandas()):
+            fn(ds, ["k"], kernel, kernel_format=fmt)).to_pandas()):
         if empty == "all_blocks":
             assert len(got) == 0
         else:
@@ -256,7 +259,7 @@ def test_both_routes_return_equal_rows(ray_session, each_route, mode, fmt,
     ref = pa.concat_tables(blocks).to_pandas().groupby(
         keys, dropna=False, as_index=False).agg(v=("v", "sum"))
     driver, exchange = each_route(
-        lambda: _run(rd.from_arrow(blocks), mode, keys, fmt, 16))
+        lambda: _run(rd.from_arrow(blocks), mode, keys, fmt))
     assert _canon(driver, keys) == _canon(exchange, keys) == _canon(ref, keys)
 
 
@@ -277,8 +280,8 @@ def test_arrow_kernel_gets_one_chunk_per_column(ray_session, each_route,
     def run():
         ds = rd.from_arrow(blocks) if producer == "pyarrow" else \
             rd.from_pandas([t.to_pandas() for t in blocks])
-        return X.hash_partitioned_apply(ds, ["k"], kernel, 4,
-                                        "pyarrow").to_pandas()
+        return X.hash_partitioned_apply(ds, ["k"], kernel,
+                                        kernel_format="pyarrow").to_pandas()
 
     driver, exchange = each_route(run)
     assert driver["rows"].tolist() == [120]
@@ -300,7 +303,7 @@ def test_pandas_kernel_gets_pandas_blocks_unchanged(ray_session, each_route):
             pd.DataFrame({"k": [1, 2], "x": pd.Series([1, "a"], dtype=object)}),
             pd.DataFrame({"k": [1, 3], "x": pd.Series(["b", 2], dtype=object)}),
         ])
-        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4).to_pandas()
+        out = X.hash_partitioned_apply(ds, ["k"], kernel).to_pandas()
         return sorted(zip(out["k"].astype(int), out["x"]))
 
     want = [(1, "int:1"), (1, "str:b"), (2, "str:a"), (3, "int:2")]
@@ -329,7 +332,8 @@ def test_route_is_chosen_by_bytes_not_rows(ray_session, monkeypatch):
     calls = {}
     for name, t in [("narrow", narrow), ("wide", wide)]:
         out = X.hash_partitioned_apply(rd.from_arrow(t).repartition(4),
-                                       ["k"], kernel, 4, "pyarrow")
+                                       ["k"], kernel,
+                                       kernel_format="pyarrow")
         calls[name] = sorted(out.to_pandas()["rows"])
     assert calls["narrow"] == [n]
     assert len(calls["wide"]) > 1 and sum(calls["wide"]) == n
@@ -366,7 +370,7 @@ def test_combine_then_kernel(ray_session, each_route, monkeypatch, fmt,
             ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
         combined.clear(), kerneled.clear(), runs.clear()
         monkeypatch.setattr(StreamingExecutor, "execute", counted)
-        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4, fmt,
+        out = X.hash_partitioned_apply(ds, ["k"], kernel, kernel_format=fmt,
                                        combine=combine)
         monkeypatch.setattr(StreamingExecutor, "execute", execute)
         return (_canon(X.collect_arrow(out).to_pandas(), ["k"]),
@@ -403,11 +407,35 @@ def test_combine_to_zero_rows_calls_no_kernel(ray_session, each_route, fmt,
         ds = rd.from_arrow(_keyed_blocks())
         if not pinned:
             ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
-        out = X.hash_partitioned_apply(ds, ["k"], kernel, 4, fmt,
+        out = X.hash_partitioned_apply(ds, ["k"], kernel, kernel_format=fmt,
                                        combine=combine)
         return out.count(), X.collect_arrow(out).num_columns
 
     assert each_route(run) == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("combined", [False, True], ids=["raw", "combine"])
+def test_partition_count_is_the_cpu_count(ray_session, monkeypatch,
+                                          combined):
+    """The exchange route makes ``_default_partitions()`` partitions (the
+    CPU count), with a combiner or without: over many keys the kernel runs
+    once per partition, each call seeing its keys' rows."""
+    import ray.data as rd
+
+    n, P = 2000, 5
+    monkeypatch.setattr(X, "DRIVER_BYTES", -1)
+    monkeypatch.setattr(X, "_default_partitions", lambda: P)
+    t = pa.table({"k": np.arange(n, dtype=np.int64),
+                  "v": np.ones(n, np.int64)})
+
+    def kernel(b: pa.Table) -> pa.Table:  # one row per call
+        return pa.table({"rows": [b.num_rows]})
+
+    kw = {"combine": lambda b: b} if combined else {}
+    out = X.hash_partitioned_apply(rd.from_arrow(t).repartition(4), ["k"],
+                                   kernel, kernel_format="pyarrow", **kw)
+    rows = X.collect_arrow(out)["rows"].to_pylist()
+    assert len(rows) == P and sum(rows) == n
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +753,35 @@ def test_one_lookup_join():
     assert ".clip(max=len(" not in rel, "hand-written probe in relational.py"
 
 
+LAYOUT_KNOBS = {"num_partitions", "num_buckets", "edge_limit", "brute_limit"}
+
+
+def layout_parameters(root: Path) -> list[str]:
+    """Every parameter of a ``def`` under ``root`` named like a layout knob,
+    as ``file:function(name)``.  ``pregel.py`` is skipped: its internal
+    owner-split helpers take the P that ``partition_edges`` chose."""
+    found = []
+    for f in sorted(root.rglob("*.py")):
+        if f.name == "pregel.py":
+            continue
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                found += [f"{f.relative_to(root)}:{node.name}({k})"
+                          for k in sorted(names & LAYOUT_KNOBS)]
+    return found
+
+
+def test_layout_is_the_engines_decision():
+    """No function in the package takes a partition count, a bucket count
+    or a route limit: the exchange's P is ``_default_partitions()``,
+    Pregel's is ``pregel.partition_edges``'s, bucket counts derive from P,
+    and every exact driver-vs-distributed choice reads ``DRIVER_BYTES``."""
+    found = layout_parameters(Path(__file__).resolve().parent.parent / "kgx")
+    assert not found, f"layout parameters: {found}"
+
+
 # ---------------------------------------------------------------------------
 # Zero rows have one owner: what the operators' deleted guards rely on
 # ---------------------------------------------------------------------------
@@ -830,7 +887,7 @@ def test_column_less_partials_equal_typed_ones(ray_session, each_route,
     def run(typed: bool):
         ds = _thinned(fmt, empty).map_batches(partial(typed),
                                               batch_format="pyarrow")
-        out = fn(ds, ["k"], _sum_kernel(["k"], fmt), 8, **kw)
+        out = fn(ds, ["k"], _sum_kernel(["k"], fmt), **kw)
         df = X.collect_arrow(out).to_pandas()
         return sorted(zip(df["k"], df["v"])) if len(df) else []
 
@@ -857,7 +914,7 @@ def test_pinned_zero_row_blocks_reach_no_operator(ray_session, each_route,
     ds = _thinned(fmt, "some_blocks").materialize()
 
     def run():
-        out = X.hash_partitioned_apply(ds, ["k"], _sum_kernel(["k"], fmt), 8,
+        out = X.hash_partitioned_apply(ds, ["k"], _sum_kernel(["k"], fmt),
                                        kernel_format=fmt)
         df = X.collect_arrow(out).to_pandas()
         return sorted(zip(df["k"].tolist(), df["v"].tolist()))

@@ -251,5 +251,5 @@ class TestTokenBudgetBoundary:
         want = sorted(con.execute(sql_token_budget(budget=3)).fetchall())
         assert [r[0] for r in want] == [1, 100]
         for got in each_route(lambda: token_budget(
-                rd.read_parquet(str(path)), budget=3, num_buckets=2).to_pandas()):
+                rd.read_parquet(str(path)), budget=3).to_pandas()):
             assert sorted(map(tuple, got[cols].itertuples(index=False))) == want

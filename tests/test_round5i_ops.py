@@ -145,15 +145,18 @@ def test_token_budget_cuts_and_orders(ray_session):
     assert (recomputed.to_numpy() == g["cum_tokens"].to_numpy()).all()
 
 
-def test_token_budget_small_buckets(ray_session):
-    """Forcing many tiny buckets exercises the offset/prune machinery."""
+def test_token_budget_small_buckets(ray_session, monkeypatch):
+    """Many tiny buckets (the bucket count is 8x the partition count)
+    exercise the offset/prune machinery."""
     import ray.data as rd
 
+    from kgx.stages import exchange
     from kgx.stages.corpus import BUDGET_TOKENS, token_budget
 
+    monkeypatch.setattr(exchange, "_default_partitions", lambda: 64)
     docs = rd.read_parquet(f"{SF}/documents.parquet",
                            columns=["doc_id", "source", "text"])
-    out = _collect(token_budget(docs, num_buckets=3)) \
+    out = _collect(token_budget(docs)) \
         .sort_values(["source", "doc_id"]).reset_index(drop=True)
     ref = _serial_budget(SF, BUDGET_TOKENS) \
         .sort_values(["source", "doc_id"]).reset_index(drop=True)

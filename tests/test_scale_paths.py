@@ -46,7 +46,8 @@ class TestDistributedClustering:
         got = label_propagation_labels(rd.from_arrow(tab))
         assert got == want
 
-    def test_cluster_ids_distributed_path_matches_driver(self, ray_session):
+    def test_cluster_ids_distributed_path_matches_driver(self, ray_session,
+                                                         each_route):
         import ray.data as rd
 
         from kgx.stages.cluster import cluster_ids
@@ -55,19 +56,25 @@ class TestDistributedClustering:
             {"doc_id": [1, 2, 3, 4, 10, 11, 20]},
             schema=pa.schema([("doc_id", pa.int64())]),
         )
-        out = {}
-        for limit in (0, 10**9):  # 0 forces the distributed path
+
+        def run():
+            stats = {}
             res = (
                 cluster_ids(rd.from_arrow(docs), rd.from_arrow(self._edges()),
-                            edge_limit=limit)
+                            stats=stats)
                 .to_pandas()
                 .sort_values("doc_id")
                 .reset_index(drop=True)
             )
-            out[limit] = list(zip(res["doc_id"], res["cluster_id"]))
-        assert out[0] == out[10**9]
-        assert dict(out[0])[20] == 20  # singleton keeps its own id
-        assert dict(out[0])[4] == 1 and dict(out[0])[11] == 10
+            return list(zip(res["doc_id"], res["cluster_id"])), stats
+
+        # driver union-find first, then distributed label propagation (the
+        # only route that fills ``stats``)
+        (driver, d_stats), (dist, x_stats) = each_route(run)
+        assert not d_stats and x_stats["converged"]
+        assert dist == driver
+        assert dict(dist)[20] == 20  # singleton keeps its own id
+        assert dict(dist)[4] == 1 and dict(dist)[11] == 10
 
 
 class TestBoundedHotBucketVerify:
