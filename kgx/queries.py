@@ -3,6 +3,14 @@
 DuckDB SQL oracle over the same parquet views (the driver's side-by-side
 correctness gate, see __ray_entry__.py).
 
+A query is declared once: one ``registry()`` entry naming its operator,
+the input it reads and its constants (a ``partial`` over ``_on`` or the
+operator itself), plus at most one ``oracle_sql()`` entry calling its SQL
+builder.  Only a query with a body of its own is a function here.  Module
+attribute access resolves registry names (``queries.rel_q6``,
+``from kgx.queries import dedup_exact``) through the PEP 562
+``__getattr__`` at the bottom.
+
 Conventions enforced here (driver contract):
 * column NAMES and TYPES match between the Ray result and the SQL exactly;
 * compared columns are integers/strings or integral doubles only — every
@@ -15,6 +23,7 @@ Conventions enforced here (driver contract):
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 
 from . import config_loader, synth
@@ -59,10 +68,50 @@ def _emb_ds(sf_dir: str):
     return _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
-from functools import lru_cache as _lru_cache
+def _docs_ds_with_source(sf_dir: str):
+    return _read(sf_dir, "documents", ["doc_id", "source"])
 
 
-@_lru_cache(maxsize=4)
+def _pages_ts_ds(sf_dir: str):
+    """Vectorized (url, warc_ts) projection derived straight from
+    documents.parquet under the synth formula — the two-column pruned
+    read a real pages table would give for free (avoids re-running the
+    per-row page generator just for lineage timestamps)."""
+    import numpy as np
+
+    from .synth import EPOCH_US
+
+    def ts_map(batch):
+        import pandas as pd
+        import pyarrow as pa
+
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        src = pd.Series(batch["source"].to_pandas()).astype(str)
+        url = ("https://synth.example/" + src + "/"
+               + pd.Series(ids).astype(str)).to_numpy()
+        return pa.table({"url": pa.array(url, pa.string()),
+                         "warc_ts": pa.array(ids * 37_000_000 + EPOCH_US)})
+
+    return _docs_ds_with_source(sf_dir).map_batches(ts_map,
+                                                    batch_format="pyarrow")
+
+
+def _ngram_pairs(sf_dir: str):
+    """The exact n-gram Jaccard near-dup pairs (id_a, id_b) — the
+    ``dedup_ngram_jaccard`` query and the input of every pair consumer."""
+    from .stages.dedup import ngram_jaccard_pairs
+
+    return ngram_jaccard_pairs(_docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T)
+
+
+def _on(src, op, sf_dir: str, **kw):
+    """Registry adapter: ``op(*inputs, **kw)`` where ``src`` — one input
+    builder or a tuple of them — reads the inputs from ``sf_dir``."""
+    srcs = src if isinstance(src, tuple) else (src,)
+    return op(*(s(sf_dir) for s in srcs), **kw)
+
+
+@lru_cache(maxsize=4)
 def _emb_sample(sf_dir: str, every: int = ANN_EVERY):
     """Query-side sample for the ANN suite, collected DISTRIBUTED (stride
     filter inside the read pipeline; only ~N/every rows reach the driver) —
@@ -163,10 +212,24 @@ def _kg_sql_pages(sf_dir: str):
     return synth.pages_dataset_from_documents(sf_dir, enrich="sql")
 
 
-def _kg_sql_outputs(sf_dir: str):
-    from .pipeline import broadcast_kb, kg_tables_in_memory
+def _kg_sql_stage(op, sf_dir: str, **src):
+    """``op(pages, cfg, refs, **inputs)`` over the SQL-checkable KG chain:
+    its pages, config variant and broadcast KB, plus any keyword inputs
+    that the builders ``src`` read from ``sf_dir``."""
+    from .pipeline import broadcast_kb
 
-    return kg_tables_in_memory(_kg_sql_pages(sf_dir), _kg_sql_cfg(), broadcast_kb())
+    return op(_kg_sql_pages(sf_dir), _kg_sql_cfg(), broadcast_kb(),
+              **{k: build(sf_dir) for k, build in src.items()})
+
+
+def _kg_sql_outputs(sf_dir: str):
+    from .pipeline import kg_tables_in_memory
+
+    return _kg_sql_stage(kg_tables_in_memory, sf_dir)
+
+
+def _kg_sql_triples(sf_dir: str):
+    return _kg_sql_outputs(sf_dir)["triples"]
 
 
 def kg_triples(sf_dir: str):
@@ -197,7 +260,7 @@ def kg_triples(sf_dir: str):
             }
         )
 
-    return _kg_sql_outputs(sf_dir)["triples"].map_batches(project, batch_format="pyarrow")
+    return _kg_sql_triples(sf_dir).map_batches(project, batch_format="pyarrow")
 
 
 def kg_entities(sf_dir: str):
@@ -254,7 +317,7 @@ def kg_mentions(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .pipeline import broadcast_kb, mentions_ds
+    from .pipeline import mentions_ds
 
     def project(batch: "pa.Table") -> "pa.Table":
         # mention_ord comes from the PRODUCER (assigned while the segment's
@@ -271,66 +334,13 @@ def kg_mentions(sf_dir: str):
             }
         )
 
-    ds = mentions_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(), broadcast_kb())
+    ds = _kg_sql_stage(mentions_ds, sf_dir)
     return ds.map_batches(project, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Text analysis
-# ---------------------------------------------------------------------------
-
-
-def text_token_count(sf_dir: str):
-    from .stages.text_analysis import token_count_batch
-
-    return _docs_ds(sf_dir).map_batches(token_count_batch, batch_format="pandas")
-
-
-def text_quality(sf_dir: str):
-    from .stages.text_analysis import quality_batch
-
-    return _docs_ds(sf_dir).map_batches(quality_batch, batch_format="pandas")
-
-
-def text_langid(sf_dir: str):
-    from .stages.text_analysis import langid_batch
-
-    return _docs_ds(sf_dir).map_batches(langid_batch, batch_format="pandas")
-
-
-def text_fingerprint(sf_dir: str):
-    from .stages.text_analysis import fingerprint_batch
-
-    return _docs_ds(sf_dir).map_batches(fingerprint_batch, batch_format="pandas")
-
-
-def text_token_bpe(sf_dir: str):
-    from .stages.text_analysis import bpe_count_batch
-
-    return _docs_ds(sf_dir).map_batches(bpe_count_batch, batch_format="pandas")
-
-
-def text_repetition(sf_dir: str):
-    from .stages.text_analysis import repetition_batch
-
-    return _docs_ds(sf_dir).map_batches(repetition_batch, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
 # Dedup suite
 # ---------------------------------------------------------------------------
-
-
-def dedup_exact(sf_dir: str):
-    from .stages.dedup import exact_dedup
-
-    return exact_dedup(_docs_ds(sf_dir))
-
-
-def dedup_ngram_jaccard(sf_dir: str):
-    from .stages.dedup import ngram_jaccard_pairs
-
-    return ngram_jaccard_pairs(_docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T)
 
 
 def dedup_minhash_lsh(sf_dir: str):
@@ -369,29 +379,6 @@ def dedup_simhash(sf_dir: str):
     return simhash_pairs(_docs_ds(sf_dir), max_hamming=d["simhash_max_hamming"])
 
 
-def dedup_clusters(sf_dir: str):
-    """Near-dup connected components over the exact n-gram-Jaccard pairs:
-    (doc_id, cluster_id=min member id) for every document."""
-    from .stages.cluster import cluster_ids
-    from .stages.dedup import ngram_jaccard_pairs
-
-    docs = _docs_ds(sf_dir)
-    pairs = ngram_jaccard_pairs(docs, n=NGRAM_N, threshold=NGRAM_T)
-    return cluster_ids(docs, pairs)
-
-
-def dedup_representatives(sf_dir: str):
-    """One representative (min doc_id) per near-dup cluster — the
-    keep-side of dedup_clusters (near-dup analog of exact dedup's
-    per-group first; what a curation pipeline actually writes out)."""
-    from .stages.cluster import dedup_representatives as _keep
-    from .stages.dedup import ngram_jaccard_pairs
-
-    docs = _docs_ds(sf_dir)
-    pairs = ngram_jaccard_pairs(docs, n=NGRAM_N, threshold=NGRAM_T)
-    return _keep(docs, pairs)
-
-
 def text_anonymize(sf_dir: str):
     """Regex-PII masking (email/phone/custom terms) — the SQL-checkable
     subset of the anonymizer; PERSON masking via the broadcast alias dict is
@@ -402,15 +389,6 @@ def text_anonymize(sf_dir: str):
     return _docs_ds(sf_dir).map_batches(
         lambda df: mask_pii_batch(df, terms), batch_format="pandas"
     )
-
-
-def dedup_embedding(sf_dir: str):
-    """Cost-gated (VERDICT r4 #3): exact brute force below EMB_BRUTE_LIMIT
-    vectors (the driver corpora; bit-matches the SQL oracle), LSH-bucketed
-    banded candidates + exact in-bucket verify above it."""
-    from .stages.dedup import embedding_dup_pairs_gated
-
-    return embedding_dup_pairs_gated(_emb_ds(sf_dir), threshold=EMBED_COS_T)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +405,6 @@ def ann_topk(sf_dir: str):
     return _ann(_emb_ds(sf_dir), q_ref, k=ANN_K)
 
 
-def emb_lsh_balance(sf_dir: str):
-    """LSH bucket-size histogram (t, size, n_buckets) per hash table —
-    the index-health diagnostic for the ann_topk_lsh path (a skewed
-    table = one giant bucket doing most candidate generation); bucket
-    count is BOUNDED (tables x 2^nbits) so both exchanges carry bounded
-    rows, vectors never shuffle."""
-    from .stages.similarity import lsh_bucket_balance
-
-    return lsh_bucket_balance(_emb_ds(sf_dir), nbits=8, tables=4)
-
-
 def ann_topk_lsh(sf_dir: str):
     import ray
 
@@ -447,77 +414,6 @@ def ann_topk_lsh(sf_dir: str):
         build_lsh_query_side(_emb_sample(sf_dir), every=ANN_EVERY, nbits=8, tables=4)
     )
     return _lsh(_emb_ds(sf_dir), q_ref, k=ANN_K, nbits=8, tables=4)
-
-
-# ---------------------------------------------------------------------------
-# Multimodal
-# ---------------------------------------------------------------------------
-
-
-def mm_payload_stats(sf_dir: str):
-    from .stages.multimodal import payload_stats
-
-    return payload_stats(_docs_ds(sf_dir))
-
-
-def mm_thumbnail(sf_dir: str):
-    """Resize + frame-sample over the binary payload column (actor pool)."""
-    from .stages.multimodal import thumbnails
-
-    return thumbnails(_docs_ds(sf_dir))
-
-
-# ---------------------------------------------------------------------------
-# Relational operators
-# ---------------------------------------------------------------------------
-
-
-def rel_agg_pushdown(sf_dir: str):
-    from .pipelines.relational import lineitem_agg
-
-    return lineitem_agg(sf_dir)
-
-
-def rel_broadcast_join(sf_dir: str):
-    from .pipelines.relational import orders_per_segment
-
-    return orders_per_segment(sf_dir)
-
-
-def rel_semi_join(sf_dir: str):
-    from .pipelines.relational import customers_with_orders
-
-    return customers_with_orders(sf_dir)
-
-
-def rel_topk(sf_dir: str):
-    from .pipelines.relational import top_customers_by_orders
-
-    return top_customers_by_orders(sf_dir, k=10)
-
-
-def rel_range_join(sf_dir: str):
-    from .pipelines.relational import lineitems_in_order_window
-
-    return lineitems_in_order_window(sf_dir, days=90)
-
-
-def rel_window_events(sf_dir: str):
-    from .pipelines.relational import events_per_user_hour
-
-    return events_per_user_hour(sf_dir)
-
-
-def rel_sessionize(sf_dir: str):
-    from .pipelines.relational import sessionize_events
-
-    return sessionize_events(sf_dir, gap_minutes=30)
-
-
-def rel_distinct_event_types(sf_dir: str):
-    from .pipelines.relational import distinct_event_types
-
-    return distinct_event_types(sf_dir)
 
 
 def ann_topk_ivf(sf_dir: str):
@@ -535,62 +431,9 @@ def ann_topk_ivf(sf_dir: str):
     return _ivf(_emb_ds(sf_dir), q_ref, k=ANN_K, nprobe=4)
 
 
-def rel_sliding_window(sf_dir: str):
-    from .pipelines.relational import events_trailing_hour
-
-    return events_trailing_hour(sf_dir)
-
-
-def rel_native_join(sf_dir: str):
-    """Order count per customer nation: one ``lookup_join`` (the keyed
-    exchange route once the customer dimension is too big to broadcast;
-    the name predates it, when this ran Ray's native ``Dataset.join``)."""
-    from .pipelines.relational import orders_per_nation_native_join
-
-    return orders_per_nation_native_join(sf_dir)
-
-
-def rel_json_extract(sf_dir: str):
-    from .pipelines.relational import event_json_values
-
-    return event_json_values(sf_dir)
-
-
-def rel_topk_per_group(sf_dir: str):
-    from .pipelines.relational import top_orders_per_segment
-
-    return top_orders_per_segment(sf_dir, k=3)
-
-
-def rel_asof_join(sf_dir: str):
-    from .pipelines.relational import prev_order_asof
-
-    return prev_order_asof(sf_dir)
-
-
-def rel_grouped_median(sf_dir: str):
-    """Exact holistic aggregate (lower median per group) — no combiner
-    exists, so the kernel runs on co-located full groups (O-family analog of
-    the reference's per-group statistics)."""
-    from .pipelines.relational import median_orders_per_nation
-
-    return median_orders_per_nation(sf_dir)
-
-
-def doc_sample(sf_dir: str):
-    """Deterministic 10% hash sample of the corpus (reproducible subsampling
-    — a training-data staple; pure vectorized integer hash, no shuffle)."""
-    from .stages.corpus import sample_documents
-
-    return sample_documents(_docs_ds(sf_dir), pct=10)
-
-
-def text_ngram_topk(sf_dir: str):
-    """Corpus-wide top-20 bigrams (vocabulary / boilerplate mining):
-    per-batch count combiner -> keyed exchange -> k-row global sort."""
-    from .stages.corpus import ngram_topk
-
-    return ngram_topk(_docs_ds(sf_dir), n=2, k=20)
+# ---------------------------------------------------------------------------
+# Composed queries: corpus, KG analytics and relational folds
+# ---------------------------------------------------------------------------
 
 
 def text_tfidf_topk(sf_dir: str):
@@ -606,356 +449,6 @@ def text_tfidf_topk(sf_dir: str):
     return tfidf_topk(_docs_ds(sf_dir), n_docs, k=3)
 
 
-def text_inverted_index(sf_dir: str):
-    """Posting-list build: per token its df and first-5 doc_ids as rows
-    (min-k combiner bounds the exchange to O(batches x vocab))."""
-    from .stages.corpus import inverted_index
-
-    return inverted_index(_docs_ds(sf_dir), postings_k=5)
-
-
-def graph_pagerank(sf_dir: str):
-    """Integer fixed-point PageRank (3 rounds) over the symmetrized
-    supplier<->part graph — iterative labels-as-a-Dataset compute reusing
-    the pinned-round machinery of the clustering stage."""
-    from .stages.graph import supplier_part_pagerank
-
-    return supplier_part_pagerank(sf_dir, iterations=3)
-
-
-def rel_event_funnel(sf_dir: str):
-    """click -> purchase conversions within 30 min per user (sequence /
-    funnel pattern over the event stream, offset-key searchsorted kernel)."""
-    from .pipelines.relational import event_funnel
-
-    return event_funnel(sf_dir)
-
-
-def rel_grouped_quantiles(sf_dir: str):
-    """Exact p25/p50/p75 of per-customer order counts by nation (holistic
-    multi-quantile via the partition-only exchange)."""
-    from .pipelines.relational import quantile_orders_per_nation
-
-    return quantile_orders_per_nation(sf_dir)
-
-
-def rel_anti_join(sf_dir: str):
-    """customer ▷ urgent orders: custkeys with NO '1-URGENT' order
-    (exclusion dual of rel_semi_join; one anti ``lookup_join``)."""
-    from .pipelines.relational import customers_without_urgent
-
-    return customers_without_urgent(sf_dir)
-
-
-def rel_pivot(sf_dir: str):
-    """Long-to-wide crosstab: per-user count columns for the fixed
-    event-type vocabulary (partial crosstabs combine before the shuffle)."""
-    from .pipelines.relational import event_type_pivot
-
-    return event_type_pivot(sf_dir)
-
-
-def rel_running_total(sf_dir: str):
-    """Per-customer cumulative revenue (integer cents) over date-ordered
-    orders — keyed prefix sum as one partition-only exchange + one
-    vectorized sort/cumsum kernel."""
-    from .pipelines.relational import running_order_total
-
-    return running_order_total(sf_dir)
-
-
-def rel_rollup(sf_dir: str):
-    """(l_returnflag, l_linestatus) aggregate plus per-flag subtotals and
-    the grand total in ONE scan/exchange ('ALL' sentinel rows)."""
-    from .pipelines.relational import lineitem_rollup
-
-    return lineitem_rollup(sf_dir)
-
-
-def sketch_hll(sf_dir: str):
-    """HyperLogLog 256-register sketch of distinct (token, doc_id) pairs
-    (approximate inverted-index size) — the register table IS the result
-    (integer-exact, mergeable); the cardinality estimate is a
-    deterministic driver post-process (kgx.stages.sketch.hll_estimate)."""
-    from .stages.sketch import hll_token_registers
-
-    return hll_token_registers(_docs_ds(sf_dir))
-
-
-def dedup_decontaminate(sf_dir: str):
-    """Eval-split decontamination: for each doc in the deterministic 10%
-    eval split, its min-id near-duplicate (n-gram jaccard) in the
-    remaining corpus — train/test leakage detection composed from the pair
-    generator + the stable sample split."""
-    from .stages.corpus import decontaminate
-    from .stages.dedup import ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(_docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T)
-    return decontaminate(pairs, eval_pct=10)
-
-
-def doc_sample_stratified(sf_dir: str):
-    """Per-source-tier deterministic sampling (corpus rebalancing): each
-    source keeps its tier's pct of docs under the same stable hash-bucket
-    rule as doc_sample — no shuffle, retunable per source."""
-    from .stages.corpus import stratified_sample_documents
-
-    return stratified_sample_documents(_docs_ds_with_source(sf_dir))
-
-
-def _docs_ds_with_source(sf_dir: str):
-    return _read(sf_dir, "documents", ["doc_id", "source"])
-
-
-def sketch_bloom(sf_dir: str):
-    """Bloom filter of the orders build-side key set (o_custkey) as sorted
-    distinct (bit,) rows — the mergeable sketch a shuffle-avoiding
-    semi-join broadcasts when the exact key set is too big
-    (kgx.stages.sketch.bloom_membership_mask is the probe side)."""
-    from .stages.sketch import bloom_build
-
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    return bloom_build(orders, "o_custkey")
-
-
-def text_lm_score(sf_dir: str):
-    """Per-doc mean bigram probability under the corpus's own bigram model
-    (integer fixed-point perplexity proxy — the CCNet-style quality
-    filter); prefix-keyed exchange computes both model counts in-partition."""
-    from .stages.corpus import bigram_lm_score
-
-    return bigram_lm_score(_docs_ds(sf_dir))
-
-
-def rel_semi_join_bloom(sf_dir: str):
-    """Bloom-prefiltered semi-join: the 8 KB bitset broadcasts, the probe
-    side shrinks BEFORE the join, one semi ``lookup_join`` drops the false
-    positives exactly — same rows as rel_semi_join, sketch-driven plan."""
-    from .pipelines.relational import customers_with_orders_bloom
-
-    return customers_with_orders_bloom(sf_dir)
-
-
-def rel_grouped_mode(sf_dir: str):
-    """Most common order priority per market segment (holistic argmax
-    aggregate; cell counts combine pre-shuffle, argmax runs over the
-    group-cardinality cell table)."""
-    from .pipelines.relational import priority_mode_per_segment
-
-    return priority_mode_per_segment(sf_dir)
-
-
-def sketch_cms(sf_dir: str):
-    """Count-min sketch of token occurrences as (d_row, cell, cnt) rows —
-    mergeable frequency sketch (cell sums are order-independent);
-    kgx.stages.sketch.cms_estimate is the driver-side point estimate."""
-    from .stages.sketch import cms_build
-
-    return cms_build(_docs_ds(sf_dir))
-
-
-def sketch_quantile_grouped(sf_dir: str):
-    """Per-group mergeable histogram percentiles: (group, bin) partials,
-    per-group cumulative scans inside one group-keyed exchange."""
-    from .pipelines.relational import _read
-    from .stages.sketch import grouped_quantile_histogram
-
-    return grouped_quantile_histogram(
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    )
-
-
-def emb_kmeans_cost(sf_dir: str):
-    """Per-cluster inertia over the same Lloyd fit as emb_kmeans:
-    (cluster, n_vecs, sse) — one extra streaming pass of np.add.at
-    partials + a k-row combiner exchange."""
-    from .stages.kmeans import kmeans_cost
-
-    return kmeans_cost(_emb_ds(sf_dir))
-
-
-def dedup_substring(sf_dir: str):
-    """Exact-substring dedup: doc pairs sharing >= 1 exact 8-token window
-    (distinct shared-window count) — one tokenization scan, fp-keyed pair
-    generation, pair-keyed count combiner."""
-    from .stages.dedup import substring_dup_pairs
-
-    return substring_dup_pairs(_docs_ds(sf_dir))
-
-
-def graph_cc(sf_dir: str):
-    """Round-exact connected-component labels (6 synchronous min-label
-    rounds) over the supplier<->part graph — third consumer of the shared
-    partitioned-edge Pregel; oracle is the unrolled-CTE recurrence."""
-    from .stages.graph import supplier_part_cc
-
-    return supplier_part_cc(sf_dir)
-
-
-def doc_split(sf_dir: str):
-    """Exact-proportion deterministic train/val/test split, stratified by
-    source (80/10/10 by within-source hash rank) — the pack_sequences
-    two-pass range prefix sum gives exact per-stratum counts without
-    co-locating a whole stratum."""
-    from .stages.corpus import split_documents
-
-    return split_documents(_docs_ds_with_source(sf_dir))
-
-
-def emb_outliers(sf_dir: str):
-    """Embedding-space outlier flags: vectors whose integer squared
-    distance to the nearest fitted k-means centroid exceeds the threshold
-    — one extra streaming pass over the same Lloyd fit as emb_kmeans."""
-    from .stages.kmeans import kmeans_outliers
-
-    return kmeans_outliers(_emb_ds(sf_dir))
-
-
-def dedup_cross_source(sf_dir: str):
-    """Cross-source contamination matrix: n-gram-jaccard near-dup pair
-    counts per (source, source) cell — the provenance-level leakage
-    report; both pair endpoints resolve their source through
-    ``lookup_join`` (doc_id -> source)."""
-    from .stages.corpus import cross_source_pairs
-    from .stages.dedup import ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(_docs_ds(sf_dir), n=NGRAM_N, threshold=NGRAM_T)
-    return cross_source_pairs(pairs, _docs_ds_with_source(sf_dir))
-
-
-def doc_mixture(sf_dir: str):
-    """Token-budget mixture sampling: per-source keep rates DERIVED from
-    measured token totals (uniform-mixture rebalance at a half-corpus
-    budget) — one pinned stats scan, a |sources|-row totals exchange, a
-    driver-scale integer plan, one vectorized filter."""
-    from .stages.corpus import mixture_sample
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return mixture_sample(docs)
-
-
-def rel_q1_pricing(sf_dir: str):
-    """Full TPC-H-Q1 pricing summary (n/qty/base/discounted/charged per
-    flag-status) — one scan, one combiner exchange; integer units floor
-    back to cents per row so group sums stay int64-safe past 10^10
-    rows."""
-    from .pipelines.relational import q1_pricing_summary
-
-    return q1_pricing_summary(sf_dir)
-
-
-def rel_late_orders(sf_dir: str):
-    """TPC-H-Q4-shaped EXISTS semi-join with a CROSS-TABLE predicate:
-    orders per priority having a line item shipped > 60 days after the
-    order date — lineitems pick up the order date and priority through
-    ``lookup_join`` and keep their distinct late orders, one orderkey
-    exchange finishes the distinct count."""
-    from .pipelines.relational import late_order_counts
-
-    return late_order_counts(sf_dir)
-
-
-def rel_dau(sf_dir: str):
-    """Daily active users + event volume (COUNT DISTINCT rollup): per-batch
-    (day, user) dedup partials, ONE day-keyed partition exchange with a
-    single lexsort kernel; day = integer epoch-days."""
-    from .pipelines.relational import daily_active_users
-
-    return daily_active_users(sf_dir)
-
-
-def rel_returned_revenue(sf_dir: str):
-    """TPC-H-Q10-shaped composition: top-20 customers by returned-item
-    revenue with nation attach — custkey resolution through
-    ``lookup_join``, combiner exchange + per-block local top-k prune,
-    dimension attach AFTER the top-k (the customer scan semi-joins the k
-    winners)."""
-    from .pipelines.relational import returned_item_revenue
-
-    return returned_item_revenue(sf_dir)
-
-
-def rel_promo_revenue(sf_dir: str):
-    """TPC-H-Q14-shaped promo revenue share: windowed lineitem revenue
-    split by the part's promo flag (one ``lookup_join`` hop), each batch
-    or partition folds to ONE (promo, total) row, integer cents +
-    permyriad."""
-    from .pipelines.relational import promo_revenue
-
-    return promo_revenue(sf_dir)
-
-
-def rel_big_orders(sf_dir: str):
-    """TPC-H-Q18-shaped composition: top-k large-volume orders (HAVING
-    sum(qty) > threshold) with custkey/name/day attach — one orderkey-keyed
-    Arrow combiner exchange, per-partition HAVING + local top-k prune,
-    rank-then-join dimension attach via a k-key broadcast filter."""
-    from .pipelines.relational import big_volume_orders
-
-    return big_volume_orders(sf_dir)
-
-
-def kg_2hop(sf_dir: str):
-    """Two-hop path counts over the extracted KG: one mid-keyed
-    kind-discriminated exchange (each edge ships twice), vectorized ragged
-    A x B cross-join per intermediate, (subj, obj2)-keyed count combiner.
-    The related-entity expansion query over the triple store."""
-    from .stages.kg_stages import two_hop_paths
-
-    return two_hop_paths(
-        _kg_sql_outputs(sf_dir)["triples"].select_columns(["subj", "obj"]))
-
-
-def graph_cc_sizes(sf_dir: str):
-    """Component-size histogram over the round-exact CC labels (the
-    near-dup-cluster health diagnostic): Pregel labels -> label-keyed
-    member-count combiner -> size-keyed histogram fold."""
-    from .stages.graph import cc_size_histogram, supplier_part_edges
-
-    return cc_size_histogram(supplier_part_edges(sf_dir))
-
-
-def rel_cohorts(sf_dir: str):
-    """Cohort retention matrix (cohort_week, weeks_since, n_users): one
-    user-keyed exchange — per-batch (user, week) dedup partials, a single
-    lexsort kernel anchors each user's min week and emits (cohort, delta)
-    rows, pair-keyed count combiner."""
-    from .pipelines.relational import cohort_matrix
-
-    return cohort_matrix(sf_dir)
-
-
-def rel_supplier_types(sf_dir: str):
-    """TPC-H-Q16-shaped count(DISTINCT) through a join: distinct suppliers
-    per part type via the lineitem bridge — part type through
-    ``lookup_join`` with a distinct-pair fold, one suppkey-keyed exchange
-    where per-partition dedup IS global dedup, type-keyed combiner."""
-    from .pipelines.relational import supplier_type_counts
-
-    return supplier_type_counts(sf_dir)
-
-
-def mm_frame_sample(sf_dir: str):
-    """Every-Nth-frame extraction (the video-sampling 1 -> N explode):
-    actor-pool stage splits each payload body into 64-byte frames and
-    emits every 4th as its own row — one repeat-gather + bincount per
-    batch, small batch_size for the explode."""
-    from .stages.multimodal import frame_samples
-
-    return frame_samples(_docs_ds(sf_dir))
-
-
-def emb_cluster_purity(sf_dir: str):
-    """Cluster x ground-truth-label contingency table over the shared
-    deterministic Lloyd fit — the external clustering-evaluation input;
-    one extra streaming pass (packed-key np.unique per batch), pair-keyed
-    combiner exchange."""
-    from .stages.kmeans import kmeans_purity
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    return kmeans_purity(ds)
-
-
 def kg_source_contrib(sf_dir: str):
     """KG provenance rollup (source, n_triples, n_pages): which crawl
     sources feed the graph — the lineage attribution table for triple
@@ -963,14 +456,12 @@ def kg_source_contrib(sf_dir: str):
     str.split per batch), per-batch (source, url) dedup partials, one
     source-keyed partition exchange whose nunique IS the distinct-page
     count, plus an n_triples count that rides the same rows."""
-    import numpy as np
     import pandas as pd
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
 
-    linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                               broadcast_kb())
+    linked = _kg_sql_stage(linked_triples_ds, sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         src = df["url"].str.split("/").str[3]
@@ -1021,7 +512,7 @@ def kg_conflicts(sf_dir: str):
     from .stages.exchange import hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[df["pred"].isin(FUNCTIONAL_PREDS)]
@@ -1063,13 +554,12 @@ def kg_pred_cooccurrence(sf_dir: str):
     import numpy as np
     import pandas as pd
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
     from .stages.triangles import _group_bounds, _pairs_within_groups
     from .stages.wide import _norm_part_series
 
-    linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                               broadcast_kb())
+    linked = _kg_sql_stage(linked_triples_ds, sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         return pd.DataFrame(
@@ -1096,35 +586,6 @@ def kg_pred_cooccurrence(sf_dir: str):
         lambda df: df.groupby(["pred_a", "pred_b"], sort=False,
                               as_index=False).agg(
             n_subjects=("n_subjects", "sum")))
-
-
-def kg_hub_entities(sf_dir: str):
-    """Entity leaderboard: top-15 entities by KG pagerank with names —
-    sound per-partition top-k prune, single-block rank, names attached
-    AFTER the top-k via one hash-keyed kind-union exchange (only k rows
-    ever need a name)."""
-    from .stages.kg_stages import kg_hub_entities as _hub
-
-    return _hub(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def kg_entity_clusters(sf_dir: str):
-    """Round-exact connected-component labels over the hashed-entity KG —
-    entity community ids for related-entity grouping; the shared Pregel's
-    seventh consumer, same hashed symmetric edges as kg_pagerank."""
-    from .stages.kg_stages import kg_entity_clusters as _cc
-
-    return _cc(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def kg_pagerank(sf_dir: str):
-    """Entity importance over the constructed KG: the shared
-    partitioned-edge Pregel pagerank (sixth consumer) over hashed-entity
-    symmetric edges — md5 once per DISTINCT batch name under the
-    stable_hash64 == md5_number_upper identity."""
-    from .stages.kg_stages import kg_entity_pagerank
-
-    return kg_entity_pagerank(_kg_sql_outputs(sf_dir)["triples"])
 
 
 def kg_boilerplate(sf_dir: str):
@@ -1192,20 +653,6 @@ def kg_boilerplate(sf_dir: str):
             n_segments=("n_segments", "sum")))
 
 
-def kg_cluster_sizes(sf_dir: str):
-    """Entity-community size histogram (size, n_components) over the
-    round-exact CC labels of the constructed KG — the graph-health curve
-    a KG build reads to spot fragmentation (many small islands) vs a
-    healthy giant component; shares the hashed symmetric edge stream
-    with kg_pagerank/kg_entity_clusters and composes the bounded
-    label-count + size-histogram combiner pair from graph_cc_sizes."""
-    from .stages.graph import cc_size_histogram
-    from .stages.kg_stages import kg_entity_edges
-
-    return cc_size_histogram(
-        kg_entity_edges(_kg_sql_outputs(sf_dir)["triples"]))
-
-
 def kg_pagerank_share(sf_dir: str, k: int = 15):
     """Hub-concentration scalar (k_top, pr_top, pr_total, share_pm): the
     exact integer-permyriad share of total pagerank mass held by the
@@ -1222,7 +669,7 @@ def kg_pagerank_share(sf_dir: str, k: int = 15):
     from .stages.exchange import finish
     from .stages.kg_stages import kg_entity_pagerank
 
-    pr_ds = kg_entity_pagerank(_kg_sql_outputs(sf_dir)["triples"])
+    pr_ds = kg_entity_pagerank(_kg_sql_triples(sf_dir))
 
     _EMPTY = pd.DataFrame({"kind": pd.Series([], dtype="int64"),
                            "pr": pd.Series([], dtype="int64")})
@@ -1275,7 +722,7 @@ def dedup_agreement(sf_dir: str):
 
         return m
 
-    union = dedup_ngram_jaccard(sf_dir) \
+    union = _ngram_pairs(sf_dir) \
         .map_batches(tag(1), batch_format="pyarrow").union(
         dedup_minhash_lsh(sf_dir).map_batches(
             tag(2), batch_format="pyarrow"),
@@ -1359,25 +806,6 @@ def kg_degree_dist(sf_dir: str):
             n_entities=("n_entities", "sum")))
 
 
-def doc_source_stats(sf_dir: str):
-    """Per-source corpus inventory (n_docs, total_chars, max_chars,
-    n_langs): one (source, lang)-keyed combiner exchange, driver-scale
-    pair rollup where count(pairs) IS the distinct-language count."""
-    from .stages.corpus import source_stats
-
-    return source_stats(_read(sf_dir, "documents", ["text", "lang", "source"]))
-
-
-def rel_event_cooccurrence(sf_dir: str):
-    """Event-type co-engagement matrix (type_a, type_b, n_users): distinct
-    users performing both types — per-batch (user, type) dedup partials,
-    one user-keyed exchange with the shared vectorized pair generator,
-    pair-keyed combiner."""
-    from .pipelines.relational import event_type_cooccurrence
-
-    return event_type_cooccurrence(sf_dir)
-
-
 def kg_type_matrix(sf_dir: str):
     """Predicate type-signature matrix (pred, subj_type, obj_type, n) —
     the schema-validation artifact diffed against the rule file's
@@ -1390,40 +818,6 @@ def kg_type_matrix(sf_dir: str):
     return type_matrix(
         linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(), refs),
         refs["kb"])
-
-
-def emb_recall_eval(sf_dir: str):
-    """ANN recall@k harness: per-query overlap between the LSH top-k and
-    the exact brute-force ground truth — one query_id-keyed kind-union
-    exchange, C-level set intersection per query, zero rows kept for
-    fully-missed queries; exact integer permyriad recall."""
-    from .stages.similarity import recall_eval
-
-    return recall_eval(ann_topk(sf_dir), ann_topk_lsh(sf_dir), k=ANN_K)
-
-
-def text_langid_eval(sf_dir: str):
-    """Language-ID confusion matrix (lang, pred_lang, n_docs) against the
-    ground-truth lang column — reuses the vectorized marker scan
-    verbatim, per-batch C-level pair folds, pair-keyed combiner;
-    O(batches x langs^2) exchange rows."""
-    from .stages.text_analysis import langid_confusion
-
-    return langid_confusion(_read(sf_dir, "documents", ["doc_id", "text", "lang"]))
-
-
-def kg_entity_freshness(sf_dir: str):
-    """Per-entity crawl-freshness span (entity_key, first_day, last_day,
-    n_mentions) — the per-entity dual of kg_mention_timeline and the
-    prune signal for incremental KG refresh; lineage attach (one url
-    ``lookup_join``) + entity-keyed min/max/sum combiner."""
-    from .pipeline import broadcast_kb, linked_triples_ds
-    from .stages.kg_stages import entity_freshness
-
-    return entity_freshness(
-        linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                          broadcast_kb()),
-        _pages_ts_ds(sf_dir))
 
 
 def kg_growth_curve(sf_dir: str):
@@ -1439,14 +833,12 @@ def kg_growth_curve(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import finish, hash_partitioned_agg
     from .stages.kg_stages import entity_freshness
 
-    fresh = entity_freshness(
-        linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                          broadcast_kb()),
-        _pages_ts_ds(sf_dir))
+    fresh = entity_freshness(_kg_sql_stage(linked_triples_ds, sf_dir),
+                             _pages_ts_ds(sf_dir))
 
     _EMPTY = pd.DataFrame({"day": pd.Series([], dtype="int64"),
                            "n_new": pd.Series([], dtype="int64")})
@@ -1489,7 +881,7 @@ def kg_new_entities(sf_dir: str, window_days: int = 2):
     import pandas as pd
     import pyarrow as pa
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import collect_arrow
     from .stages.kg_stages import entity_freshness
 
@@ -1504,10 +896,7 @@ def kg_new_entities(sf_dir: str, window_days: int = 2):
                       pa.table({"day": pa.array([], pa.int64())}))
     max_day = int(t["day"].to_numpy().max()) if t.num_rows else -1
 
-    fresh = entity_freshness(
-        linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                          broadcast_kb()),
-        ts_ds)
+    fresh = entity_freshness(_kg_sql_stage(linked_triples_ds, sf_dir), ts_ds)
 
     _SCHEMA = pa.schema([("entity_key", pa.string()),
                          ("first_day", pa.int64()),
@@ -1526,154 +915,6 @@ def kg_new_entities(sf_dir: str, window_days: int = 2):
             schema=_SCHEMA)
 
     return fresh.map_batches(new_only, batch_format="pandas")
-
-
-def rel_q6(sf_dir: str):
-    """TPC-H-Q6 forecast revenue: the canonical ZERO-SHUFFLE plan — one
-    pruned scan, vectorized three-way predicate, one row per batch,
-    driver fold; embarrassingly parallel at any scale."""
-    from .pipelines.relational import forecast_revenue
-
-    return forecast_revenue(sf_dir)
-
-
-def rel_q5(sf_dir: str):
-    """TPC-H-Q5 local supplier volume: revenue where the supplier and the
-    ordering customer share a nation, 1996 order window, grouped by
-    nation — the 5-table snowflake with a cross-path equality, three
-    chained ``lookup_join`` hops."""
-    from .pipelines.relational import local_supplier_volume
-
-    return local_supplier_volume(sf_dir)
-
-
-def kg_confidence_hist(sf_dir: str):
-    """Extraction-confidence histogram over the deduped triples (the
-    calibration curve for predicate rules / linker weights): same
-    half-away conf rounding as the kg_triples projection, np.unique
-    fold per batch, pct-keyed combiner exchange."""
-    from .stages.kg_stages import confidence_histogram
-
-    return confidence_histogram(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def rel_top_supplier(sf_dir: str):
-    """TPC-H-Q15-shaped max-with-TIES: every supplier at the global
-    windowed-revenue maximum — suppkey combiner exchange, per-partition
-    sound max prune, single-block argmax-set scan; exact integer
-    disc-cents so ties are bit-exact."""
-    from .pipelines.relational import top_supplier_revenue
-
-    return top_supplier_revenue(sf_dir)
-
-
-def _pages_ts_ds(sf_dir: str):
-    """Vectorized (url, warc_ts) projection derived straight from
-    documents.parquet under the synth formula — the two-column pruned
-    read a real pages table would give for free (avoids re-running the
-    per-row page generator just for lineage timestamps)."""
-    import numpy as np
-
-    from .synth import EPOCH_US
-
-    def ts_map(batch):
-        import pandas as pd
-        import pyarrow as pa
-
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = pd.Series(batch["source"].to_pandas()).astype(str)
-        url = ("https://synth.example/" + src + "/"
-               + pd.Series(ids).astype(str)).to_numpy()
-        return pa.table({"url": pa.array(url, pa.string()),
-                         "warc_ts": pa.array(ids * 37_000_000 + EPOCH_US)})
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        ts_map, batch_format="pyarrow")
-
-
-def kg_mention_timeline(sf_dir: str):
-    """Crawl-freshness mention timeline (ner_type, day, n_mentions): the
-    page's warc_ts re-attaches to the derived mention stream by LINEAGE —
-    per-batch mention folds probe the cheap (url, day) projection in one
-    ``lookup_join``; pair-keyed combiner finishes."""
-    from .pipeline import broadcast_kb
-    from .stages.kg_stages import mention_timeline
-
-    return mention_timeline(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                            broadcast_kb(), ts_ds=_pages_ts_ds(sf_dir))
-
-
-def rel_disjunctive(sf_dir: str):
-    """TPC-H-Q19-shaped OR-of-ANDs predicate across two tables (brand +
-    size range + quantity range per clause): the part attributes attach
-    through ``lookup_join`` with a single-row fold per batch or
-    partition; integer disc-cents revenue."""
-    from .pipelines.relational import disjunctive_revenue
-
-    return disjunctive_revenue(sf_dir)
-
-
-def kg_pred_stats(sf_dir: str):
-    """Per-predicate schema-health table over the deduped triples:
-    (pred, n_triples, n_subj, n_obj) — pred-keyed count combiner plus an
-    entity-keyed partition exchange where per-partition dedup IS global
-    dedup; both results driver-scale, merged in one frame."""
-    from .stages.kg_stages import predicate_stats
-
-    return predicate_stats(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def emb_sq8(sf_dir: str):
-    """Two-pass int8 scalar quantization over the embedding column: one
-    dim-keyed min/max combiner exchange calibrates, the d-row parameter
-    table broadcasts by closure, one streaming map emits exact integer
-    affine codes as per-vector checksums — vectors never shuffle."""
-    from .stages.kmeans import sq8_codes
-
-    return sq8_codes(_emb_ds(sf_dir))
-
-
-def rel_nation_trade(sf_dir: str):
-    """TPC-H-Q7-shaped nation-pair trade matrix through the 5-table
-    snowflake: three chained ``lookup_join`` hops, the last folding to
-    <= |nations|^2 packed-key rows per batch or partition."""
-    from .pipelines.relational import nation_trade_matrix
-
-    return nation_trade_matrix(sf_dir)
-
-
-def mm_media_stats(sf_dir: str):
-    """Per-asset streaming-media summary (n_frames, total_bytes,
-    checksum, exact mean frame length) over the shared actor-pool frame
-    explode — the decode -> explode -> per-asset aggregate composition;
-    per-batch scatter partials, one doc-keyed combiner exchange."""
-    from .stages.multimodal import media_stats
-
-    return media_stats(_docs_ds(sf_dir))
-
-
-def rel_blame_suppliers(sf_dir: str):
-    """TPC-H-Q21-shaped 'who held up the order' counts: per-batch
-    (order, supplier) max-shipdate combiner partials, one orderkey-keyed
-    partition exchange resolving unique-latest + multi-supplier tests,
-    suppkey count combiner, sound local top-k prune + single-block rank."""
-    from .pipelines.relational import blame_supplier_counts
-
-    return blame_supplier_counts(sf_dir)
-
-
-def graph_jaccard(sf_dir: str):
-    """Per-edge neighbor-set Jaccard similarity of the co-supplier graph
-    (the normalized link-prediction score): the common-neighbors pipeline
-    in jaccard mode — exact integer permyriad 10000*n // (da+db-n), degree
-    attach riding the same cost gate as the orientation."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_triangles
-
-    return cosupplier_triangles(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]),
-        per_edge=True, jaccard=True,
-    )
 
 
 def rel_session_hist(sf_dir: str):
@@ -1700,33 +941,6 @@ def rel_session_hist(sf_dir: str):
         ["n_events"],
         lambda df: df.groupby("n_events", sort=False, as_index=False).agg(
             n_sessions=("n_sessions", "sum")))
-
-
-def text_word_len_hist(sf_dir: str):
-    """Token-length histogram (wlen, n_tokens) — the tokenizer-health
-    curve (long-token tail = markup/encoding junk; length-1 spike =
-    over-splitting); token lengths need NO vocabulary exchange: each
-    batch folds straight to <= |distinct lengths| rows, tiny wlen-keyed
-    combiner — strictly cheaper than every token-keyed corpus op."""
-    from .stages.corpus import word_length_histogram
-
-    return word_length_histogram(_read(sf_dir, "documents", ["text"]))
-
-
-def text_novelty_curve(sf_dir: str):
-    """Per-crawl-day token novelty (day, n_new, n_distinct, novelty_pm):
-    the content-saturation curve (does continued crawling still add
-    vocabulary?) — DISTINCT (token, day) pairs cross one token-keyed
-    exchange (the zipf cost class), the kernel anchors each token's min
-    day and folds to <= |days| rows, a day combiner + bounded ratio
-    block finish; crawl day derives from doc_id via the synth warc_ts
-    formula."""
-    from .stages.corpus import token_novelty_curve
-    from .synth import EPOCH_US
-
-    return token_novelty_curve(
-        _read(sf_dir, "documents", ["doc_id", "text"]),
-        epoch_us=EPOCH_US)
 
 
 def rel_order_size_hist(sf_dir: str):
@@ -1769,143 +983,6 @@ def rel_order_size_hist(sf_dir: str):
             n_orders=("n_orders", "sum")))
 
 
-def rel_q8(sf_dir: str):
-    """TPC-H-Q8 national market share: per order-year, each supplier
-    nation's exact integer-permyriad share of PROMO-part revenue — three
-    chained ``lookup_join`` hops; the bounded (year, nation) matrix
-    computes the within-year percent-of-total in one block."""
-    from .pipelines.relational import national_market_share
-
-    return national_market_share(sf_dir)
-
-
-def rel_q9(sf_dir: str):
-    """TPC-H-Q9 product-type profit: per (supplier nation, order-year),
-    disc-revenue minus a part-derived unit cost for name-matching parts
-    — negative amounts included; three chained ``lookup_join`` hops (the
-    part hop converts to profit so quantity never travels past it)."""
-    from .pipelines.relational import product_profit
-
-    return product_profit(sf_dir)
-
-
-def rel_q2(sf_dir: str):
-    """TPC-H-Q2 minimum-cost supplier: per filtered part, every
-    EUROPE-region supplier at the per-part MINIMUM lineitem-derived unit
-    cost (correlated-min tie-set semantics), ordered by (acctbal DESC,
-    n_name, s_name, p_partkey) and capped at 100 via sound
-    per-partition top-k prunes."""
-    from .pipelines.relational import min_cost_supplier
-
-    return min_cost_supplier(sf_dir)
-
-
-def rel_part_concentration(sf_dir: str):
-    """Supply-concentration histogram (share_pm, n_parts): each part's
-    LEAD supplier share of shipped quantity in exact integer permyriad,
-    folded to the single-source-risk curve — UNBOUNDED-cardinality
-    percent-of-total (per part), so pair sums and part totals meet in
-    ONE partkey exchange; only bounded histogram rows take the second
-    hop."""
-    from .pipelines.relational import part_concentration
-
-    return part_concentration(sf_dir)
-
-
-def graph_edge_weights(sf_dir: str):
-    """Co-supplier edge-strength histogram (weight, n_edges): weight =
-    distinct orders a supplier pair shares — the thresholding signal for
-    pruning weak co-occurrence edges before the wedge pipelines; one
-    orderkey exchange keeping per-(order, pair) rows, an (a, b)-keyed
-    weight combiner, and a bounded histogram fold."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_edge_weights
-
-    return cosupplier_edge_weights(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]))
-
-
-def graph_clustering(sf_dir: str):
-    """Per-node local clustering coefficient of the co-supplier graph
-    (node, deg, n_tri, cc_pm) — the triangle pipeline in clustering mode:
-    wedge-closure matches credit their three nodes, a node-keyed combiner
-    folds T(v), degrees join back under the orientation's cost gate, and
-    cc_pm = 10000 * T // C(deg, 2) exactly in integers; zero-triangle
-    deg>=2 nodes appear with cc_pm = 0."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_triangles
-
-    return cosupplier_triangles(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]),
-        clustering=True,
-    )
-
-
-def rel_shipmode(sf_dir: str):
-    """TPC-H-Q12-shaped conditional split counts through a join: per line
-    status, lineitems in a two-year ship window belonging to
-    critical-priority orders vs the rest — the order's priority flag
-    attaches through ``lookup_join``, int64-microsecond window test."""
-    from .pipelines.relational import shipmode_priority_counts
-
-    return shipmode_priority_counts(sf_dir)
-
-
-def kg_alias_stats(sf_dir: str):
-    """Alias-dictionary usage/coverage table (surface, entity_key,
-    n_mentions, n_pages) over both mention sides of the linked triples —
-    per-batch C-level dedup partials, ONE pair-keyed partition exchange
-    whose kernel's nunique IS the global distinct-page count."""
-    from .pipeline import broadcast_kb, linked_triples_ds
-    from .stages.kg_stages import alias_stats
-
-    return alias_stats(
-        linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                          broadcast_kb()))
-
-
-def rel_small_qty(sf_dir: str):
-    """TPC-H-Q17-shaped correlated per-part average: revenue from
-    below-0.2x-average-quantity lineitems of one brand — exact integer
-    cross-multiplied threshold (5*n*qty < sum_qty), two ``lookup_join``
-    passes (brand semi-join -> per-part stats, then the stats attach)."""
-    from .pipelines.relational import small_qty_revenue
-
-    return small_qty_revenue(sf_dir)
-
-
-def emb_norm_hist(sf_dir: str):
-    """Quantized squared-L2 norm histogram over the embedding column —
-    the normalization-drift / zero-vector diagnostic a build runs before
-    cosine dedup or ANN; per-batch reshape + np.unique partials, one
-    bucket-keyed combiner exchange, vectors never shuffle."""
-    from .stages.kmeans import norm_histogram
-
-    return norm_histogram(_emb_ds(sf_dir))
-
-
-def emb_dim_stats(sf_dir: str):
-    """Per-dimension moment table (dim, n, sum_q, sumsq_q) over the
-    centered KM_SCALE quantization — the feature-health profile (dead /
-    dominating dimensions) read before quantization, PCA or ANN index
-    builds; <= d partial rows per batch, ONE dim-keyed combiner
-    exchange, vectors never shuffle."""
-    from .stages.kmeans import dim_stats
-
-    return dim_stats(_emb_ds(sf_dir))
-
-
-def rel_value_share(sf_dir: str):
-    """TPC-H-Q11-shaped rollup whose HAVING references the global total:
-    per-type lineitem value with an exact cross-multiplied share test —
-    part type through ``lookup_join`` with per-type partials, one
-    type-keyed combiner exchange, driver-scale finalize (<= |types|
-    rows)."""
-    from .pipelines.relational import part_value_share
-
-    return part_value_share(sf_dir)
-
-
 def text_search(sf_dir: str):
     """Keyword retrieval (the query-side dual of the inverted index):
     top-10 docs by additive integer tf-idf for a fixed term set — one
@@ -1919,26 +996,6 @@ def text_search(sf_dir: str):
         str(Path(sf_dir) / "documents.parquet")
     ).metadata.num_rows
     return keyword_search(_docs_ds(sf_dir), n_docs)
-
-
-def doc_length_filter(sf_dir: str):
-    """Exact global-percentile length cut (keep the top decile by
-    n_chars): a value-keyed count-histogram exchange yields the exact
-    ceil-rank cutoff, the scalar broadcasts, and the pruned scan filters
-    vectorized — the corpus-dependent quality-cut primitive."""
-    from .stages.corpus import length_percentile_filter
-
-    return length_percentile_filter(sf_dir)
-
-
-def rel_dormant_rich(sf_dir: str):
-    """TPC-H-Q22-shaped composition: global scalar subquery (average
-    positive balance as an exact cross-multiplied rational) -> threshold
-    filter -> anti-join against recent order custkeys
-    (``lookup_join``) -> per-segment rollup."""
-    from .pipelines.relational import dormant_rich_customers
-
-    return dormant_rich_customers(sf_dir)
 
 
 def emb_knn_graph(sf_dir: str):
@@ -1955,63 +1012,6 @@ def emb_knn_graph(sf_dir: str):
     return knn_graph_ivf(_emb_ds(sf_dir), cent_ref, k=KNN_K)
 
 
-def doc_dup_ngrams(sf_dir: str):
-    """Gopher/RefinedWeb duplicate-n-gram quality signal: per doc, distinct
-    8-gram count and how many of those grams occur in >= 2 documents
-    corpus-wide — batch-local gram dedup (a doc lives in one batch), one
-    fp-keyed partition exchange, one doc-keyed combiner exchange."""
-    from .stages.corpus import dup_ngram_stats
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dup_ngram_stats(docs)
-
-
-def rel_custdist(sf_dir: str):
-    """TPC-H-Q13-shaped double aggregation: orders-per-customer
-    distribution INCLUDING the zero-order bucket (LEFT JOIN semantics) —
-    orders fold to one count row per custkey in a combiner exchange, a
-    semi ``lookup_join`` keeps existing customers, and the zero bucket is
-    the customer count minus the counted customers."""
-    from .pipelines.relational import customer_order_distribution
-
-    return customer_order_distribution(sf_dir)
-
-
-def text_hash_features(sf_dir: str):
-    """Hashing-trick featurizer: per-doc token counts folded into 64
-    hashed dimensions (no vocabulary build — streams at any scale), long
-    (doc_id, dim, cnt) output; md5 once per DISTINCT batch token."""
-    from .stages.text_analysis import hash_features_batch
-
-    return _docs_ds(sf_dir).map_batches(
-        hash_features_batch, batch_format="pandas"
-    )
-
-
-def kg_entity_pmi(sf_dir: str):
-    """Top-k PMI-ranked entity associations over the page co-occurrence
-    event space — integer fixed-point exp(PMI) via the shared kernel;
-    one url-keyed exchange + one combiner, driver top-k over the
-    KB-bounded pair table."""
-    from .pipeline import broadcast_kb, mentions_ds
-    from .stages.kg_stages import entity_pmi
-
-    ds = mentions_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(), broadcast_kb())
-    return entity_pmi(ds)
-
-
-def kg_cooccurrence(sf_dir: str):
-    """Page-level entity co-occurrence counts (surface_a < surface_b,
-    n_pages) from the mention stream — the related-entities / link-weight
-    signal: one url-keyed exchange with a vectorized within-page pair
-    kernel, then a pair-keyed count combiner."""
-    from .pipeline import broadcast_kb, mentions_ds
-    from .stages.kg_stages import entity_cooccurrence
-
-    ds = mentions_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(), broadcast_kb())
-    return entity_cooccurrence(ds)
-
-
 def kg_comention_clusters(sf_dir: str, min_pages: int = 2):
     """Co-mention communities (node, label): round-exact CC labels over
     the graph whose edges are entity-surface pairs co-mentioned on at
@@ -2025,10 +1025,11 @@ def kg_comention_clusters(sf_dir: str, min_pages: int = 2):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from .pipeline import mentions_ds
     from .stages.graph import CC_ROUNDS, cc_rounds_ds
-    from .stages.kg_stages import kg_entity_edges
+    from .stages.kg_stages import entity_cooccurrence, kg_entity_edges
 
-    cooc = kg_cooccurrence(sf_dir)
+    cooc = entity_cooccurrence(_kg_sql_stage(mentions_ds, sf_dir))
 
     def thresh(t: "pa.Table") -> "pa.Table":
         t = t.filter(pc.greater_equal(t["n_pages"], min_pages))
@@ -2062,7 +1063,7 @@ def kg_pred_directionality(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         ns = _norm_part_series(df["subj"]).astype(str).to_numpy()
@@ -2124,7 +1125,7 @@ def kg_entity_cards(sf_dir: str):
     from .stages.exchange import hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         roles = pd.DataFrame(
@@ -2182,12 +1183,11 @@ def kg_lang_yield(sf_dir: str):
     Null-lang documents drop at ingest (mirrored in the oracle)."""
     import pandas as pd
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
 
     docs = _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-    linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                               broadcast_kb())
+    linked = _kg_sql_stage(linked_triples_ds, sf_dir)
 
     def doc_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.dropna(subset=["lang"])
@@ -2247,7 +1247,7 @@ def kg_category_stats(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         g = pd.DataFrame(
@@ -2292,15 +1292,13 @@ def kg_pred_trend(sf_dir: str):
     already in the batch; per-batch (pred, day) value counts fold to
     <= |preds| x |days| rows and ONE bounded combiner exchange finishes —
     no unbounded rows ever cross the wire."""
-    import numpy as np
     import pandas as pd
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .stages.exchange import hash_partitioned_agg
     from .synth import EPOCH_US
 
-    linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                               broadcast_kb())
+    linked = _kg_sql_stage(linked_triples_ds, sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         ids = df["url"].str.rsplit("/", n=1).str[-1].astype("int64")
@@ -2427,21 +1425,6 @@ def kg_seg_yield(sf_dir: str):
         segs.union(men).union(tri), ["seg_id"], pivot)
 
 
-def graph_degree_moments(sf_dir: str):
-    """Exact degree-distribution moments of the co-supplier graph — ONE row
-    (n_nodes, n_edges, n_wedges, max_deg): the pre-flight a scheduler reads
-    BEFORE launching the wedge pipelines (n_wedges = sum C(d,2) is exactly
-    the candidate volume cosupplier_triangles will generate under the
-    documented O(m^1.5) bound; max_deg bounds the hottest partition).
-    Shared distinct-pair build -> node-keyed degree combiner -> scalar
-    moment fold; no wedges ever materialize."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_degree_moments
-
-    return cosupplier_degree_moments(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]))
-
-
 KG_PUBLISH_MIN_CONF = 50
 
 
@@ -2469,7 +1452,7 @@ def kg_publish(sf_dir: str, min_conf_pct: int = KG_PUBLISH_MIN_CONF):
     from .stages.exchange import hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         pct = np.floor(
@@ -2498,21 +1481,6 @@ def kg_publish(sf_dir: str, min_conf_pct: int = KG_PUBLISH_MIN_CONF):
             ["subj", "pred", "obj", "conf", "category"]).map_batches(
             partial, batch_format="pandas"),
         ["ns", "pred"], kernel)
-
-
-def sketch_theta(sf_dir: str):
-    """Bottom-k (KMV / theta) sketch of distinct user_ids per event type
-    (event_type, rnk, h) — the k smallest 62-bit hashes in rank order.
-    Unlike HLL (union-only), theta sketches estimate set INTERSECTIONS
-    (cross-type audience overlap, cross-source contamination overlap) via
-    a deterministic driver post-process; the integer hash table IS the
-    value-hash-checkable, mergeable artifact.  Per-batch distinct + md5 +
-    bottom-k prune (<= types x k rows leave any task; bottom-k of a union
-    of deduped bottom-ks IS the global bottom-k), ONE type-keyed exchange
-    with an in-kernel global dedup + rank."""
-    from .stages.sketch import theta_sketches
-
-    return theta_sketches(_read(sf_dir, "events", ["event_type", "user_id"]))
 
 
 def emb_ivf_balance(sf_dir: str):
@@ -2551,339 +1519,7 @@ def dedup_lsh_balance(sf_dir: str):
         shingle_k=d["shingle_k"])
 
 
-def sketch_theta_sources(sf_dir: str):
-    """Cross-source content-overlap theta sketch (source, rnk, h): the
-    bottom-k sketch of distinct exact-dedup content fingerprints per crawl
-    source — any source pair feeds theta_intersection_estimate to gauge
-    'how much of source B is already in source A' without an all-pairs
-    join (the crawl-planning / decontamination-budget artifact); the
-    md5_fingerprint == md5-of-normalized-text identity chains into the
-    stable_hash64 == md5_number_upper identity, <= sources x k rows per
-    task, ONE source-keyed exchange."""
-    from .stages.sketch import theta_source_sketches
-
-    return theta_source_sketches(_read(sf_dir, "documents", ["source", "text"]))
-
-
-def rel_region_revenue(sf_dir: str):
-    """Composed TPC-H-Q5-shape snowflake: one year of revenue rolled up
-    through customer -> nation -> region — driver-scale dims resolved in
-    kernels, two ``lookup_join`` hops (custkey, then orderkey)."""
-    from .pipelines.relational import region_revenue
-
-    return region_revenue(sf_dir)
-
-
-def mm_resolution_hist(sf_dir: str):
-    """Corpus resolution inventory (decode -> aggregate): actor-pool
-    payload decode streams typed metadata, a (width, height)-keyed
-    combiner exchange folds per-batch histogram partials — exchange
-    volume is distinct resolutions, never payloads."""
-    from .stages.multimodal import resolution_histogram
-
-    return resolution_histogram(_docs_ds(sf_dir))
-
-
-def graph_neighbor_sample(sf_dir: str):
-    """Deterministic k-neighbor sampling (GraphSAGE mini-batch prep):
-    every node of the symmetrized supplier<->part graph keeps its 8
-    lowest-hash-ranked distinct neighbors — one node-keyed partition
-    exchange, per-partition lexsort + cumcount, reproducible across
-    cluster sizes and stable under graph growth."""
-    from .stages.graph import neighbor_sample, supplier_part_edges
-
-    return neighbor_sample(supplier_part_edges(sf_dir))
-
-
-def emb_pca(sf_dir: str):
-    """Distributed PCA projection: exact integer Gram (emb_gram's
-    machinery) -> driver-side d x d eigen -> one streaming projection
-    pass, sign-fixed components, integer milli-unit output.  No SQL
-    oracle (eigendecomposition is not SQL-expressible): rows-only
-    driver check + serial-parity pytest."""
-    from .stages.kmeans import pca_project
-
-    return pca_project(_emb_ds(sf_dir))
-
-
-def graph_assortativity(sf_dir: str):
-    """Exact integer degree-mixing moments (n_edges, sum_ds, sum_dd,
-    sum_dsdd, sum_ds2, sum_dd2) of the symmetrized supplier<->part graph
-    — Pearson assortativity is a driver-side scalar from the six sums;
-    cost-gated degree attach (broadcast vs two node-keyed exchanges)."""
-    from .stages.graph import assortativity_moments, supplier_part_edges
-
-    return assortativity_moments(supplier_part_edges(sf_dir))
-
-
-def rel_event_gaps(sf_dir: str):
-    """Per-user inter-event gap statistics (n/min/max/exact lower
-    median in microseconds): users co-locate once, one vectorized
-    boundary-masked diff + lexsort kernel per partition."""
-    from .pipelines.relational import event_gap_stats
-
-    return event_gap_stats(sf_dir)
-
-
-def graph_common_neighbors(sf_dir: str):
-    """Per-edge common-neighbor counts of the co-supplier graph (the
-    link-prediction feature): the triangles pipeline in per_edge mode —
-    wedge centers ride through the closure, each matched triangle credits
-    its three id-normalized edges, one (a, b)-keyed count combiner."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_triangles
-
-    return cosupplier_triangles(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"]),
-        per_edge=True,
-    )
-
-
-def doc_chunks(sf_dir: str):
-    """Context-window chunking: sliding 256-token windows advancing by
-    192 (64-token overlap), final chunk clipped — chunk spans derived
-    arithmetically from per-doc token counts in one map-only kernel."""
-    from .stages.corpus import chunk_documents
-
-    return chunk_documents(_docs_ds(sf_dir))
-
-
-def text_ttr(sf_dir: str):
-    """Per-doc type-token stats (lexical diversity): total vs DISTINCT
-    lowercase tokens — flat-stream factorize + packed-key np.unique,
-    map-only (no exchange)."""
-    from .stages.text_analysis import ttr_batch
-
-    return _docs_ds(sf_dir).map_batches(ttr_batch, batch_format="pandas")
-
-
-def emb_gram(sf_dir: str):
-    """Distributed integer Gram (scatter) matrix over the embedding
-    column — the PCA/covariance ingredient: per batch one d x d int64
-    matmul partial (O(batches x d^2) rows move, the vectors never
-    shuffle), merged by addition in a (dim_i, dim_j)-keyed exchange."""
-    from .stages.kmeans import gram_matrix
-
-    return gram_matrix(_emb_ds(sf_dir))
-
-
-def graph_bfs(sf_dir: str):
-    """Truncated multi-source BFS ball (4 min-plus rounds from the
-    suppkey%7==1 source set) over the supplier<->part graph — fifth
-    consumer of the shared partitioned-edge Pregel; round-exact
-    Bellman-Ford keeps the unrolled-CTE oracle bit-exact."""
-    from .stages.graph import supplier_part_bfs
-
-    return supplier_part_bfs(sf_dir)
-
-
-def rel_top_revenue(sf_dir: str):
-    """TPC-H Q3-shape composition: segment-filtered customers -> their
-    orders -> per-order lineitem revenue (integer cent-percent) -> global
-    top-k; two semi ``lookup_join`` hops qualify the lineitems, ONE
-    orderkey-keyed combiner exchange finishes the aggregate."""
-    from .pipelines.relational import top_revenue_orders
-
-    return top_revenue_orders(sf_dir)
-
-
-def graph_triangles(sf_dir: str):
-    """Exact triangle count of the constructed co-supplier graph
-    (relational -> graph projection, degree-ordered orientation bounds
-    wedge volume at hubs, pair-keyed closure exchange)."""
-    from .pipelines.relational import _read
-    from .stages.triangles import cosupplier_triangles
-
-    return cosupplier_triangles(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    )
-
-
-def doc_pack(sf_dir: str):
-    """Concatenate-and-chunk sequence packing: global token prefix sum via
-    the two-pass range scan (bucket partials -> broadcast offsets ->
-    partition-local cumsum); (doc_id, n_tokens, seq_id, seq_offset)."""
-    from .stages.corpus import pack_sequences
-
-    return pack_sequences(_docs_ds(sf_dir))
-
-
-def emb_kmeans(sf_dir: str):
-    """Integer-exact Lloyd k-means over the embedding column: centroids
-    broadcast as a tiny k x d matrix, one streaming pass per iteration
-    (per-batch np.add.at partials, k rows per batch), floor-mean update;
-    the DuckDB oracle is an unrolled-CTE Lloyd program."""
-    from .stages.kmeans import kmeans_labels
-
-    return kmeans_labels(_emb_ds(sf_dir))
-
-
-def text_pmi_topk(sf_dir: str):
-    """Top-k collocations by integer fixed-point PMI over the corpus bigram
-    event space — one tokenization scan, combiner-compressed bigram
-    partials materialized once (the N-reduction point), two keyed
-    exchanges (c1 on first word, c2 + score on second)."""
-    from .stages.corpus import pmi_topk
-
-    return pmi_topk(_docs_ds(sf_dir))
-
-
-def sketch_quantile(sf_dir: str):
-    """Approximate price percentiles (p50/p90/p99) from a mergeable
-    fixed-width histogram — bounded-state quantiles with no global sort;
-    exchange volume is O(batches x occupied_bins)."""
-    from .pipelines.relational import _read
-    from .stages.sketch import quantile_histogram
-
-    return quantile_histogram(_read(sf_dir, "lineitem", ["l_extendedprice"]))
-
-
-def graph_degree_stats(sf_dir: str):
-    """Degree distribution (degree, n_nodes) of the symmetrized
-    supplier<->part graph — two bounded exchanges, histogram keyed by
-    degree (tiny cardinality)."""
-    from .stages.graph import supplier_part_degree_stats
-
-    return supplier_part_degree_stats(sf_dir)
-
-
 HEAVY_K = 100
-
-
-def text_zipf(sf_dir: str):
-    """Corpus frequency-of-frequencies (tf, n_tokens): how many distinct
-    tokens occur exactly tf times — the Zipf / vocabulary-growth curve
-    read to pick min-count thresholds (hapax mass) and sanity-check
-    tokenizer health.  One tokenize scan, one token-keyed combiner
-    exchange (the vocabulary crosses once, same cost class as the
-    inverted-index build), then a tiny tf-keyed histogram combiner."""
-    from .stages.corpus import zipf_histogram
-
-    return zipf_histogram(_docs_ds(sf_dir))
-
-
-def text_heavy_hitters(sf_dir: str):
-    """Exact tokens with cnt * k > N via two-pass pigeonhole candidate
-    generation + candidate-only recount — the full vocabulary never
-    shuffles."""
-    from .stages.sketch import heavy_hitter_tokens
-
-    return heavy_hitter_tokens(_docs_ds(sf_dir), k=HEAVY_K)
-
-
-def text_vocab_overlap(sf_dir: str):
-    """Exact per-source-pair vocabulary Jaccard (src_a, src_b, n_common,
-    n_a, n_b, jaccard_pm) — the source-mix / decontamination-planning
-    artifact, the exact complement of the sketch_theta_sources estimate.
-    One token-keyed exchange (the vocabulary crosses once); pair volume
-    bounded by |sources|^2."""
-    from .stages.corpus import vocab_overlap
-
-    docs = _read(sf_dir, "documents", ["source", "text"])
-    return vocab_overlap(docs)
-
-
-def rel_event_transitions(sf_dir: str):
-    """Per-user consecutive event-type transition counts (prev_type,
-    next_type, n_pairs) — the first-order Markov behavioral matrix; the
-    sessionize partition topology with bounded |types|^2 partials."""
-    from .pipelines.relational import event_transitions
-
-    return event_transitions(sf_dir)
-
-
-def rel_basket_rules(sf_dir: str):
-    """Market-basket association rules (part_a, part_b, n_ab, n_a, n_b,
-    lift_pm) over order baskets — supports, marginals and exact integer
-    permyriad lift per co-purchased part pair; ONE orderkey exchange +
-    bounded kind-tagged partials + two chained marginal-attach
-    exchanges."""
-    from .pipelines.relational import basket_rules
-
-    return basket_rules(sf_dir)
-
-
-def doc_token_budget(sf_dir: str):
-    """Per-source quality-ranked token-budget selection (doc_id, source,
-    score, n_tokens, cum_tokens) — exact global ordered budget fill
-    WITHOUT a global sort: bounded (source, score, bucket) offsets prune
-    everything past the budget before one partition exchange."""
-    from .stages.corpus import token_budget
-
-    docs = _read(sf_dir, "documents", ["doc_id", "source", "text"])
-    return token_budget(docs)
-
-
-def kg_negative_samples(sf_dir: str):
-    """Deterministic consistent-hashing negatives (subj, pred, obj,
-    neg_obj) for KG-embedding training — entity vocabulary on a 2^62
-    ring, one bucket-keyed exchange, bounded per-bucket-minima wrap
-    table; probes hitting the true object drop."""
-    from .stages.kg_stages import negative_samples
-
-    return negative_samples(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def emb_quantize_error(sf_dir: str):
-    """Exact per-dimension SQ8 reconstruction-error profile (dim, n,
-    sum_err_q, max_err_q) under the shared calibration — the
-    quantization-quality eval next to emb_sq8; vectors never shuffle."""
-    from .stages.kmeans import quantize_error
-
-    return quantize_error(_emb_ds(sf_dir))
-
-
-def emb_centroid_drift(sf_dir: str):
-    """Exact integer A/B centroid-drift profile (label, n_a, n_b, dot_q,
-    na2_q, nb2_q) between the vec_id-parity halves — the embedding-health
-    monitor; one (label, dim)-keyed exchange, bounded label combiner."""
-    from .stages.kmeans import centroid_drift
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
-    return centroid_drift(ds)
-
-
-def rel_rfm_segments(sf_dir: str):
-    """RFM customer-segmentation histogram (r, f, m, n_customers) over
-    orders — per-customer combiner exchange + driver-scalar max-day fold
-    + bounded 64-cell histogram combiner."""
-    from .pipelines.relational import rfm_segments
-
-    return rfm_segments(sf_dir)
-
-
-def kg_closeness(sf_dir: str):
-    """Truncated closeness-centrality components (seed, n_reached,
-    dist_sum) of the 16 smallest-id KG entities — the distance-based
-    hub-importance artifact next to kg_hub_entities' flow-based view;
-    the shared nibble-BFS Pregel's eleventh consumer (the BFS runs once
-    per query, per-partition fold emits <= 16 rows)."""
-    from .stages.kg_stages import seed_closeness
-
-    return seed_closeness(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def emb_matryoshka(sf_dir: str):
-    """Matryoshka truncation-energy histogram (ratio_pm, n_vecs): exact
-    integer 10000 * ss_half // ss_full per vector over the KM_SCALE
-    quantization — the MRL half-width safety curve; pure combiner,
-    vectors never shuffle."""
-    from .stages.kmeans import matryoshka_profile
-
-    return matryoshka_profile(_emb_ds(sf_dir))
-
-
-def kg_walks(sf_dir: str):
-    """Deterministic random-walk corpus (start, s1, s2, s3): one
-    hash-seeded DeepWalk-style walk per entity over the symmetric
-    hashed-entity KG — the node-embedding training-data generator with
-    NO RNG state (transition = argmin over neighbors of
-    (stable_hash64(u|t|v), v)); one src-keyed exchange builds the
-    per-(node, step) transition table, then walk_len chained node-keyed
-    exchanges unroll the walk at node-grain volume."""
-    from .stages.kg_stages import entity_walks
-
-    return entity_walks(_kg_sql_outputs(sf_dir)["triples"])
 
 
 def kg_walk_pairs(sf_dir: str):
@@ -2902,7 +1538,7 @@ def kg_walk_pairs(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg
     from .stages.kg_stages import WALK_LEN, entity_walks
 
-    walks = entity_walks(_kg_sql_outputs(sf_dir)["triples"])
+    walks = entity_walks(_kg_sql_triples(sf_dir))
     cols = ["start"] + [f"s{i}" for i in range(1, WALK_LEN + 1)]
     offs = [(i, j) for i in range(len(cols)) for j in range(len(cols))
             if i != j and abs(i - j) <= 2]
@@ -2920,45 +1556,6 @@ def kg_walk_pairs(sf_dir: str):
         ["a", "b"],
         lambda df: df.groupby(["a", "b"], sort=False, as_index=False).agg(
             n_pairs=("n_pairs", "sum")))
-
-
-def rel_decile_report(sf_dir: str):
-    """Customer lifetime-revenue deciles (decile, n_customers,
-    revenue_cents) — the Lorenz/Pareto concentration audit; exact global
-    rank via the bounded-cell two-pass (NO global sort): customer rows
-    cross once, offsets from a 4096-cell histogram, decile fold bounded."""
-    from .pipelines.relational import decile_report
-
-    return decile_report(sf_dir)
-
-
-def emb_sign_balance(sf_dir: str):
-    """Per-dimension sign census (dim, n_pos, n_zero, n_neg) in the
-    KM_SCALE domain — the binary-quantization calibration read before
-    sign-bit codes; pure combiner, vectors never shuffle."""
-    from .stages.kmeans import sign_balance
-
-    return sign_balance(_emb_ds(sf_dir))
-
-
-def doc_dup_by_source(sf_dir: str):
-    """Per-source exact-duplication impact (source, n_docs, n_dup_docs,
-    n_distinct_fps) — the dedup-savings report a curation pass reads per
-    source; the source rides the fingerprint row through ONE fp-keyed
-    exchange (the doc_quality_dup shape), bounded source combiner."""
-    from .stages.corpus import dup_by_source
-
-    return dup_by_source(_read(sf_dir, "documents", ["doc_id", "text", "source"]))
-
-
-def doc_quality_by_source(sf_dir: str):
-    """Quality-mass cross-tab per source (source, score, n_docs,
-    n_tokens) — which sources produce high-quality token mass, the
-    direct input to training-mixture weights; pure bounded combiner,
-    doc rows never shuffle."""
-    from .stages.corpus import quality_by_source
-
-    return quality_by_source(_read(sf_dir, "documents", ["doc_id", "text", "source"]))
 
 
 def kg_temporal_conflicts(sf_dir: str):
@@ -2980,14 +1577,13 @@ def kg_temporal_conflicts(sf_dir: str):
     corpus reads its ingest-date column)."""
     import pandas as pd
 
-    from .pipeline import broadcast_kb, linked_triples_ds
+    from .pipeline import linked_triples_ds
     from .sql_oracles import FUNCTIONAL_PREDS
     from .stages.exchange import hash_partitioned_apply
     from .stages.wide import _norm_part_series
     from .synth import EPOCH_US
 
-    linked = linked_triples_ds(_kg_sql_pages(sf_dir), _kg_sql_cfg(),
-                               broadcast_kb())
+    linked = _kg_sql_stage(linked_triples_ds, sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[df["pred"].isin(FUNCTIONAL_PREDS)]
@@ -3022,18 +1618,6 @@ def kg_temporal_conflicts(sf_dir: str):
         linked.select_columns(["subj", "pred", "obj", "url"]).map_batches(
             partial, batch_format="pandas"),
         ["ns", "pred", "day"], kernel)
-
-
-def kg_inverse_preds(sf_dir: str):
-    """Inverse-relation mining (pred_a, pred_b, n_ab, n_a, conf_pm):
-    AMIE-class inverse-rule support over the deduped triples — which
-    predicate PAIRS behave as inverses (acquired vs subsidiary_of),
-    complementing kg_pred_directionality's same-pred symmetry audit;
-    faithfully 0-row on corpora with no inverse pairs (the planted test
-    exercises the branch).  See stages.kg_stages.inverse_pred_support."""
-    from .stages.kg_stages import inverse_pred_support
-
-    return inverse_pred_support(_kg_sql_outputs(sf_dir)["triples"])
 
 
 def kg_conf_support(sf_dir: str):
@@ -3084,7 +1668,7 @@ def kg_split(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
     labels = np.array(["train"] * 8 + ["valid", "test"], dtype=object)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -3106,75 +1690,6 @@ def kg_split(sf_dir: str):
         lambda df: df.groupby(["pred", "split"], sort=False,
                               as_index=False).agg(
             n_triples=("n_triples", "sum")))
-
-
-def sketch_f2(sf_dir: str):
-    """Exact per-source token frequency moments (source, f0, f1, f2) —
-    the AMS moment family as ground truth for the sketch suite and the
-    skew statistic (f2 / f1^2) a shuffle planner reads; vocabulary
-    crosses the wire once (the text_zipf cost class)."""
-    from .stages.corpus import frequency_moments
-
-    return frequency_moments(_read(sf_dir, "documents", ["source", "text"]))
-
-
-def kg_neighborhood_function(sf_dir: str):
-    """ANF / effective-diameter curve (depth, n_pairs) of the hashed-
-    entity KG: exact truncated per-seed BFS from the 16 smallest node
-    ids, all seeds packed as 4-bit nibbles in ONE int64 per node — the
-    shared Pregel's tenth consumer; bounded histogram output."""
-    from .stages.kg_stages import neighborhood_function
-
-    return neighborhood_function(_kg_sql_outputs(sf_dir)["triples"])
-
-
-def rel_conversion_lag(sf_dir: str):
-    """Activation-time histogram (lag_hours, n_users): first signup ->
-    first purchase at-or-after it, floor-bucketed to hours; one
-    user-keyed exchange (from side pre-compressed, rare to side ships
-    distinct rows), bounded lag combiner."""
-    from .pipelines.relational import conversion_lag
-
-    return conversion_lag(sf_dir)
-
-
-def doc_quality_dup(sf_dir: str):
-    """Quality x duplication cross-tab (score, is_dup, n_docs): the
-    curation-overlap artifact — one scan computes fingerprint + score,
-    the score rides the fp row through ONE fp-keyed exchange, bounded
-    8-cell combiner."""
-    from .stages.corpus import quality_dup_matrix
-
-    return quality_dup_matrix(_docs_ds(sf_dir))
-
-
-def text_tokenizer_fertility(sf_dir: str):
-    """Tokenizer-fertility profile (lang, n_docs, n_chars, n_words,
-    n_bpe) by predicted language — one scan folding to <= |langs| rows,
-    bounded lang combiner."""
-    from .stages.corpus import tokenizer_fertility
-
-    return tokenizer_fertility(_docs_ds(sf_dir))
-
-
-def doc_mix_order(sf_dir: str):
-    """Source-balanced interleave (doc_id, source, src_rank, mix_rank):
-    every document's deterministic position in the uniform-mixture
-    training stream via the closed-form arithmetic-sequence rank — NO
-    global sort, NO pairwise merge; the token_budget two-pass assigns
-    per-source ranks and one vectorized map finishes."""
-    from .stages.corpus import mix_order
-
-    return mix_order(_read(sf_dir, "documents", ["doc_id", "source"]))
-
-
-def doc_shard_skew(sf_dir: str):
-    """Training-shard balance table (shard, n_docs, n_tokens) under the
-    doc_shuffle assignment — a pure combiner (doc rows never shuffle),
-    completing the index-balance family for training shards."""
-    from .stages.corpus import shard_skew
-
-    return shard_skew(_docs_ds(sf_dir))
 
 
 def kg_pred_paths(sf_dir: str):
@@ -3204,7 +1719,7 @@ def kg_pred_paths(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         ns = _norm_part_series(df["subj"]).astype(str).to_numpy()
@@ -3275,7 +1790,7 @@ def kg_pred_object_concentration(sf_dir: str):
     from .stages.exchange import hash_partitioned_agg, hash_partitioned_apply
     from .stages.wide import _norm_part_series
 
-    triples = _kg_sql_outputs(sf_dir)["triples"]
+    triples = _kg_sql_triples(sf_dir)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         g = pd.DataFrame(
@@ -3380,37 +1895,70 @@ def registry() -> dict:
     the local 32-CPU default + --small-blocks replica (see BASELINE.md
     round-5 certification sections).
     """
+    from functools import partial
+
+    from ray.data import Dataset
+
+    from . import pipeline
+    from .pipelines import relational as rel
+    from .stages import (cluster, corpus, dedup, graph, kg_stages as kgs,
+                         kmeans, multimodal as mm, similarity as sim, sketch,
+                         text_analysis as ta, triangles as tri)
+
+    def read(table: str, *columns: str):
+        return partial(_read, table=table, columns=list(columns))
+
+    def docs_map(fn):
+        return partial(_on, _docs_ds, Dataset.map_batches, fn=fn,
+                       batch_format="pandas")
+
+    supp_orders = read("lineitem", "l_orderkey", "l_suppkey")
+    linked = partial(_kg_sql_stage, pipeline.linked_triples_ds)
+    mentions = partial(_kg_sql_stage, pipeline.mentions_ds)
+    entity_edges = partial(_on, _kg_sql_triples, kgs.kg_entity_edges)
+    triple_edges = partial(_on, _kg_sql_triples, Dataset.select_columns,
+                           cols=["subj", "obj"])
     base = {
         # --- new in r5 (never driver-checked) ---
-        "sketch_hll_grouped": sketch_hll_grouped,
-        "emb_label_centroids": emb_label_centroids,
-        "rel_user_retention": rel_user_retention,
-        "text_winnow": text_winnow,
+        "sketch_hll_grouped": partial(_on,
+            read("events", "event_type", "user_id"),
+            sketch.hll_grouped_registers),
+        "emb_label_centroids": partial(_on,
+            read("embeddings", "label", "embedding"), kmeans.label_centroids),
+        "rel_user_retention": rel.user_retention,
+        "text_winnow": partial(_on, _docs_ds, corpus.winnow_fingerprints),
         "corpus_curate": corpus_curate,
-        "graph_kcore": graph_kcore,
-        "doc_shuffle": doc_shuffle,
+        "graph_kcore": graph.supplier_part_kcore,
+        "doc_shuffle": partial(_on, _docs_ds, corpus.shuffle_shards),
         "emb_pq": emb_pq,
         # --- never driver-checked through r4 (rotated to the front, r5) ---
-        "sketch_hll": sketch_hll,
-        "text_heavy_hitters": text_heavy_hitters,
-        "graph_degree_stats": graph_degree_stats,
-        "sketch_bloom": sketch_bloom,
-        "doc_sample_stratified": doc_sample_stratified,
-        "dedup_decontaminate": dedup_decontaminate,
-        "sketch_cms": sketch_cms,
-        "sketch_quantile": sketch_quantile,
-        "text_pmi_topk": text_pmi_topk,
-        "emb_kmeans": emb_kmeans,
-        "doc_pack": doc_pack,
-        "graph_triangles": graph_triangles,
-        "rel_top_revenue": rel_top_revenue,
-        "graph_cc": graph_cc,
-        "dedup_substring": dedup_substring,
-        "emb_kmeans_cost": emb_kmeans_cost,
-        "sketch_quantile_grouped": sketch_quantile_grouped,
-        "rel_grouped_mode": rel_grouped_mode,
-        "rel_semi_join_bloom": rel_semi_join_bloom,
-        "text_lm_score": text_lm_score,
+        "sketch_hll": partial(_on, _docs_ds, sketch.hll_token_registers),
+        "text_heavy_hitters": partial(_on, _docs_ds,
+            sketch.heavy_hitter_tokens, k=HEAVY_K),
+        "graph_degree_stats": graph.supplier_part_degree_stats,
+        "sketch_bloom": partial(_on, read("orders", "o_custkey"),
+            sketch.bloom_build, key="o_custkey"),
+        "doc_sample_stratified": partial(_on, _docs_ds_with_source,
+            corpus.stratified_sample_documents),
+        "dedup_decontaminate": partial(_on, _ngram_pairs, corpus.decontaminate,
+            eval_pct=10),
+        "sketch_cms": partial(_on, _docs_ds, sketch.cms_build),
+        "sketch_quantile": partial(_on, read("lineitem", "l_extendedprice"),
+            sketch.quantile_histogram),
+        "text_pmi_topk": partial(_on, _docs_ds, corpus.pmi_topk),
+        "emb_kmeans": partial(_on, _emb_ds, kmeans.kmeans_labels),
+        "doc_pack": partial(_on, _docs_ds, corpus.pack_sequences),
+        "graph_triangles": partial(_on, supp_orders, tri.cosupplier_triangles),
+        "rel_top_revenue": rel.top_revenue_orders,
+        "graph_cc": graph.supplier_part_cc,
+        "dedup_substring": partial(_on, _docs_ds, dedup.substring_dup_pairs),
+        "emb_kmeans_cost": partial(_on, _emb_ds, kmeans.kmeans_cost),
+        "sketch_quantile_grouped": partial(_on,
+            read("lineitem", "l_returnflag", "l_extendedprice"),
+            sketch.grouped_quantile_histogram),
+        "rel_grouped_mode": rel.priority_mode_per_segment,
+        "rel_semi_join_bloom": rel.customers_with_orders_bloom,
+        "text_lm_score": partial(_on, _docs_ds, corpus.bigram_lm_score),
         # --- curated 30 long-verified queries (driver-green r1-r4) ---
         "kg_page_text": kg_page_text,
         "kg_segment_count": kg_segment_count,
@@ -3418,182 +1966,231 @@ def registry() -> dict:
         "kg_entities": kg_entities,
         "kg_adjacency": kg_adjacency,
         "kg_mentions": kg_mentions,
-        "text_token_count": text_token_count,
-        "text_quality": text_quality,
-        "text_langid": text_langid,
+        "text_token_count": docs_map(ta.token_count_batch),
+        "text_quality": docs_map(ta.quality_batch),
+        "text_langid": docs_map(ta.langid_batch),
         "text_anonymize": text_anonymize,
-        "dedup_exact": dedup_exact,
-        "dedup_ngram_jaccard": dedup_ngram_jaccard,
+        "dedup_exact": partial(_on, _docs_ds, dedup.exact_dedup),
+        "dedup_ngram_jaccard": _ngram_pairs,
         "dedup_minhash_lsh": dedup_minhash_lsh,
         "dedup_simhash": dedup_simhash,
-        "dedup_embedding": dedup_embedding,
-        "dedup_clusters": dedup_clusters,
+        "dedup_embedding": partial(_on, _emb_ds,
+            dedup.embedding_dup_pairs_gated, threshold=EMBED_COS_T),
+        "dedup_clusters": partial(_on, (_docs_ds, _ngram_pairs),
+            cluster.cluster_ids),
         "ann_topk": ann_topk,
         "ann_topk_lsh": ann_topk_lsh,
         "ann_topk_ivf": ann_topk_ivf,
-        "mm_payload_stats": mm_payload_stats,
-        "mm_thumbnail": mm_thumbnail,
-        "rel_agg_pushdown": rel_agg_pushdown,
-        "rel_broadcast_join": rel_broadcast_join,
-        "rel_topk": rel_topk,
-        "rel_asof_join": rel_asof_join,
-        "rel_range_join": rel_range_join,
-        "rel_sessionize": rel_sessionize,
-        "text_ngram_topk": text_ngram_topk,
+        "mm_payload_stats": partial(_on, _docs_ds, mm.payload_stats),
+        "mm_thumbnail": partial(_on, _docs_ds, mm.thumbnails),
+        "rel_agg_pushdown": rel.lineitem_agg,
+        "rel_broadcast_join": rel.orders_per_segment,
+        "rel_topk": partial(rel.top_customers_by_orders, k=10),
+        "rel_asof_join": rel.prev_order_asof,
+        "rel_range_join": partial(rel.lineitems_in_order_window, days=90),
+        "rel_sessionize": partial(rel.sessionize_events, gap_minutes=30),
+        "text_ngram_topk": partial(_on, _docs_ds, corpus.ngram_topk, n=2,
+            k=20),
         "text_tfidf_topk": text_tfidf_topk,
-        "graph_pagerank": graph_pagerank,
+        "graph_pagerank": partial(graph.supplier_part_pagerank, iterations=3),
         # --- rotated out of the driver's 50-query window (replica-certified) ---
-        "text_fingerprint": text_fingerprint,
-        "text_token_bpe": text_token_bpe,
-        "text_repetition": text_repetition,
-        "dedup_representatives": dedup_representatives,
-        "rel_semi_join": rel_semi_join,
-        "rel_window_events": rel_window_events,
-        "rel_distinct_event_types": rel_distinct_event_types,
-        "rel_json_extract": rel_json_extract,
-        "rel_topk_per_group": rel_topk_per_group,
-        "rel_sliding_window": rel_sliding_window,
-        "rel_native_join": rel_native_join,
-        "rel_grouped_median": rel_grouped_median,
-        "doc_sample": doc_sample,
-        "text_inverted_index": text_inverted_index,
-        "rel_event_funnel": rel_event_funnel,
-        "rel_grouped_quantiles": rel_grouped_quantiles,
-        "rel_anti_join": rel_anti_join,
-        "rel_pivot": rel_pivot,
-        "rel_running_total": rel_running_total,
-        "rel_rollup": rel_rollup,
+        "text_fingerprint": docs_map(ta.fingerprint_batch),
+        "text_token_bpe": docs_map(ta.bpe_count_batch),
+        "text_repetition": docs_map(ta.repetition_batch),
+        "dedup_representatives": partial(_on, (_docs_ds, _ngram_pairs),
+            cluster.dedup_representatives),
+        "rel_semi_join": rel.customers_with_orders,
+        "rel_window_events": rel.events_per_user_hour,
+        "rel_distinct_event_types": rel.distinct_event_types,
+        "rel_json_extract": rel.event_json_values,
+        "rel_topk_per_group": partial(rel.top_orders_per_segment, k=3),
+        "rel_sliding_window": rel.events_trailing_hour,
+        # named for Ray's native Dataset.join, which it ran before lookup_join
+        "rel_native_join": rel.orders_per_nation_native_join,
+        "rel_grouped_median": rel.median_orders_per_nation,
+        "doc_sample": partial(_on, _docs_ds, corpus.sample_documents, pct=10),
+        "text_inverted_index": partial(_on, _docs_ds, corpus.inverted_index,
+            postings_k=5),
+        "rel_event_funnel": rel.event_funnel,
+        "rel_grouped_quantiles": rel.quantile_orders_per_nation,
+        "rel_anti_join": rel.customers_without_urgent,
+        "rel_pivot": rel.event_type_pivot,
+        "rel_running_total": rel.running_order_total,
+        "rel_rollup": rel.lineitem_rollup,
         # --- new in r5 (post-rotation; replica-certified like all 50+) ---
-        "graph_bfs": graph_bfs,
-        "doc_split": doc_split,
-        "emb_outliers": emb_outliers,
-        "dedup_cross_source": dedup_cross_source,
-        "doc_mixture": doc_mixture,
-        "emb_gram": emb_gram,
-        "text_ttr": text_ttr,
-        "doc_chunks": doc_chunks,
-        "graph_common_neighbors": graph_common_neighbors,
-        "rel_event_gaps": rel_event_gaps,
-        "graph_assortativity": graph_assortativity,
-        "emb_pca": emb_pca,
-        "graph_neighbor_sample": graph_neighbor_sample,
-        "mm_resolution_hist": mm_resolution_hist,
-        "rel_region_revenue": rel_region_revenue,
-        "kg_cooccurrence": kg_cooccurrence,
-        "kg_entity_pmi": kg_entity_pmi,
-        "text_hash_features": text_hash_features,
-        "rel_q1_pricing": rel_q1_pricing,
-        "rel_late_orders": rel_late_orders,
-        "rel_custdist": rel_custdist,
-        "doc_dup_ngrams": doc_dup_ngrams,
+        "graph_bfs": graph.supplier_part_bfs,
+        "doc_split": partial(_on, _docs_ds_with_source,
+            corpus.split_documents),
+        "emb_outliers": partial(_on, _emb_ds, kmeans.kmeans_outliers),
+        "dedup_cross_source": partial(_on,
+            (_ngram_pairs, _docs_ds_with_source), corpus.cross_source_pairs),
+        "doc_mixture": partial(_on,
+            read("documents", "doc_id", "text", "source"),
+            corpus.mixture_sample),
+        "emb_gram": partial(_on, _emb_ds, kmeans.gram_matrix),
+        "text_ttr": docs_map(ta.ttr_batch),
+        "doc_chunks": partial(_on, _docs_ds, corpus.chunk_documents),
+        "graph_common_neighbors": partial(_on, supp_orders,
+            tri.cosupplier_triangles, per_edge=True),
+        "rel_event_gaps": rel.event_gap_stats,
+        "graph_assortativity": partial(_on, graph.supplier_part_edges,
+            graph.assortativity_moments),
+        # no SQL oracle (eigendecomposition is not SQL-expressible): rows-only
+        # driver check + serial-parity pytest
+        "emb_pca": partial(_on, _emb_ds, kmeans.pca_project),
+        "graph_neighbor_sample": partial(_on, graph.supplier_part_edges,
+            graph.neighbor_sample),
+        "mm_resolution_hist": partial(_on, _docs_ds, mm.resolution_histogram),
+        "rel_region_revenue": rel.region_revenue,
+        "kg_cooccurrence": partial(_on, mentions, kgs.entity_cooccurrence),
+        "kg_entity_pmi": partial(_on, mentions, kgs.entity_pmi),
+        "text_hash_features": docs_map(ta.hash_features_batch),
+        "rel_q1_pricing": rel.q1_pricing_summary,
+        "rel_late_orders": rel.late_order_counts,
+        "rel_custdist": rel.customer_order_distribution,
+        "doc_dup_ngrams": partial(_on, _docs_ds, corpus.dup_ngram_stats),
         "emb_knn_graph": emb_knn_graph,
-        "rel_returned_revenue": rel_returned_revenue,
-        "rel_dau": rel_dau,
-        "rel_promo_revenue": rel_promo_revenue,
-        "rel_big_orders": rel_big_orders,
-        "rel_dormant_rich": rel_dormant_rich,
-        "kg_2hop": kg_2hop,
-        "doc_length_filter": doc_length_filter,
+        "rel_returned_revenue": rel.returned_item_revenue,
+        "rel_dau": rel.daily_active_users,
+        "rel_promo_revenue": rel.promo_revenue,
+        "rel_big_orders": rel.big_volume_orders,
+        "rel_dormant_rich": rel.dormant_rich_customers,
+        "kg_2hop": partial(_on, triple_edges, kgs.two_hop_paths),
+        "doc_length_filter": corpus.length_percentile_filter,
         "text_search": text_search,
-        "rel_value_share": rel_value_share,
-        "emb_cluster_purity": emb_cluster_purity,
-        "mm_frame_sample": mm_frame_sample,
-        "rel_supplier_types": rel_supplier_types,
-        "rel_cohorts": rel_cohorts,
-        "graph_cc_sizes": graph_cc_sizes,
-        "emb_norm_hist": emb_norm_hist,
-        "rel_small_qty": rel_small_qty,
-        "kg_alias_stats": kg_alias_stats,
-        "rel_shipmode": rel_shipmode,
-        "graph_jaccard": graph_jaccard,
-        "rel_blame_suppliers": rel_blame_suppliers,
-        "mm_media_stats": mm_media_stats,
-        "rel_nation_trade": rel_nation_trade,
-        "emb_sq8": emb_sq8,
-        "kg_pred_stats": kg_pred_stats,
-        "rel_disjunctive": rel_disjunctive,
-        "kg_mention_timeline": kg_mention_timeline,
-        "rel_top_supplier": rel_top_supplier,
-        "kg_confidence_hist": kg_confidence_hist,
-        "rel_q6": rel_q6,
-        "kg_entity_freshness": kg_entity_freshness,
-        "text_langid_eval": text_langid_eval,
-        "emb_recall_eval": emb_recall_eval,
+        "rel_value_share": rel.part_value_share,
+        "emb_cluster_purity": partial(_on,
+            read("embeddings", "vec_id", "embedding", "label"),
+            kmeans.kmeans_purity),
+        "mm_frame_sample": partial(_on, _docs_ds, mm.frame_samples),
+        "rel_supplier_types": rel.supplier_type_counts,
+        "rel_cohorts": rel.cohort_matrix,
+        "graph_cc_sizes": partial(_on, graph.supplier_part_edges,
+            graph.cc_size_histogram),
+        "emb_norm_hist": partial(_on, _emb_ds, kmeans.norm_histogram),
+        "rel_small_qty": rel.small_qty_revenue,
+        "kg_alias_stats": partial(_on, linked, kgs.alias_stats),
+        "rel_shipmode": rel.shipmode_priority_counts,
+        "graph_jaccard": partial(_on, supp_orders, tri.cosupplier_triangles,
+            per_edge=True, jaccard=True),
+        "rel_blame_suppliers": rel.blame_supplier_counts,
+        "mm_media_stats": partial(_on, _docs_ds, mm.media_stats),
+        "rel_nation_trade": rel.nation_trade_matrix,
+        "emb_sq8": partial(_on, _emb_ds, kmeans.sq8_codes),
+        "kg_pred_stats": partial(_on, _kg_sql_triples, kgs.predicate_stats),
+        "rel_disjunctive": rel.disjunctive_revenue,
+        "kg_mention_timeline": partial(_kg_sql_stage, kgs.mention_timeline,
+            ts_ds=_pages_ts_ds),
+        "rel_top_supplier": rel.top_supplier_revenue,
+        "kg_confidence_hist": partial(_on, _kg_sql_triples,
+            kgs.confidence_histogram),
+        "rel_q6": rel.forecast_revenue,
+        "kg_entity_freshness": partial(_on, (linked, _pages_ts_ds),
+            kgs.entity_freshness),
+        "text_langid_eval": partial(_on,
+            read("documents", "doc_id", "text", "lang"), ta.langid_confusion),
+        "emb_recall_eval": partial(_on, (ann_topk, ann_topk_lsh),
+            sim.recall_eval, k=ANN_K),
         "kg_type_matrix": kg_type_matrix,
-        "rel_event_cooccurrence": rel_event_cooccurrence,
-        "doc_source_stats": doc_source_stats,
+        "rel_event_cooccurrence": rel.event_type_cooccurrence,
+        "doc_source_stats": partial(_on,
+            read("documents", "text", "lang", "source"), corpus.source_stats),
         "kg_degree_dist": kg_degree_dist,
         "text_char_classes": text_char_classes,
         "dedup_agreement": dedup_agreement,
-        "kg_pagerank": kg_pagerank,
-        "kg_entity_clusters": kg_entity_clusters,
-        "kg_hub_entities": kg_hub_entities,
+        "kg_pagerank": partial(_on, _kg_sql_triples, kgs.kg_entity_pagerank),
+        "kg_entity_clusters": partial(_on, _kg_sql_triples,
+            kgs.kg_entity_clusters),
+        "kg_hub_entities": partial(_on, _kg_sql_triples, kgs.kg_hub_entities),
         "kg_source_contrib": kg_source_contrib,
-        "rel_q5": rel_q5,
+        "rel_q5": rel.local_supplier_volume,
         "kg_conflicts": kg_conflicts,
-        "graph_clustering": graph_clustering,
-        "text_zipf": text_zipf,
+        "graph_clustering": partial(_on, supp_orders, tri.cosupplier_triangles,
+            clustering=True),
+        "text_zipf": partial(_on, _docs_ds, corpus.zipf_histogram),
         "kg_pred_cooccurrence": kg_pred_cooccurrence,
-        "rel_q8": rel_q8,
+        "rel_q8": rel.national_market_share,
         "rel_session_hist": rel_session_hist,
         "kg_new_entities": kg_new_entities,
-        "graph_edge_weights": graph_edge_weights,
-        "rel_q9": rel_q9,
-        "rel_q2": rel_q2,
-        "kg_cluster_sizes": kg_cluster_sizes,
+        "graph_edge_weights": partial(_on, supp_orders,
+            tri.cosupplier_edge_weights),
+        "rel_q9": rel.product_profit,
+        "rel_q2": rel.min_cost_supplier,
+        "kg_cluster_sizes": partial(_on, entity_edges,
+            graph.cc_size_histogram),
         "kg_pagerank_share": kg_pagerank_share,
         "kg_boilerplate": kg_boilerplate,
-        "rel_part_concentration": rel_part_concentration,
+        "rel_part_concentration": rel.part_concentration,
         "kg_growth_curve": kg_growth_curve,
-        "emb_dim_stats": emb_dim_stats,
-        "text_word_len_hist": text_word_len_hist,
+        "emb_dim_stats": partial(_on, _emb_ds, kmeans.dim_stats),
+        "text_word_len_hist": partial(_on, read("documents", "text"),
+            corpus.word_length_histogram),
         "rel_order_size_hist": rel_order_size_hist,
-        "emb_lsh_balance": emb_lsh_balance,
-        "text_novelty_curve": text_novelty_curve,
+        "emb_lsh_balance": partial(_on, _emb_ds, sim.lsh_bucket_balance,
+            nbits=8, tables=4),
+        "text_novelty_curve": partial(_on, read("documents", "doc_id", "text"),
+            corpus.token_novelty_curve, epoch_us=synth.EPOCH_US),
         "kg_comention_clusters": kg_comention_clusters,
         "kg_pred_directionality": kg_pred_directionality,
         "kg_entity_cards": kg_entity_cards,
         "kg_lang_yield": kg_lang_yield,
         "kg_category_stats": kg_category_stats,
         "kg_publish": kg_publish,
-        "sketch_theta": sketch_theta,
+        "sketch_theta": partial(_on, read("events", "event_type", "user_id"),
+            sketch.theta_sketches),
         "emb_ivf_balance": emb_ivf_balance,
         "dedup_lsh_balance": dedup_lsh_balance,
-        "sketch_theta_sources": sketch_theta_sources,
+        "sketch_theta_sources": partial(_on,
+            read("documents", "source", "text"), sketch.theta_source_sketches),
         "kg_pred_trend": kg_pred_trend,
         "kg_entity_types": kg_entity_types,
-        "graph_degree_moments": graph_degree_moments,
-        "text_vocab_overlap": text_vocab_overlap,
-        "rel_event_transitions": rel_event_transitions,
+        "graph_degree_moments": partial(_on, supp_orders,
+            tri.cosupplier_degree_moments),
+        "text_vocab_overlap": partial(_on, read("documents", "source", "text"),
+            corpus.vocab_overlap),
+        "rel_event_transitions": rel.event_transitions,
         "kg_seg_yield": kg_seg_yield,
-        "rel_basket_rules": rel_basket_rules,
-        "doc_token_budget": doc_token_budget,
-        "kg_negative_samples": kg_negative_samples,
-        "emb_quantize_error": emb_quantize_error,
-        "emb_centroid_drift": emb_centroid_drift,
-        "rel_rfm_segments": rel_rfm_segments,
-        "kg_neighborhood_function": kg_neighborhood_function,
-        "rel_conversion_lag": rel_conversion_lag,
-        "doc_quality_dup": doc_quality_dup,
-        "text_tokenizer_fertility": text_tokenizer_fertility,
-        "doc_mix_order": doc_mix_order,
-        "doc_shard_skew": doc_shard_skew,
+        "rel_basket_rules": rel.basket_rules,
+        "doc_token_budget": partial(_on,
+            read("documents", "doc_id", "source", "text"),
+            corpus.token_budget),
+        "kg_negative_samples": partial(_on, _kg_sql_triples,
+            kgs.negative_samples),
+        "emb_quantize_error": partial(_on, _emb_ds, kmeans.quantize_error),
+        "emb_centroid_drift": partial(_on,
+            read("embeddings", "vec_id", "label", "embedding"),
+            kmeans.centroid_drift),
+        "rel_rfm_segments": rel.rfm_segments,
+        "kg_neighborhood_function": partial(_on, _kg_sql_triples,
+            kgs.neighborhood_function),
+        "rel_conversion_lag": rel.conversion_lag,
+        "doc_quality_dup": partial(_on, _docs_ds, corpus.quality_dup_matrix),
+        "text_tokenizer_fertility": partial(_on, _docs_ds,
+            corpus.tokenizer_fertility),
+        "doc_mix_order": partial(_on, _docs_ds_with_source, corpus.mix_order),
+        "doc_shard_skew": partial(_on, _docs_ds, corpus.shard_skew),
         "kg_pred_paths": kg_pred_paths,
         "kg_pred_object_concentration": kg_pred_object_concentration,
         "dedup_edit": dedup_edit,
-        "kg_closeness": kg_closeness,
-        "emb_matryoshka": emb_matryoshka,
-        "kg_walks": kg_walks,
+        "kg_closeness": partial(_on, _kg_sql_triples, kgs.seed_closeness),
+        "emb_matryoshka": partial(_on, _emb_ds, kmeans.matryoshka_profile),
+        "kg_walks": partial(_on, _kg_sql_triples, kgs.entity_walks),
         "kg_conf_support": kg_conf_support,
         "kg_split": kg_split,
-        "sketch_f2": sketch_f2,
+        "sketch_f2": partial(_on, read("documents", "source", "text"),
+            corpus.frequency_moments),
         "kg_walk_pairs": kg_walk_pairs,
         "kg_temporal_conflicts": kg_temporal_conflicts,
-        "doc_quality_by_source": doc_quality_by_source,
-        "rel_decile_report": rel_decile_report,
-        "emb_sign_balance": emb_sign_balance,
-        "kg_inverse_preds": kg_inverse_preds,
-        "doc_dup_by_source": doc_dup_by_source,
+        "doc_quality_by_source": partial(_on,
+            read("documents", "doc_id", "text", "source"),
+            corpus.quality_by_source),
+        "rel_decile_report": rel.decile_report,
+        "emb_sign_balance": partial(_on, _emb_ds, kmeans.sign_balance),
+        "kg_inverse_preds": partial(_on, _kg_sql_triples,
+            kgs.inverse_pred_support),
+        "doc_dup_by_source": partial(_on,
+            read("documents", "doc_id", "text", "source"),
+            corpus.dup_by_source),
     }
     out = {k: base[k] for k in _NEVER_CHECKED_50}
     out.update({k: v for k, v in base.items() if k not in out})
@@ -3697,252 +2294,9 @@ def _sql_anonymize() -> str:
     )
 
 
-def _sql_doc_sample() -> str:
-    from .stages.corpus import sql_sample_documents
-
-    return sql_sample_documents(pct=10)
-
-
-def _sql_ngram_topk_oracle() -> str:
-    from .stages.corpus import sql_ngram_topk
-
-    return sql_ngram_topk(ts.sql_token_list(_TEXT), n=2, k=20)
-
-
-def _sql_tfidf_topk_oracle() -> str:
-    from .stages.corpus import sql_tfidf_topk
-
-    return sql_tfidf_topk(ts.sql_token_list(_TEXT), k=3)
-
-
-def _sql_zipf() -> str:
-    from .stages.corpus import sql_zipf_histogram
-
-    return sql_zipf_histogram(ts.sql_token_list(_TEXT))
-
-
-def _sql_frequency_moments() -> str:
-    from .stages.corpus import sql_frequency_moments
-
-    return sql_frequency_moments(ts.sql_token_list(_TEXT))
-
-
-def _sql_quality_by_source() -> str:
-    from .stages.corpus import sql_quality_by_source
-
-    return sql_quality_by_source()
-
-
-def _sql_dup_by_source() -> str:
-    from .stages.corpus import sql_dup_by_source
-
-    return sql_dup_by_source(ts.sql_fingerprint("coalesce(text, '')"))
-
-
-def _sql_vocab_overlap() -> str:
-    from .stages.corpus import sql_vocab_overlap
-
-    return sql_vocab_overlap(ts.sql_token_list(_TEXT))
-
-
-def _sql_event_transitions() -> str:
-    from .pipelines.relational import sql_event_transitions
-
-    return sql_event_transitions()
-
-
-def _sql_inverted_index_oracle() -> str:
-    from .stages.corpus import sql_inverted_index
-
-    return sql_inverted_index(ts.sql_token_list(_TEXT), postings_k=5)
-
-
-def _sql_pagerank_oracle() -> str:
-    from .stages.graph import sql_supplier_part_pagerank
-
-    return sql_supplier_part_pagerank(iterations=3)
-
-
-def _sql_event_funnel_oracle() -> str:
-    from .pipelines.relational import sql_event_funnel
-
-    return sql_event_funnel()
-
-
-def _sql_grouped_quantiles_oracle() -> str:
-    from .pipelines.relational import sql_quantile_orders_per_nation
-
-    return sql_quantile_orders_per_nation()
-
-
-def _sql_pivot_oracle() -> str:
-    from .pipelines.relational import sql_event_type_pivot
-
-    return sql_event_type_pivot()
-
-
-def _sql_running_total_oracle() -> str:
-    from .pipelines.relational import sql_running_order_total
-
-    return sql_running_order_total()
-
-
-def _sql_rollup_oracle() -> str:
-    from .pipelines.relational import sql_lineitem_rollup
-
-    return sql_lineitem_rollup()
-
-
-def _sql_hll_oracle() -> str:
-    from .stages.sketch import sql_hll_token_registers
-
-    return sql_hll_token_registers(ts.sql_token_list(_TEXT))
-
-
-def _sql_heavy_hitters_oracle() -> str:
-    from .stages.sketch import sql_heavy_hitter_tokens
-
-    return sql_heavy_hitter_tokens(ts.sql_token_list(_TEXT), k=HEAVY_K)
-
-
-def _sql_degree_stats_oracle() -> str:
-    from .stages.graph import sql_supplier_part_degree_stats
-
-    return sql_supplier_part_degree_stats()
-
-
-def _sql_bloom_oracle() -> str:
-    from .stages.sketch import sql_bloom_build
-
-    return sql_bloom_build("o_custkey", "orders")
-
-
-def _sql_stratified_oracle() -> str:
-    from .stages.corpus import sql_stratified_sample_documents
-
-    return sql_stratified_sample_documents()
-
-
-def _sql_decontaminate_oracle() -> str:
-    from .stages.corpus import sql_decontaminate
-
-    return sql_decontaminate(_sql_ngram_pairs(), eval_pct=10)
-
-
-def _sql_quantile_grouped_oracle() -> str:
-    from .stages.sketch import sql_grouped_quantile_histogram
-
-    return sql_grouped_quantile_histogram()
-
-
-def _sql_kmeans_cost_oracle() -> str:
-    from .stages.kmeans import sql_kmeans_cost
-
-    return sql_kmeans_cost()
-
-
-def _sql_substring_oracle() -> str:
-    from .stages.dedup import sql_substring_dup_pairs
-
-    return sql_substring_dup_pairs(ts.sql_token_list(_TEXT))
-
-
-def _sql_cc_oracle() -> str:
-    from .stages.graph import sql_supplier_part_cc
-
-    return sql_supplier_part_cc()
-
-
-def _sql_top_revenue_oracle() -> str:
-    from .pipelines.relational import sql_top_revenue_orders
-
-    return sql_top_revenue_orders()
-
-
-def _sql_triangles_oracle() -> str:
-    from .stages.triangles import sql_cosupplier_triangles
-
-    return sql_cosupplier_triangles()
-
-
-def _sql_doc_pack_oracle() -> str:
-    from .stages.corpus import sql_pack_sequences
-
-    return sql_pack_sequences(ts.sql_n_tokens(_TEXT))
-
-
-def _sql_kmeans_oracle() -> str:
-    from .stages.kmeans import sql_kmeans_labels
-
-    return sql_kmeans_labels()
-
-
-def _sql_pmi_oracle() -> str:
-    from .stages.corpus import sql_pmi_topk
-
-    return sql_pmi_topk(ts.sql_token_list(_TEXT))
-
-
-def _sql_quantile_oracle() -> str:
-    from .stages.sketch import sql_quantile_histogram
-
-    return sql_quantile_histogram()
-
-
-def _sql_cms_oracle() -> str:
-    from .stages.sketch import sql_cms_build
-
-    return sql_cms_build(ts.sql_token_list(_TEXT))
-
-
-def _sql_grouped_mode_oracle() -> str:
-    from .pipelines.relational import sql_priority_mode_per_segment
-
-    return sql_priority_mode_per_segment()
-
-
-def _sql_lm_score_oracle() -> str:
-    from .stages.corpus import sql_bigram_lm_score
-
-    return sql_bigram_lm_score(ts.sql_token_list(_TEXT))
-
-
 # ---------------------------------------------------------------------------
 # Round-5 operators
 # ---------------------------------------------------------------------------
-
-
-def sketch_hll_grouped(sf_dir: str):
-    """events -> per-event_type HLL registers of distinct user_ids (the
-    grouped mergeable distinct-count sketch)."""
-    from .stages.sketch import hll_grouped_registers
-
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    return hll_grouped_registers(ds)
-
-
-def emb_label_centroids(sf_dir: str):
-    """embeddings -> integer-exact per-label prototype sums (long format) —
-    the class-prototype build over the embeddings table's label column."""
-    from .stages.kmeans import label_centroids
-
-    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
-    return label_centroids(ds)
-
-
-def rel_user_retention(sf_dir: str):
-    """events -> per-user lifetime span / count / 30-day retention flag."""
-    from .pipelines.relational import user_retention
-
-    return user_retention(sf_dir)
-
-
-def text_winnow(sf_dir: str):
-    """documents -> winnowing fingerprints (Schleimer et al. '03), distinct
-    (doc_id, fp) rows."""
-    from .stages.corpus import winnow_fingerprints
-
-    return winnow_fingerprints(_docs_ds(sf_dir))
 
 
 def emb_pq(sf_dir: str):
@@ -3954,25 +2308,6 @@ def emb_pq(sf_dir: str):
 
     cb = pq_codebooks(_emb_sample(sf_dir))
     return pq_codes(_emb_ds(sf_dir), cb)
-
-
-def doc_shuffle(sf_dir: str):
-    """Deterministic global shuffle + shard assignment (doc_id, shard, pos)
-    — the training-prep sharding step (wraparound-hash family shared with
-    doc_sample; SQL mirror in HUGEINT)."""
-    from .stages.corpus import shuffle_shards
-
-    return shuffle_shards(_docs_ds(sf_dir))
-
-
-def graph_kcore(sf_dir: str):
-    """Round-exact k-core survivors (4 synchronous peeling rounds, k=4)
-    over the symmetrized supplier<->part graph — fourth consumer of the
-    shared partitioned-edge Pregel; oracle is the unrolled HAVING-count
-    recurrence."""
-    from .stages.graph import supplier_part_kcore
-
-    return supplier_part_kcore(sf_dir)
 
 
 CURATE_LANG = "en"
@@ -4023,24 +2358,6 @@ def corpus_curate(sf_dir: str):
                        "doc_id", reps, "doc_id", how="semi")
 
 
-def _sql_emb_pq() -> str:
-    from .stages.similarity import sql_pq_codes
-
-    return sql_pq_codes(ANN_EVERY)
-
-
-def _sql_doc_shuffle() -> str:
-    from .stages.corpus import sql_shuffle_shards
-
-    return sql_shuffle_shards()
-
-
-def _sql_kcore_oracle() -> str:
-    from .stages.graph import sql_supplier_part_kcore
-
-    return sql_supplier_part_kcore()
-
-
 def _sql_corpus_curate() -> str:
     """Composed funnel oracle: the quality / langid / repetition fragments
     and the recursive-CTE cluster representatives, joined on doc_id."""
@@ -4056,333 +2373,6 @@ WHERE q.quality_pass = 1 AND l.pred_lang = '{CURATE_LANG}' AND r.rep_pass = 1
 """
 
 
-def _sql_mixture() -> str:
-    from .stages.corpus import sql_mixture_sample
-
-    return sql_mixture_sample(ts.sql_n_tokens(_TEXT))
-
-
-def _sql_q1_pricing() -> str:
-    from .pipelines.relational import sql_q1_pricing_summary
-
-    return sql_q1_pricing_summary()
-
-
-def _sql_late_orders() -> str:
-    from .pipelines.relational import sql_late_order_counts
-
-    return sql_late_order_counts()
-
-
-def _sql_custdist() -> str:
-    from .pipelines.relational import sql_customer_order_distribution
-
-    return sql_customer_order_distribution()
-
-
-def _sql_dup_ngrams() -> str:
-    from .stages.corpus import sql_dup_ngram_stats
-
-    return sql_dup_ngram_stats(ts.sql_token_list(_TEXT))
-
-
-def _sql_dau() -> str:
-    from .pipelines.relational import sql_daily_active_users
-
-    return sql_daily_active_users()
-
-
-def _sql_returned_revenue() -> str:
-    from .pipelines.relational import sql_returned_item_revenue
-
-    return sql_returned_item_revenue()
-
-
-def _sql_promo_revenue() -> str:
-    from .pipelines.relational import sql_promo_revenue
-
-    return sql_promo_revenue()
-
-
-def _sql_big_orders() -> str:
-    from .pipelines.relational import sql_big_volume_orders
-
-    return sql_big_volume_orders()
-
-
-def _sql_dormant_rich() -> str:
-    from .pipelines.relational import sql_dormant_rich_customers
-
-    return sql_dormant_rich_customers()
-
-
-def _sql_doc_length_filter() -> str:
-    from .stages.corpus import sql_length_percentile_filter
-
-    return sql_length_percentile_filter()
-
-
-def _sql_text_search() -> str:
-    from .stages.corpus import sql_keyword_search
-
-    return sql_keyword_search(ts.sql_token_list(_TEXT))
-
-
-def _sql_value_share() -> str:
-    from .pipelines.relational import sql_part_value_share
-
-    return sql_part_value_share()
-
-
-def _sql_cluster_purity() -> str:
-    from .stages.kmeans import sql_kmeans_purity
-
-    return sql_kmeans_purity()
-
-
-def _sql_frame_sample() -> str:
-    from .stages.multimodal import sql_frame_samples
-
-    return sql_frame_samples(_TEXT)
-
-
-def _sql_media_stats() -> str:
-    from .stages.multimodal import sql_media_stats
-
-    return sql_media_stats(_TEXT)
-
-
-def _sql_supplier_types() -> str:
-    from .pipelines.relational import sql_supplier_type_counts
-
-    return sql_supplier_type_counts()
-
-
-def _sql_cohorts() -> str:
-    from .pipelines.relational import sql_cohort_matrix
-
-    return sql_cohort_matrix()
-
-
-def _sql_cc_sizes() -> str:
-    from .stages.graph import sql_cc_size_histogram
-
-    return sql_cc_size_histogram()
-
-
-def _sql_knn_graph() -> str:
-    from . import sql_oracles as so
-    from .stages.similarity import KNN_K, KNN_LISTS
-
-    return so.sql_knn_graph_ivf(ANN_EVERY, KNN_K, KNN_LISTS)
-
-
-def _sql_hash_features() -> str:
-    from .stages.text_analysis import sql_hash_features
-
-    return sql_hash_features(_TEXT)
-
-
-def _sql_region_revenue() -> str:
-    from .pipelines.relational import sql_region_revenue
-
-    return sql_region_revenue()
-
-
-def _sql_resolution_hist() -> str:
-    from .stages.multimodal import sql_resolution_histogram
-
-    return sql_resolution_histogram(_TEXT)
-
-
-def _sql_neighbor_sample() -> str:
-    from .stages.graph import sql_neighbor_sample
-
-    return sql_neighbor_sample()
-
-
-def _sql_assortativity() -> str:
-    from .stages.graph import sql_assortativity
-
-    return sql_assortativity()
-
-
-def _sql_event_gaps() -> str:
-    from .pipelines.relational import sql_event_gap_stats
-
-    return sql_event_gap_stats()
-
-
-def _sql_common_neighbors() -> str:
-    from .stages.triangles import sql_common_neighbors
-
-    return sql_common_neighbors()
-
-
-def _sql_chunks() -> str:
-    from .stages.corpus import sql_chunk_documents
-
-    return sql_chunk_documents(ts.sql_n_tokens(_TEXT))
-
-
-def _sql_ttr() -> str:
-    from .stages.text_analysis import sql_ttr
-
-    return sql_ttr(_TEXT)
-
-
-def _sql_gram() -> str:
-    from .stages.kmeans import sql_gram_matrix
-
-    return sql_gram_matrix()
-
-
-def _sql_norm_hist() -> str:
-    from .stages.kmeans import sql_norm_histogram
-
-    return sql_norm_histogram()
-
-
-def _sql_sq8() -> str:
-    from .stages.kmeans import sql_sq8_codes
-
-    return sql_sq8_codes()
-
-
-def _sql_small_qty() -> str:
-    from .pipelines.relational import sql_small_qty_revenue
-
-    return sql_small_qty_revenue()
-
-
-def _sql_shipmode() -> str:
-    from .pipelines.relational import sql_shipmode_priority_counts
-
-    return sql_shipmode_priority_counts()
-
-
-def _sql_jaccard() -> str:
-    from .stages.triangles import sql_cosupplier_jaccard
-
-    return sql_cosupplier_jaccard()
-
-
-def _sql_clustering() -> str:
-    from .stages.triangles import sql_local_clustering
-
-    return sql_local_clustering()
-
-
-def _sql_edge_weights() -> str:
-    from .stages.triangles import sql_edge_weights
-
-    return sql_edge_weights()
-
-
-def _sql_degree_moments() -> str:
-    from .stages.triangles import sql_degree_moments
-
-    return sql_degree_moments()
-
-
-def _sql_theta() -> str:
-    from .stages.sketch import sql_theta_sketches
-
-    return sql_theta_sketches()
-
-
-def _sql_blame() -> str:
-    from .pipelines.relational import sql_blame_supplier_counts
-
-    return sql_blame_supplier_counts()
-
-
-def _sql_nation_trade() -> str:
-    from .pipelines.relational import sql_nation_trade_matrix
-
-    return sql_nation_trade_matrix()
-
-
-def _sql_disjunctive() -> str:
-    from .pipelines.relational import sql_disjunctive_revenue
-
-    return sql_disjunctive_revenue()
-
-
-def _sql_top_supplier() -> str:
-    from .pipelines.relational import sql_top_supplier_revenue
-
-    return sql_top_supplier_revenue()
-
-
-def _sql_q6() -> str:
-    from .pipelines.relational import sql_forecast_revenue
-
-    return sql_forecast_revenue()
-
-
-def _sql_q5() -> str:
-    from .pipelines.relational import sql_local_supplier_volume
-
-    return sql_local_supplier_volume()
-
-
-def _sql_q9() -> str:
-    from .pipelines.relational import sql_product_profit
-
-    return sql_product_profit()
-
-
-def _sql_q2() -> str:
-    from .pipelines.relational import sql_min_cost_supplier
-
-    return sql_min_cost_supplier()
-
-
-def _sql_part_concentration() -> str:
-    from .pipelines.relational import sql_part_concentration
-
-    return sql_part_concentration()
-
-
-def _sql_dim_stats() -> str:
-    from .stages.kmeans import sql_dim_stats
-
-    return sql_dim_stats()
-
-
-def _sql_word_len_hist() -> str:
-    from .stages.corpus import sql_word_length_histogram
-
-    return sql_word_length_histogram(ts.sql_token_list(_TEXT))
-
-
-def _sql_novelty_curve() -> str:
-    from .stages.corpus import sql_token_novelty_curve
-    from .synth import EPOCH_US
-
-    return sql_token_novelty_curve(ts.sql_token_list(_TEXT),
-                                   epoch_us=EPOCH_US)
-
-
-def _sql_q8() -> str:
-    from .pipelines.relational import sql_national_market_share
-
-    return sql_national_market_share()
-
-
-def _sql_event_cooc() -> str:
-    from .pipelines.relational import sql_event_type_cooccurrence
-
-    return sql_event_type_cooccurrence()
-
-
-def _sql_source_stats() -> str:
-    from .stages.corpus import sql_source_stats
-
-    return sql_source_stats()
-
-
 def _sql_ann_exact() -> str:
     return (
         "WITH q AS (SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe "
@@ -4396,112 +2386,26 @@ def _sql_ann_exact() -> str:
     )
 
 
-def _sql_cross_source() -> str:
-    from .stages.corpus import sql_cross_source_pairs
-
-    return sql_cross_source_pairs(_sql_ngram_pairs())
-
-
-def _sql_bfs_oracle() -> str:
-    from .stages.graph import sql_supplier_part_bfs
-
-    return sql_supplier_part_bfs()
-
-
-def _sql_doc_split() -> str:
-    from .stages.corpus import sql_split_documents
-
-    return sql_split_documents()
-
-
-def _sql_outliers_oracle() -> str:
-    from .stages.kmeans import sql_kmeans_outliers
-
-    return sql_kmeans_outliers()
-
-
-def _sql_basket_rules() -> str:
-    from .pipelines.relational import sql_basket_rules
-
-    return sql_basket_rules()
-
-
-def _sql_token_budget() -> str:
-    from .stages.corpus import sql_token_budget
-
-    return sql_token_budget()
-
-
-def _sql_quantize_error() -> str:
-    from .stages.kmeans import sql_quantize_error
-
-    return sql_quantize_error()
-
-
-def _sql_centroid_drift() -> str:
-    from .stages.kmeans import sql_centroid_drift
-
-    return sql_centroid_drift()
-
-
-def _sql_rfm_segments() -> str:
-    from .pipelines.relational import sql_rfm_segments
-
-    return sql_rfm_segments()
-
-
-def _sql_conversion_lag() -> str:
-    from .pipelines.relational import sql_conversion_lag
-
-    return sql_conversion_lag()
-
-
-def _sql_quality_dup() -> str:
-    from .stages.corpus import sql_quality_dup_matrix
-
-    return sql_quality_dup_matrix()
-
-
-def _sql_tokenizer_fertility() -> str:
-    from .stages.corpus import sql_tokenizer_fertility
-
-    return sql_tokenizer_fertility()
-
-
-def _sql_mix_order() -> str:
-    from .stages.corpus import sql_mix_order
-
-    return sql_mix_order()
-
-
-def _sql_shard_skew() -> str:
-    from .stages.corpus import sql_shard_skew
-
-    return sql_shard_skew()
-
-
 def oracle_sql() -> dict[str, str]:
     """DuckDB SQL per SQL-expressible query; keys match registry()."""
     from . import sql_oracles as so
-
-    from .pipelines.relational import sql_decile_report, sql_user_retention
-    from .stages.corpus import sql_winnow_fingerprints
-    from .stages.dedup import EDIT_MAX_DIST, EDIT_PREFIX_LEN
-    from .stages.kmeans import (sql_label_centroids, sql_matryoshka_profile,
-                                sql_sign_balance)
-    from .stages.sketch import sql_hll_grouped_registers
+    from .pipelines import relational as rel
+    from .stages import (corpus, dedup, graph, kmeans, multimodal as mm,
+                         similarity as sim, sketch, text_analysis as ta,
+                         triangles as tri)
 
     d = config_loader.resolve_settings()["processing"]["dedup"]
     norm = ts.sql_norm_text(_TEXT)
+    toks = ts.sql_token_list(_TEXT)
     return {
-        "sketch_hll_grouped": sql_hll_grouped_registers(),
-        "emb_label_centroids": sql_label_centroids(),
-        "rel_user_retention": sql_user_retention(),
-        "text_winnow": sql_winnow_fingerprints(ts.sql_token_list(_TEXT)),
+        "sketch_hll_grouped": sketch.sql_hll_grouped_registers(),
+        "emb_label_centroids": kmeans.sql_label_centroids(),
+        "rel_user_retention": rel.sql_user_retention(),
+        "text_winnow": corpus.sql_winnow_fingerprints(toks),
         "corpus_curate": _sql_corpus_curate(),
-        "graph_kcore": _sql_kcore_oracle(),
-        "doc_shuffle": _sql_doc_shuffle(),
-        "emb_pq": _sql_emb_pq(),
+        "graph_kcore": graph.sql_supplier_part_kcore(),
+        "doc_shuffle": corpus.sql_shuffle_shards(),
+        "emb_pq": sim.sql_pq_codes(ANN_EVERY),
         "kg_triples": so.sql_kg_triples(),
         "kg_entities": so.sql_kg_entities(),
         "kg_adjacency": so.sql_kg_adjacency(),
@@ -4509,69 +2413,71 @@ def oracle_sql() -> dict[str, str]:
         "kg_cooccurrence": so.sql_kg_cooccurrence(),
         "kg_2hop": so.sql_kg_two_hop(),
         "kg_entity_pmi": so.sql_kg_entity_pmi(),
-        "text_hash_features": _sql_hash_features(),
-        "rel_q1_pricing": _sql_q1_pricing(),
-        "rel_late_orders": _sql_late_orders(),
-        "rel_custdist": _sql_custdist(),
-        "doc_dup_ngrams": _sql_dup_ngrams(),
-        "emb_knn_graph": _sql_knn_graph(),
-        "rel_returned_revenue": _sql_returned_revenue(),
-        "rel_dau": _sql_dau(),
-        "rel_promo_revenue": _sql_promo_revenue(),
-        "rel_big_orders": _sql_big_orders(),
-        "rel_dormant_rich": _sql_dormant_rich(),
-        "doc_length_filter": _sql_doc_length_filter(),
-        "text_search": _sql_text_search(),
-        "rel_value_share": _sql_value_share(),
-        "emb_cluster_purity": _sql_cluster_purity(),
-        "mm_frame_sample": _sql_frame_sample(),
-        "rel_supplier_types": _sql_supplier_types(),
-        "rel_cohorts": _sql_cohorts(),
-        "graph_cc_sizes": _sql_cc_sizes(),
-        "emb_norm_hist": _sql_norm_hist(),
-        "rel_small_qty": _sql_small_qty(),
+        "text_hash_features": ta.sql_hash_features(_TEXT),
+        "rel_q1_pricing": rel.sql_q1_pricing_summary(),
+        "rel_late_orders": rel.sql_late_order_counts(),
+        "rel_custdist": rel.sql_customer_order_distribution(),
+        "doc_dup_ngrams": corpus.sql_dup_ngram_stats(toks),
+        "emb_knn_graph": so.sql_knn_graph_ivf(ANN_EVERY, sim.KNN_K,
+                                              sim.KNN_LISTS),
+        "rel_returned_revenue": rel.sql_returned_item_revenue(),
+        "rel_dau": rel.sql_daily_active_users(),
+        "rel_promo_revenue": rel.sql_promo_revenue(),
+        "rel_big_orders": rel.sql_big_volume_orders(),
+        "rel_dormant_rich": rel.sql_dormant_rich_customers(),
+        "doc_length_filter": corpus.sql_length_percentile_filter(),
+        "text_search": corpus.sql_keyword_search(toks),
+        "rel_value_share": rel.sql_part_value_share(),
+        "emb_cluster_purity": kmeans.sql_kmeans_purity(),
+        "mm_frame_sample": mm.sql_frame_samples(_TEXT),
+        "rel_supplier_types": rel.sql_supplier_type_counts(),
+        "rel_cohorts": rel.sql_cohort_matrix(),
+        "graph_cc_sizes": graph.sql_cc_size_histogram(),
+        "emb_norm_hist": kmeans.sql_norm_histogram(),
+        "rel_small_qty": rel.sql_small_qty_revenue(),
         "kg_alias_stats": so.sql_kg_alias_stats(),
-        "rel_shipmode": _sql_shipmode(),
-        "graph_jaccard": _sql_jaccard(),
-        "rel_blame_suppliers": _sql_blame(),
-        "mm_media_stats": _sql_media_stats(),
-        "rel_nation_trade": _sql_nation_trade(),
-        "emb_sq8": _sql_sq8(),
+        "rel_shipmode": rel.sql_shipmode_priority_counts(),
+        "graph_jaccard": tri.sql_cosupplier_jaccard(),
+        "rel_blame_suppliers": rel.sql_blame_supplier_counts(),
+        "mm_media_stats": mm.sql_media_stats(_TEXT),
+        "rel_nation_trade": rel.sql_nation_trade_matrix(),
+        "emb_sq8": kmeans.sql_sq8_codes(),
         "kg_pred_stats": so.sql_kg_pred_stats(),
-        "rel_disjunctive": _sql_disjunctive(),
+        "rel_disjunctive": rel.sql_disjunctive_revenue(),
         "kg_mention_timeline": so.sql_kg_mention_timeline(),
-        "rel_top_supplier": _sql_top_supplier(),
-        "rel_q6": _sql_q6(),
+        "rel_top_supplier": rel.sql_top_supplier_revenue(),
+        "rel_q6": rel.sql_forecast_revenue(),
         "kg_entity_freshness": so.sql_kg_entity_freshness(),
         "kg_type_matrix": so.sql_kg_type_matrix(),
         "kg_pagerank": so.sql_kg_pagerank(),
         "kg_entity_clusters": so.sql_kg_cc(),
         "kg_hub_entities": so.sql_kg_hub_entities(),
         "kg_source_contrib": so.sql_kg_source_contrib(),
-        "rel_q5": _sql_q5(),
+        "rel_q5": rel.sql_local_supplier_volume(),
         "kg_conflicts": so.sql_kg_conflicts(),
-        "graph_clustering": _sql_clustering(),
-        "text_zipf": _sql_zipf(),
+        "graph_clustering": tri.sql_local_clustering(),
+        "text_zipf": corpus.sql_zipf_histogram(toks),
         "kg_pred_cooccurrence": so.sql_kg_pred_cooccurrence(),
-        "rel_q8": _sql_q8(),
-        "rel_q9": _sql_q9(),
-        "rel_q2": _sql_q2(),
+        "rel_q8": rel.sql_national_market_share(),
+        "rel_q9": rel.sql_product_profit(),
+        "rel_q2": rel.sql_min_cost_supplier(),
         "kg_cluster_sizes": so.sql_kg_cluster_sizes(),
         "kg_pagerank_share": so.sql_kg_pagerank_share(),
         "kg_boilerplate": so.sql_kg_boilerplate(),
-        "rel_part_concentration": _sql_part_concentration(),
+        "rel_part_concentration": rel.sql_part_concentration(),
         "kg_growth_curve": so.sql_kg_growth_curve(),
-        "emb_dim_stats": _sql_dim_stats(),
-        "text_word_len_hist": _sql_word_len_hist(),
+        "emb_dim_stats": kmeans.sql_dim_stats(),
+        "text_word_len_hist": corpus.sql_word_length_histogram(toks),
         "emb_lsh_balance": so.sql_lsh_balance(nbits=8, tables=4),
-        "text_novelty_curve": _sql_novelty_curve(),
+        "text_novelty_curve": corpus.sql_token_novelty_curve(
+            toks, epoch_us=synth.EPOCH_US),
         "kg_comention_clusters": so.sql_kg_comention_clusters(),
         "kg_pred_directionality": so.sql_kg_pred_directionality(),
         "kg_entity_cards": so.sql_kg_entity_cards(),
         "kg_lang_yield": so.sql_kg_lang_yield(),
         "kg_category_stats": so.sql_kg_category_stats(),
         "kg_publish": so.sql_kg_publish(KG_PUBLISH_MIN_CONF),
-        "sketch_theta": _sql_theta(),
+        "sketch_theta": sketch.sql_theta_sketches(),
         "emb_ivf_balance": so.sql_ivf_balance(ANN_EVERY, n_lists=16),
         "dedup_lsh_balance": so.sql_minhash_band_balance(
             d["minhash_num_perm"], d["minhash_bands"],
@@ -4588,40 +2494,41 @@ def oracle_sql() -> dict[str, str]:
             "WHERE rnk <= 64"),
         "kg_pred_trend": so.sql_kg_pred_trend(),
         "kg_entity_types": so.sql_kg_entity_types(),
-        "graph_degree_moments": _sql_degree_moments(),
-        "text_vocab_overlap": _sql_vocab_overlap(),
-        "rel_event_transitions": _sql_event_transitions(),
+        "graph_degree_moments": tri.sql_degree_moments(),
+        "text_vocab_overlap": corpus.sql_vocab_overlap(toks),
+        "rel_event_transitions": rel.sql_event_transitions(),
         "kg_seg_yield": so.sql_kg_seg_yield(),
-        "rel_basket_rules": _sql_basket_rules(),
-        "doc_token_budget": _sql_token_budget(),
+        "rel_basket_rules": rel.sql_basket_rules(),
+        "doc_token_budget": corpus.sql_token_budget(),
         "kg_negative_samples": so.sql_kg_negative_samples(),
-        "emb_quantize_error": _sql_quantize_error(),
-        "emb_centroid_drift": _sql_centroid_drift(),
-        "rel_rfm_segments": _sql_rfm_segments(),
+        "emb_quantize_error": kmeans.sql_quantize_error(),
+        "emb_centroid_drift": kmeans.sql_centroid_drift(),
+        "rel_rfm_segments": rel.sql_rfm_segments(),
         "kg_neighborhood_function": so.sql_kg_neighborhood_function(),
-        "rel_conversion_lag": _sql_conversion_lag(),
-        "doc_quality_dup": _sql_quality_dup(),
-        "text_tokenizer_fertility": _sql_tokenizer_fertility(),
-        "doc_mix_order": _sql_mix_order(),
-        "doc_shard_skew": _sql_shard_skew(),
+        "rel_conversion_lag": rel.sql_conversion_lag(),
+        "doc_quality_dup": corpus.sql_quality_dup_matrix(),
+        "text_tokenizer_fertility": corpus.sql_tokenizer_fertility(),
+        "doc_mix_order": corpus.sql_mix_order(),
+        "doc_shard_skew": corpus.sql_shard_skew(),
         "kg_pred_paths": so.sql_kg_pred_paths(),
         "kg_pred_object_concentration":
             so.sql_kg_pred_object_concentration(),
         "dedup_edit": so.sql_dedup_edit(
             d["minhash_num_perm"], d["minhash_bands"], d["minhash_jaccard"],
-            d["shingle_k"], EDIT_PREFIX_LEN, EDIT_MAX_DIST),
+            d["shingle_k"], dedup.EDIT_PREFIX_LEN, dedup.EDIT_MAX_DIST),
         "kg_closeness": so.sql_kg_seed_closeness(),
-        "emb_matryoshka": sql_matryoshka_profile(),
+        "emb_matryoshka": kmeans.sql_matryoshka_profile(),
         "kg_walks": so.sql_kg_walks(),
         "kg_split": so.sql_kg_split(),
-        "sketch_f2": _sql_frequency_moments(),
+        "sketch_f2": corpus.sql_frequency_moments(toks),
         "kg_walk_pairs": so.sql_kg_walk_pairs(),
         "kg_temporal_conflicts": so.sql_kg_temporal_conflicts(),
-        "doc_quality_by_source": _sql_quality_by_source(),
-        "rel_decile_report": sql_decile_report(),
-        "emb_sign_balance": sql_sign_balance(),
+        "doc_quality_by_source": corpus.sql_quality_by_source(),
+        "rel_decile_report": rel.sql_decile_report(),
+        "emb_sign_balance": kmeans.sql_sign_balance(),
         "kg_inverse_preds": so.sql_kg_inverse_preds(),
-        "doc_dup_by_source": _sql_dup_by_source(),
+        "doc_dup_by_source": corpus.sql_dup_by_source(
+            ts.sql_fingerprint(_TEXT)),
         "kg_conf_support": (
             "SELECT conf_pct, least(n_support, 4) AS support_bucket, "
             "CAST(count(*) AS BIGINT) AS n_triples FROM ("
@@ -4632,9 +2539,9 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(n AS BIGINT) AS n_lines, "
             "CAST(count(*) AS BIGINT) AS n_orders FROM c GROUP BY 1"),
         "kg_new_entities": so.sql_kg_new_entities(),
-        "graph_edge_weights": _sql_edge_weights(),
-        "rel_event_cooccurrence": _sql_event_cooc(),
-        "doc_source_stats": _sql_source_stats(),
+        "graph_edge_weights": tri.sql_edge_weights(),
+        "rel_event_cooccurrence": rel.sql_event_type_cooccurrence(),
+        "doc_source_stats": corpus.sql_source_stats(),
         "kg_degree_dist": (
             "SELECT out_degree, CAST(count(*) AS BIGINT) AS n_entities "
             "FROM (" + so.sql_kg_adjacency() + ") a GROUP BY 1"),
@@ -4830,46 +2737,47 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey, "
             "CAST(cnt AS BIGINT) AS median_orders FROM r WHERE rn = (n + 1) // 2"
         ),
-        "doc_sample": _sql_doc_sample(),
-        "text_tfidf_topk": _sql_tfidf_topk_oracle(),
-        "text_inverted_index": _sql_inverted_index_oracle(),
-        "graph_pagerank": _sql_pagerank_oracle(),
-        "rel_event_funnel": _sql_event_funnel_oracle(),
-        "rel_grouped_quantiles": _sql_grouped_quantiles_oracle(),
+        "doc_sample": corpus.sql_sample_documents(pct=10),
+        "text_tfidf_topk": corpus.sql_tfidf_topk(toks, k=3),
+        "text_inverted_index": corpus.sql_inverted_index(toks, postings_k=5),
+        "graph_pagerank": graph.sql_supplier_part_pagerank(iterations=3),
+        "rel_event_funnel": rel.sql_event_funnel(),
+        "rel_grouped_quantiles": rel.sql_quantile_orders_per_nation(),
         "rel_anti_join": (
             "SELECT c_custkey FROM customer c WHERE NOT EXISTS ("
             "SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey "
             "AND o.o_orderpriority = '1-URGENT')"
         ),
-        "rel_pivot": _sql_pivot_oracle(),
-        "rel_running_total": _sql_running_total_oracle(),
-        "rel_rollup": _sql_rollup_oracle(),
-        "sketch_hll": _sql_hll_oracle(),
-        "text_heavy_hitters": _sql_heavy_hitters_oracle(),
-        "graph_degree_stats": _sql_degree_stats_oracle(),
-        "sketch_bloom": _sql_bloom_oracle(),
-        "doc_sample_stratified": _sql_stratified_oracle(),
-        "dedup_decontaminate": _sql_decontaminate_oracle(),
-        "sketch_cms": _sql_cms_oracle(),
-        "sketch_quantile": _sql_quantile_oracle(),
-        "text_pmi_topk": _sql_pmi_oracle(),
-        "emb_kmeans": _sql_kmeans_oracle(),
-        "doc_pack": _sql_doc_pack_oracle(),
-        "graph_triangles": _sql_triangles_oracle(),
-        "rel_top_revenue": _sql_top_revenue_oracle(),
-        "graph_cc": _sql_cc_oracle(),
-        "dedup_substring": _sql_substring_oracle(),
-        "emb_kmeans_cost": _sql_kmeans_cost_oracle(),
-        "sketch_quantile_grouped": _sql_quantile_grouped_oracle(),
-        "rel_grouped_mode": _sql_grouped_mode_oracle(),
+        "rel_pivot": rel.sql_event_type_pivot(),
+        "rel_running_total": rel.sql_running_order_total(),
+        "rel_rollup": rel.sql_lineitem_rollup(),
+        "sketch_hll": sketch.sql_hll_token_registers(toks),
+        "text_heavy_hitters": sketch.sql_heavy_hitter_tokens(toks, k=HEAVY_K),
+        "graph_degree_stats": graph.sql_supplier_part_degree_stats(),
+        "sketch_bloom": sketch.sql_bloom_build("o_custkey", "orders"),
+        "doc_sample_stratified": corpus.sql_stratified_sample_documents(),
+        "dedup_decontaminate": corpus.sql_decontaminate(_sql_ngram_pairs(),
+                                                        eval_pct=10),
+        "sketch_cms": sketch.sql_cms_build(toks),
+        "sketch_quantile": sketch.sql_quantile_histogram(),
+        "text_pmi_topk": corpus.sql_pmi_topk(toks),
+        "emb_kmeans": kmeans.sql_kmeans_labels(),
+        "doc_pack": corpus.sql_pack_sequences(ts.sql_n_tokens(_TEXT)),
+        "graph_triangles": tri.sql_cosupplier_triangles(),
+        "rel_top_revenue": rel.sql_top_revenue_orders(),
+        "graph_cc": graph.sql_supplier_part_cc(),
+        "dedup_substring": dedup.sql_substring_dup_pairs(toks),
+        "emb_kmeans_cost": kmeans.sql_kmeans_cost(),
+        "sketch_quantile_grouped": sketch.sql_grouped_quantile_histogram(),
+        "rel_grouped_mode": rel.sql_priority_mode_per_segment(),
         "rel_semi_join_bloom": (
             # identical semantics to rel_semi_join: the Bloom stage only
             # prunes, the exact join restores exactness
             "SELECT CAST(c_custkey AS BIGINT) AS c_custkey FROM customer "
             "WHERE c_custkey IN (SELECT o_custkey FROM orders)"
         ),
-        "text_lm_score": _sql_lm_score_oracle(),
-        "text_ngram_topk": _sql_ngram_topk_oracle(),
+        "text_lm_score": corpus.sql_bigram_lm_score(toks),
+        "text_ngram_topk": corpus.sql_ngram_topk(toks, n=2, k=20),
         "rel_topk_per_group": (
             "SELECT c_mktsegment, CAST(o_orderkey AS BIGINT) AS o_orderkey, "
             "CAST(rnk AS BIGINT) AS rnk FROM ("
@@ -4877,18 +2785,30 @@ def oracle_sql() -> dict[str, str]:
             "PARTITION BY c_mktsegment ORDER BY o_totalprice DESC, o_orderkey) AS rnk "
             "FROM orders JOIN customer ON o_custkey = c_custkey) WHERE rnk <= 3"
         ),
-        "graph_bfs": _sql_bfs_oracle(),
-        "doc_split": _sql_doc_split(),
-        "emb_outliers": _sql_outliers_oracle(),
-        "dedup_cross_source": _sql_cross_source(),
-        "doc_mixture": _sql_mixture(),
-        "emb_gram": _sql_gram(),
-        "text_ttr": _sql_ttr(),
-        "doc_chunks": _sql_chunks(),
-        "graph_common_neighbors": _sql_common_neighbors(),
-        "rel_event_gaps": _sql_event_gaps(),
-        "graph_assortativity": _sql_assortativity(),
-        "graph_neighbor_sample": _sql_neighbor_sample(),
-        "mm_resolution_hist": _sql_resolution_hist(),
-        "rel_region_revenue": _sql_region_revenue(),
+        "graph_bfs": graph.sql_supplier_part_bfs(),
+        "doc_split": corpus.sql_split_documents(),
+        "emb_outliers": kmeans.sql_kmeans_outliers(),
+        "dedup_cross_source": corpus.sql_cross_source_pairs(
+            _sql_ngram_pairs()),
+        "doc_mixture": corpus.sql_mixture_sample(ts.sql_n_tokens(_TEXT)),
+        "emb_gram": kmeans.sql_gram_matrix(),
+        "text_ttr": ta.sql_ttr(_TEXT),
+        "doc_chunks": corpus.sql_chunk_documents(ts.sql_n_tokens(_TEXT)),
+        "graph_common_neighbors": tri.sql_common_neighbors(),
+        "rel_event_gaps": rel.sql_event_gap_stats(),
+        "graph_assortativity": graph.sql_assortativity(),
+        "graph_neighbor_sample": graph.sql_neighbor_sample(),
+        "mm_resolution_hist": mm.sql_resolution_histogram(_TEXT),
+        "rel_region_revenue": rel.sql_region_revenue(),
     }
+
+
+def __getattr__(name: str):
+    """Resolve a registry query as a module attribute (PEP 562):
+    ``queries.rel_q6`` and ``from kgx.queries import rel_q6`` return the
+    ``registry()`` entry."""
+    if not name.startswith("__"):
+        reg = registry()
+        if name in reg:
+            return reg[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

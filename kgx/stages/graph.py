@@ -206,13 +206,17 @@ def supplier_part_edges(sf_dir: str):
 
 
 def supplier_part_pagerank(sf_dir: str, iterations: int = 3):
-    """PageRank over the symmetrized supplier<->part incidence graph —
-    the relational stand-in for ranking a KG's entity graph."""
+    """Integer fixed-point PageRank over the symmetrized supplier<->part
+    incidence graph — the relational stand-in for ranking a KG's entity
+    graph: iterative labels-as-a-Dataset compute reusing the pinned-round
+    machinery of the clustering stage."""
     return pagerank_ds(supplier_part_edges(sf_dir), iterations=iterations)
 
 
 def supplier_part_degree_stats(sf_dir: str):
-    """Degree distribution of the symmetrized supplier<->part graph."""
+    """Degree distribution (degree, n_nodes) of the symmetrized
+    supplier<->part graph — two bounded exchanges, histogram keyed by
+    degree (tiny cardinality)."""
     return degree_histogram(supplier_part_edges(sf_dir))
 
 
@@ -395,7 +399,9 @@ def cc_rounds_ds(edges_ds, rounds: int = CC_ROUNDS):
 
 
 def supplier_part_cc(sf_dir: str, rounds: int = CC_ROUNDS):
-    """Round-exact CC labels over the symmetrized supplier<->part graph."""
+    """Round-exact CC labels (``rounds`` synchronous min-label rounds) over
+    the symmetrized supplier<->part graph — a consumer of the shared
+    partitioned-edge Pregel; the oracle is the unrolled-CTE recurrence."""
     return cc_rounds_ds(supplier_part_edges(sf_dir), rounds=rounds)
 
 
@@ -556,8 +562,10 @@ def kcore_rounds_ds(edges_ds, k: int = KCORE_K, rounds: int = KCORE_ROUNDS):
 
 def supplier_part_kcore(sf_dir: str, k: int = KCORE_K,
                         rounds: int = KCORE_ROUNDS):
-    """Round-exact k-core survivors of the symmetrized supplier<->part
-    graph."""
+    """Round-exact k-core survivors (``rounds`` synchronous peeling rounds)
+    of the symmetrized supplier<->part graph — a consumer of the shared
+    partitioned-edge Pregel; the oracle is the unrolled HAVING-count
+    recurrence."""
     return kcore_rounds_ds(supplier_part_edges(sf_dir), k=k, rounds=rounds)
 
 
@@ -696,7 +704,10 @@ def bfs_rounds_ds(edges_ds, rounds: int = BFS_ROUNDS):
 
 
 def supplier_part_bfs(sf_dir: str, rounds: int = BFS_ROUNDS):
-    """Truncated multi-source BFS ball over the supplier<->part graph."""
+    """Truncated multi-source BFS ball (``rounds`` min-plus rounds from the
+    suppkey % 7 == 1 source set) over the supplier<->part graph — a
+    consumer of the shared partitioned-edge Pregel; round-exact
+    Bellman-Ford keeps the unrolled-CTE oracle bit-exact."""
     return bfs_rounds_ds(supplier_part_edges(sf_dir), rounds=rounds)
 
 

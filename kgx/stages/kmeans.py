@@ -143,9 +143,12 @@ def _fit(emb_ds, k: int, iters: int):
 
 
 def kmeans_labels(emb_ds, k: int = KM_K, iters: int = KM_ITERS):
-    """embeddings -> (vec_id, cluster): cluster ids are 1-based seed
-    ranks, stable across iterations.  ``iters`` centroid updates, then
-    one final assignment pass."""
+    """embeddings -> (vec_id, cluster): integer-exact Lloyd k-means;
+    cluster ids are 1-based seed ranks, stable across iterations.
+    ``iters`` centroid updates, then one final assignment pass: centroids
+    broadcast as a tiny k x d matrix, one streaming pass per iteration
+    (per-batch np.add.at partials, k rows per batch), floor-mean update.
+    The DuckDB oracle is an unrolled-CTE Lloyd program."""
     emb_ds, cents = _fit(emb_ds, k, iters)
 
     def assign(batch: pa.Table) -> pa.Table:

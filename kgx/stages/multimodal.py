@@ -282,7 +282,8 @@ class ThumbnailStage:
 
 
 def thumbnails(docs_ds):
-    """documents -> thumbnail metadata via the actor-pool resize stage."""
+    """documents -> thumbnail metadata: resize + frame-sample over the
+    binary payload column in the actor-pool resize stage."""
     payloads = docs_ds.map_batches(attach_payload_batch, batch_format="pyarrow")
     return payloads.map_batches(
         ThumbnailStage, batch_format="pyarrow", batch_size=64,
@@ -393,7 +394,10 @@ class FrameSampleStage:
 
 
 def frame_samples(docs_ds):
-    """documents -> sampled per-frame rows via the actor-pool explode."""
+    """documents -> sampled per-frame rows via the actor-pool explode (the
+    video-sampling 1 -> N shape): each payload body splits into 64-byte
+    frames and every 4th becomes its own row — one repeat-gather +
+    bincount per batch, small batch_size for the explode."""
     payloads = docs_ds.map_batches(attach_payload_batch,
                                    batch_format="pyarrow")
     return payloads.map_batches(

@@ -69,7 +69,10 @@ def cosupplier_triangles(lineitem_ds, per_edge: bool = False,
     id-normalized edges gain one common neighbor, and a final
     (a, b)-keyed count combiner folds them.  Extra wire cost over the
     count mode is one int64 column on the wedge rows plus a
-    triangle-volume count exchange.
+    triangle-volume count exchange.  Adding ``jaccard=True`` attaches both
+    endpoint degrees (under the same cost gate as the orientation) and the
+    neighbor-set Jaccard similarity jacc_pm = 10000 * n // (da + db - n),
+    exact in integers.
 
     With ``clustering=True`` the pipeline instead returns the per-node
     LOCAL CLUSTERING COEFFICIENT table (node, deg, n_tri, cc_pm): each

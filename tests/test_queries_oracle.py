@@ -6,6 +6,12 @@ every query on empty input."""
 
 from __future__ import annotations
 
+import ast
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import duckdb
 import pandas as pd
 import pytest
@@ -133,3 +139,70 @@ def test_full_config_flagship_nonempty(ray_session):
     from kgx import queries as Q
 
     assert to_pandas(Q.kg_triples_full(SF_DIR)).shape[0] > 0
+
+
+# Functions of kgx/queries.py that may stay one-line forwarders: the input
+# builders that registry entries read through, and entry()'s flagship.
+INPUT_BUILDERS = {"_docs_ds", "_emb_ds", "_emb_sample", "_kg_sql_pages",
+                  "_kg_sql_outputs", "_docs_ds_with_source", "kg_triples_full"}
+
+
+def forwarders(path) -> list[str]:
+    """Public and ``_sql_*`` functions of ``path`` whose body, after the
+    docstring and imports, is a single ``return`` of a call or subscript."""
+    out = []
+    for fn in ast.parse(Path(path).read_text()).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in INPUT_BUILDERS:
+            continue
+        if fn.name.startswith("_") and not fn.name.startswith("_sql_"):
+            continue
+        body = [s for s in fn.body
+                if not isinstance(s, (ast.Import, ast.ImportFrom))]
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body = body[1:]
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, (ast.Call, ast.Subscript))):
+            out.append(fn.name)
+    return out
+
+
+def test_queries_declared_once():
+    """A query is one registry() entry (operator, input, constants) and its
+    oracle one oracle_sql() entry: no function of kgx/queries.py only
+    forwards to an operator or a SQL builder."""
+    from kgx import queries as Q
+
+    assert forwarders(Q.__file__) == []
+
+
+def test_registry_contract():
+    """208 entries with the never-checked window first; every name (and
+    kg_triples_full) resolves as a module attribute and through
+    ``from kgx.queries import``; the entries pickle with stdlib pickle."""
+    from kgx import queries as Q
+
+    reg = Q.registry()
+    assert len(reg) == 208
+    assert list(reg)[:50] == list(Q._NEVER_CHECKED_50)
+    for name in [*reg, "kg_triples_full"]:
+        ns: dict = {}
+        exec(f"from kgx.queries import {name}", ns)
+        assert callable(ns[name])
+        assert pickle.dumps(ns[name]) == pickle.dumps(getattr(Q, name))
+        if name in reg:
+            assert pickle.dumps(reg[name]) == pickle.dumps(ns[name])
+    pickle.dumps(list(Q.registry().values()))
+    assert not hasattr(Q, "no_such_query")
+
+
+def test_queries_import_loads_no_stage_module():
+    """``import kgx.queries`` stays cheap: the registry imports the stage
+    modules when it is built, not at module import."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kgx.queries; print(sorted("
+         "m for m in sys.modules if m.startswith('kgx.stages')))"],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
+        text=True, check=True).stdout
+    assert out.strip() == "[]"
